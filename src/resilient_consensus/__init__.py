@@ -45,7 +45,6 @@ from .dynamics import (
     write_trajectory_csv,
 )
 from .stability import (
-    AgreementTransform,
     AugmentedSystem,
     StabilityReport,
     build_m,

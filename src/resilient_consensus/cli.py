@@ -31,7 +31,8 @@ from .graph import is_connected, load_edge_list
 from .scenario import (
     build_run_report,
     dump_report,
-    load_scenario,
+    parse_scenario,
+    read_scenario,
     stability_report_dict,
 )
 from .stability import DEFAULT_SPECTRAL_TOL, verify_theorem
@@ -42,14 +43,25 @@ EXIT_VERIFY = 2
 EXIT_NUMERIC = 3
 
 
-def _load_graph(args, scenario=None):
-    path = args.graph or (scenario.graph_path if scenario else None)
+def _load_graph(path):
     if path is None:
-        raise ConsensusToolkitError("no graph file given (use --graph)")
+        raise ConsensusToolkitError("no graph file given (use --graph or the scenario's graph:)")
     g = load_edge_list(path)
     if not is_connected(g):
         raise DisconnectedGraphError("graph not connected")
     return g
+
+
+def _load_inputs(args):
+    """Graph and scenario; --graph overrides the scenario's graph: field."""
+    raw = read_scenario(args.scenario)
+    g = _load_graph(args.graph or raw.get("graph"))
+    return g, parse_scenario(raw, g)
+
+
+def _overrides(args) -> dict:
+    """The --dt/--t-final values given on the command line, as config fields."""
+    return {k: v for k, v in (("dt", args.dt), ("t_final", args.t_final)) if v is not None}
 
 
 def _print_report(report: dict, title: str) -> None:
@@ -58,14 +70,8 @@ def _print_report(report: dict, title: str) -> None:
 
 
 def cmd_simulate(args) -> int:
-    g = _load_graph(args)
-    sc = load_scenario(args.scenario, g)
-    cfg = sc.config
-    if args.dt is not None:
-        cfg = replace(cfg, dt=args.dt)
-    if args.t_final is not None:
-        cfg = replace(cfg, t_final=args.t_final)
-    traj = simulate(g, cfg, sc.w)
+    g, sc = _load_inputs(args)
+    traj = simulate(g, replace(sc.config, **_overrides(args)), sc.w)
     write_trajectory_csv(traj, args.out)
     report = build_run_report(traj, sc.w)
     if sc.x_hat0_overridden:
@@ -76,7 +82,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    g = _load_graph(args)
+    g = _load_graph(args.graph)
     report = verify_theorem(g, args.alpha, tol=args.tol)
     _print_report(stability_report_dict(report), f"stability report (alpha={args.alpha})")
     if not report.theorem_verdict:
@@ -90,18 +96,12 @@ def cmd_sweep(args) -> int:
     alphas = sorted({float(a) for a in args.alpha})
     if not alphas:
         raise ConsensusToolkitError("empty alpha list")
-    g = _load_graph(args)
-    sc = load_scenario(args.scenario, g)
+    g, sc = _load_inputs(args)
     if sc.config.protocol != ADAPTIVE:
         raise ConsensusToolkitError("sweep requires an adaptive scenario")
     rows = []
     for alpha in alphas:
-        cfg = replace(sc.config, alpha=alpha)
-        if args.dt is not None:
-            cfg = replace(cfg, dt=args.dt)
-        if args.t_final is not None:
-            cfg = replace(cfg, t_final=args.t_final)
-        traj = simulate(g, cfg, sc.w)
+        traj = simulate(g, replace(sc.config, alpha=alpha, **_overrides(args)), sc.w)
         report = build_run_report(traj, sc.w)
         rows.append(
             (
@@ -121,8 +121,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    g = _load_graph(args)
-    sc = load_scenario(args.scenario, g)
+    g, sc = _load_inputs(args)
     traj = read_trajectory_csv(args.trajectory, g, sc.config)
     report = build_run_report(traj, sc.w)
     if sc.x_hat0_overridden:
@@ -136,7 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="resilient-consensus",
         description="Simulate and verify resilient consensus under constant disturbances.",
     )
-    parser.add_argument("--seed", type=int, default=None, help="seed echoed into output")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="run a scenario and write the trajectory")
@@ -174,8 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed is not None:
-        print(f"seed: {args.seed}")
     try:
         return args.func(args)
     except NumericalBlowupError as exc:

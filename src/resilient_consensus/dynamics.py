@@ -1,15 +1,20 @@
 """Agent dynamics, consensus protocols, and fixed-step integration.
 
-Agents are scalar integrators dx_i/dt = u_i + w_i with a constant
-per-agent disturbance w_i. Two protocols are implemented:
+Agents are scalar integrators dx/dt = u + w with a constant disturbance
+vector w. The nominal protocol is u = -L x (disturbances uncorrected); the
+adaptive one is u = -L x - w_hat, where each agent runs a state emulator
+x_hat and integrates the emulator mismatch, with gain alpha > 0, into a
+disturbance estimate w_hat. In the stacked state y = (x, x_hat, w_hat) the
+closed loop is the linear time-invariant system
 
-* nominal:  u = -L x                  (disturbances uncorrected)
-* adaptive: u = -L x - w_hat          (estimated disturbance subtracted)
+    y' = A y + b,   b = (w, 0, 0),
 
-The adaptive protocol runs a per-agent state emulator
-    d(x_hat_i)/dt = -d_i x_hat_i + sum_{j ~ i} x_j
-and integrates the emulator mismatch into the disturbance estimate
-    d(w_hat_i)/dt = alpha (x_i - x_hat_i),  alpha > 0.
+    A = [[-L,       0,        -I],      (adaptive; the nominal A keeps
+         [Adj,      -Delta,    0],       only the -L block)
+         [alpha I,  -alpha I,  0]]
+
+with Adj the adjacency and Delta the degree matrix, L = Delta - Adj.
+``_closed_loop`` builds (A, b); RK4 and ``system_derivative`` evaluate it.
 
 Error conventions used throughout: x_tilde = x - x_hat and
 w_tilde = w_hat - w, so the closed-loop error dynamics are
@@ -24,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .errors import (
     DisconnectedGraphError,
@@ -115,11 +121,6 @@ class Trajectory:
     def __len__(self):
         return len(self.times)
 
-    def state_at(self, k: int) -> SimState:
-        return SimState(
-            x=self.x[k], x_hat=self.x_hat[k], w_hat=self.w_hat[k], t=float(self.times[k])
-        )
-
 
 def _check_lengths(g: Graph, *vecs):
     for v in vecs:
@@ -151,39 +152,33 @@ def emulator_derivative(g: Graph, x: np.ndarray, x_hat: np.ndarray) -> np.ndarra
     return -degree_matrix(g) @ x_hat + adjacency_matrix(g) @ x
 
 
-class _Dynamics:
-    """Precomputed right-hand side of the coupled (x, x_hat, w_hat) system."""
-
-    def __init__(self, g: Graph, cfg: SimConfig, w: np.ndarray):
-        _check_lengths(g, cfg.x0, w)
-        self.n = g.n
-        self.lap = laplacian(g)
-        self.deg = g.degrees.astype(float)
-        self.adj = adjacency_matrix(g)
-        self.w = np.asarray(w, dtype=float)
-        self.adaptive = cfg.protocol == ADAPTIVE
-        self.alpha = cfg.alpha if self.adaptive else 0.0
-
-    def __call__(self, y: np.ndarray) -> np.ndarray:
-        n = self.n
-        x, x_hat, w_hat = y[:n], y[n : 2 * n], y[2 * n :]
-        dy = np.empty_like(y)
-        if self.adaptive:
-            dy[:n] = -self.lap @ x - w_hat + self.w
-            dy[n : 2 * n] = -self.deg * x_hat + self.adj @ x
-            dy[2 * n :] = self.alpha * (x - x_hat)
-        else:
-            dy[:n] = -self.lap @ x + self.w
-            dy[n:] = 0.0
-        return dy
+def _closed_loop(g: Graph, cfg: SimConfig, w: np.ndarray) -> tuple[sparse.csr_matrix, np.ndarray]:
+    """The closed loop y' = A y + b of the configured protocol, A in CSR form."""
+    _check_lengths(g, cfg.x0, w)
+    n = g.n
+    lap = sparse.csr_matrix(laplacian(g))
+    if cfg.protocol == ADAPTIVE:
+        eye = sparse.identity(n)
+        adj = sparse.csr_matrix(adjacency_matrix(g))
+        deg = sparse.diags(g.degrees.astype(float))
+        a = sparse.bmat(
+            [[-lap, None, -eye], [adj, -deg, None], [cfg.alpha * eye, -cfg.alpha * eye, None]],
+            format="csr",
+        )
+    else:
+        a = sparse.block_diag([-lap, sparse.csr_matrix((2 * n, 2 * n))], format="csr")
+    b = np.concatenate([np.asarray(w, dtype=float), np.zeros(2 * n)])
+    return a, b
 
 
 def system_derivative(g: Graph, cfg: SimConfig, w: np.ndarray, s: SimState) -> SimState:
     """Full time derivative of (x, x_hat, w_hat) under the chosen protocol."""
+    _check_lengths(g, s.x, s.x_hat, s.w_hat)
     y = np.concatenate([s.x, s.x_hat, s.w_hat])
     if not np.all(np.isfinite(y)):
         raise NumericalBlowupError(s.t)
-    dy = _Dynamics(g, cfg, w)(y)
+    a, b = _closed_loop(g, cfg, w)
+    dy = a @ y + b
     n = g.n
     return SimState(x=dy[:n], x_hat=dy[n : 2 * n], w_hat=dy[2 * n :], t=s.t)
 
@@ -192,7 +187,7 @@ def simulate(g: Graph, cfg: SimConfig, w: np.ndarray) -> Trajectory:
     """Integrate the closed loop with classical RK4 from t=0 to t_final."""
     if not is_connected(g):
         raise DisconnectedGraphError("simulation requires a connected graph")
-    f = _Dynamics(g, cfg, w)
+    a, b = _closed_loop(g, cfg, w)
     n = g.n
     dt = cfg.dt
     steps = int(round(cfg.t_final / dt))
@@ -202,10 +197,10 @@ def simulate(g: Graph, cfg: SimConfig, w: np.ndarray) -> Trajectory:
     out[0] = y
     half = 0.5 * dt
     for k in range(steps):
-        k1 = f(y)
-        k2 = f(y + half * k1)
-        k3 = f(y + half * k2)
-        k4 = f(y + dt * k3)
+        k1 = a @ y + b
+        k2 = a @ (y + half * k1) + b
+        k3 = a @ (y + half * k2) + b
+        k4 = a @ (y + dt * k3) + b
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out[k + 1] = y
         if not np.all(np.isfinite(y)):
@@ -234,17 +229,14 @@ def consensus_error(x: np.ndarray) -> float:
     return float(np.max(x) - np.min(x))
 
 
+def _csv_columns(n: int) -> list[str]:
+    return ["t"] + [f"{name}_{i}" for name in ("x", "xhat", "what") for i in range(n)]
+
+
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Trajectory CSV: header t,x_0..,xhat_0..,what_0..; full precision."""
-    n = traj.graph.n
-    cols = (
-        ["t"]
-        + [f"x_{i}" for i in range(n)]
-        + [f"xhat_{i}" for i in range(n)]
-        + [f"what_{i}" for i in range(n)]
-    )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
+        fh.write(",".join(_csv_columns(traj.graph.n)) + "\n")
         for k in range(len(traj)):
             row = [traj.times[k], *traj.x[k], *traj.x_hat[k], *traj.w_hat[k]]
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
@@ -253,15 +245,9 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 def read_trajectory_csv(path, g: Graph, cfg: SimConfig) -> Trajectory:
     """Read a trajectory CSV back; validates the header against the graph."""
     n = g.n
-    expected = (
-        ["t"]
-        + [f"x_{i}" for i in range(n)]
-        + [f"xhat_{i}" for i in range(n)]
-        + [f"what_{i}" for i in range(n)]
-    )
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
-        if header != expected:
+        if header != _csv_columns(n):
             raise ScenarioError(f"trajectory CSV header does not match graph with n={n}")
         rows = []
         for lineno, line in enumerate(fh, start=2):

@@ -27,14 +27,6 @@ class Graph:
     n: int
     edges: frozenset = field(default_factory=frozenset)
 
-    def neighbors(self, i: int) -> list:
-        return sorted(
-            j for (a, b) in self.edges for j in ((b,) if a == i else (a,) if b == i else ())
-        )
-
-    def degree(self, i: int) -> int:
-        return sum(1 for (a, b) in self.edges if a == i or b == i)
-
     @property
     def degrees(self) -> np.ndarray:
         d = np.zeros(self.n, dtype=np.int64)

@@ -3,7 +3,7 @@
 A scenario is a YAML mapping with a versioned ``schema: 1`` field:
 
     schema: 1
-    graph: path/to/graph.txt      # optional; CLI --graph overrides
+    graph: path/to/graph.txt      # optional, relative to this file; --graph overrides
     protocol: adaptive            # or nominal
     alpha: 1.0                    # required for adaptive
     dt: 0.001                     # optional, default 0.001
@@ -20,6 +20,7 @@ the simulation-time report byte for byte.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,13 +121,25 @@ def parse_scenario(raw: dict, g: Graph | None = None) -> Scenario:
     )
 
 
-def load_scenario(path, g: Graph | None = None) -> Scenario:
+def read_scenario(path) -> dict:
+    """The mapping in a scenario file, for ``parse_scenario``. A relative
+    ``graph:`` path is resolved against the file's directory."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
             raise ScenarioError(f"cannot parse scenario {path}: {exc}") from exc
-    return parse_scenario(raw, g)
+    if not isinstance(raw, dict):
+        raise ScenarioError("scenario file must be a mapping")
+    if raw.get("graph") is not None:
+        if not isinstance(raw["graph"], str):
+            raise ScenarioError("graph must be a file path")
+        raw["graph"] = os.path.join(os.path.dirname(path), raw["graph"])
+    return raw
+
+
+def load_scenario(path, g: Graph | None = None) -> Scenario:
+    return parse_scenario(read_scenario(path), g)
 
 
 def build_run_report(traj: Trajectory, w: np.ndarray) -> dict:

@@ -164,31 +164,49 @@ def _is_positive_definite(b: np.ndarray, tol: float) -> bool:
     return bool(np.min(np.linalg.eigvalsh(sym)) > tol)
 
 
-def quadratic_inertia(a, b, c, tol: float | None = None) -> tuple[Inertia, Inertia]:
-    """Predicted vs observed inertia of Z(lam) = A lam^2 + B lam + C.
+def quadratic_zero_tol(a, b, c) -> float:
+    """Zero-real-part tolerance for Z(lam) = A lam^2 + B lam + C."""
+    return max(default_zero_tol(_require_square(m, name)) for m, name in zip((a, b, c), "ABC"))
 
-    Requires nonsingular A and positive-definite B (symmetric part). The
-    prediction uses the inertia identities
+
+def _symmetric_inertia(a: np.ndarray, name: str, tol: float) -> Inertia:
+    if not np.allclose(a, a.T, rtol=0.0, atol=tol):
+        raise HypothesisViolationError(f"{name} is not symmetric")
+    return inertia_of_values(np.linalg.eigvalsh(a), tol)
+
+
+def predicted_quadratic_inertia(a, b, c, tol: float) -> Inertia:
+    """Inertia of Z(lam) = A lam^2 + B lam + C from the inertia identities
+
         pi+(Z) = pi-(A) + pi-(C),
         pi-(Z) = pi+(A) + pi+(C),
-        pi0(Z) = pi0(C);
-    the observation comes from the companion linearization. Both are
-    returned for the caller to compare.
+        pi0(Z) = pi0(C),
+
+    which hold for symmetric A and C and positive-definite B (symmetric
+    part). Only symmetric eigensolves are made.
     """
-    a = _require_square(a, "A")
-    b = _require_square(b, "B")
-    c = _require_square(c, "C")
-    if tol is None:
-        tol = max(default_zero_tol(a), default_zero_tol(b), default_zero_tol(c))
+    a, b, c = (_require_square(m, name) for m, name in zip((a, b, c), "ABC"))
     if not _is_positive_definite(b, tol):
         raise HypothesisViolationError("middle coefficient B is not positive-definite")
-    in_a = inertia(a, tol)
-    in_c = inertia(c, tol)
-    predicted = Inertia(
+    in_a = _symmetric_inertia(a, "leading coefficient A", tol)
+    in_c = _symmetric_inertia(c, "constant coefficient C", tol)
+    return Inertia(
         n_plus=in_a.n_minus + in_c.n_minus,
         n_zero=in_c.n_zero,
         n_minus=in_a.n_plus + in_c.n_plus,
     )
+
+
+def quadratic_inertia(a, b, c, tol: float | None = None) -> tuple[Inertia, Inertia]:
+    """Predicted vs observed inertia of Z(lam) = A lam^2 + B lam + C.
+
+    The prediction is ``predicted_quadratic_inertia``; the observation
+    comes from the companion linearization, which also needs a nonsingular
+    A. Both are returned for the caller to compare.
+    """
+    if tol is None:
+        tol = quadratic_zero_tol(a, b, c)
+    predicted = predicted_quadratic_inertia(a, b, c, tol)
     observed = inertia_of_values(quadratic_eigenvalues(a, b, c).eigenvalues, tol)
     return predicted, observed
 

@@ -1,17 +1,18 @@
 """Spectral verification of the adaptive closed loop and trajectory checks.
 
-The transformed emulator coordinates stack pairwise differences from agent 0
-with the emulator-state sum c_hat. Removing the c_hat row/column from the
-transformed Laplacian dynamics leaves a Hurwitz block A1; stacking it with
-the (x_tilde, w_tilde) error dynamics gives the augmented matrix
+In the agreement coordinates xi = (z, x_tilde, w_tilde), where
+z_i = x_hat_0 - x_hat_i (i = 1..n-1) are emulator differences, the closed
+loop is dxi/dt = M xi with the block-triangular
 
-    M = [[A1, A2,        0   ],
-         [0,  -Delta,    -I  ],
-         [0,  alpha I,   0   ]]
+    M = [[A1, [A2  0]],      A1 = L[0, 1:] - L[1:, 1:],
+         [0,  E      ]],     A2 = Adj[0] - Adj[1:],
+                             E  = [[-Delta, -I], [alpha I, 0]].
 
-whose spectral abscissa certifies exponential stability. The quadratic
-polynomial lam^2 I + lam Delta + alpha I is the characteristic polynomial of
-the error block; its inertia must be (0, 0, 2n).
+A1 and A2 are differences of rows of the Laplacian and the adjacency
+matrix: since L 1 = 0 the differences close on themselves. The spectral
+abscissa of M certifies exponential stability. The quadratic polynomial
+lam^2 I + lam Delta + alpha I is the characteristic polynomial of E; its
+inertia must be (0, 0, 2n).
 
 Trajectory-side checks cover the energy function
 E = 0.5 x_tilde'x_tilde + w_tilde'w_tilde/(2 alpha) (nonincreasing, with
@@ -32,9 +33,11 @@ from .graph import Graph, adjacency_matrix, degree_matrix, is_connected, laplaci
 from .spectral import (
     Inertia,
     Spectrum,
+    assemble_block_triangular,
     eigenvalues,
     inertia_of_values,
-    quadratic_inertia,
+    predicted_quadratic_inertia,
+    quadratic_zero_tol,
     spectrum_matching_distance,
 )
 
@@ -71,13 +74,15 @@ class StabilityReport:
 
 
 def build_transform(n: int) -> AgreementTransform:
-    """Transform matrix: rows 0..n-2 map x to x_0 - x_i, last row sums."""
+    """Transform matrix: rows 0..n-2 map x to x_0 - x_i, last row sums.
+
+    A reference for the closed-form blocks of ``reduced_blocks``.
+    """
     if n < 2:
         raise MatrixShapeError("transform needs n >= 2")
     t = np.zeros((n, n))
-    for i in range(1, n):
-        t[i - 1, 0] = 1.0
-        t[i - 1, i] = -1.0
+    t[:, 0] = 1.0
+    t[np.arange(n - 1), np.arange(1, n)] = -1.0
     t[n - 1, :] = 1.0
     t_inv = np.linalg.inv(t)
     if np.max(np.abs(t @ t_inv - np.eye(n))) > 1e-10:
@@ -86,81 +91,66 @@ def build_transform(n: int) -> AgreementTransform:
 
 
 def reduced_blocks(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Blocks of the transformed emulator dynamics.
+    """Blocks A1 = L[0, 1:] - L[1:, 1:] and A2 = Adj[0] - Adj[1:].
 
-    A1 is the leading (n-1)x(n-1) block of -T L T^-1 (the difference
-    coordinates; the sum row and column vanish because 1'L = 0 and
-    L 1 = 0). A2 is the first n-1 rows of T A, feeding the emulator
-    mismatch into the difference dynamics.
+    They are the leading (n-1)x(n-1) block of -T L T^-1 and the first n-1
+    rows of T Adj for the transform T of ``build_transform``: the sum row
+    and column vanish because 1'L = 0 and L 1 = 0.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("reduced blocks require a connected graph")
-    n = g.n
-    tr = build_transform(n)
-    full = -tr.t_matrix @ laplacian(g) @ tr.t_inverse
-    a1 = full[: n - 1, : n - 1]
-    a2 = (tr.t_matrix @ adjacency_matrix(g))[: n - 1, :]
-    return a1, a2
+    lap = laplacian(g)
+    adj = adjacency_matrix(g)
+    return lap[0, 1:] - lap[1:, 1:], adj[0] - adj[1:]
 
 
 def build_m(g: Graph, alpha: float) -> AugmentedSystem:
-    """Assemble the augmented closed-loop matrix M."""
+    """Assemble the augmented closed-loop matrix M = [[A1, [A2 0]], [0, E]]."""
     if alpha <= 0:
         raise ScenarioError(f"alpha must be positive, got {alpha}")
     a1, a2 = reduced_blocks(g)
-    n = g.n
-    dim = 3 * n - 1
-    m = np.zeros((dim, dim))
-    m[: n - 1, : n - 1] = a1
-    m[: n - 1, n - 1 : 2 * n - 1] = a2
-    m[n - 1 : 2 * n - 1, n - 1 : 2 * n - 1] = -degree_matrix(g)
-    m[n - 1 : 2 * n - 1, 2 * n - 1 :] = -np.eye(n)
-    m[2 * n - 1 :, n - 1 : 2 * n - 1] = alpha * np.eye(n)
+    b = np.hstack([a2, np.zeros((g.n - 1, g.n))])
+    m = assemble_block_triangular(a1, b, error_block(g, alpha))
     return AugmentedSystem(m_matrix=m, a1=a1, a2=a2, alpha=alpha)
 
 
 def error_block(g: Graph, alpha: float) -> np.ndarray:
     """The decoupled (x_tilde, w_tilde) dynamics [[-Delta, -I], [alpha I, 0]]."""
-    n = g.n
-    return np.block(
-        [
-            [-degree_matrix(g), -np.eye(n)],
-            [alpha * np.eye(n), np.zeros((n, n))],
-        ]
-    )
+    eye = np.eye(g.n)
+    return np.block([[-degree_matrix(g), -eye], [alpha * eye, np.zeros_like(eye)]])
 
 
 def verify_theorem(g: Graph, alpha: float, tol: float = DEFAULT_SPECTRAL_TOL) -> StabilityReport:
     """Spectral stability certificate for the adaptive closed loop.
 
     The verdict is true iff every eigenvalue of M has real part below -tol.
-    Cross-checks: the spectrum of M must decompose into spec(A1) union the
-    error-block spectrum (block-triangular structure), and the quadratic
-    polynomial lam^2 I + lam Delta + alpha I must have inertia (0, 0, 2n).
+    Cross-checks: the spectrum of M must decompose into spec(A1) union
+    spec(E) (block-triangular structure), and the quadratic polynomial
+    lam^2 I + lam Delta + alpha I, whose roots are spec(E), must have the
+    inertia (0, 0, 2n) that the inertia identities predict.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("theorem hypotheses require a connected graph")
     if alpha <= 0:
         raise ScenarioError(f"alpha must be positive, got {alpha}")
     aug = build_m(g, alpha)
+    n = g.n
     spec_m = eigenvalues(aug.m_matrix)
     abscissa = spec_m.abscissa
     spec_a1 = eigenvalues(aug.a1).eigenvalues
-    spec_err = eigenvalues(error_block(g, alpha)).eigenvalues
+    spec_err = eigenvalues(aug.m_matrix[n - 1 :, n - 1 :]).eigenvalues
     residual = spectrum_matching_distance(
         spec_m.eigenvalues, np.concatenate([spec_a1, spec_err])
     )
-    n = g.n
-    predicted, observed = quadratic_inertia(
-        np.eye(n), degree_matrix(g), alpha * np.eye(n)
-    )
+    coeffs = (np.eye(n), degree_matrix(g), alpha * np.eye(n))
+    zero_tol = quadratic_zero_tol(*coeffs)
     return StabilityReport(
         spectrum=spec_m,
         spectral_abscissa=abscissa,
         theorem_verdict=bool(abscissa < -tol),
         decomposition_residual=residual,
-        quadratic_inertia_predicted=predicted,
-        quadratic_inertia_observed=observed,
+        quadratic_inertia_predicted=predicted_quadratic_inertia(*coeffs, zero_tol),
+        quadratic_inertia_observed=inertia_of_values(spec_err, zero_tol),
         tol=tol,
     )
 
@@ -257,9 +247,7 @@ def centroid_analysis(traj: Trajectory, w: np.ndarray) -> CentroidAnalysis:
 def transformed_error_norms(traj: Trajectory, w: np.ndarray) -> np.ndarray:
     """Norm of xi = (z1, x_tilde, w_tilde) per sample, the coordinates in
     which the closed loop is dxi/dt = M xi."""
-    n = traj.graph.n
-    tr = build_transform(n)
-    z = (tr.t_matrix @ traj.x_hat.T).T[:, : n - 1]
+    z = traj.x_hat[:, :1] - traj.x_hat[:, 1:]
     x_t, w_t = error_series(traj, w)
     xi = np.hstack([z, x_t, w_t])
     return np.linalg.norm(xi, axis=1)

@@ -117,22 +117,40 @@ class TestSimulateCommand:
         assert code == 1
         assert "line 2" in capsys.readouterr().err
 
-    def test_seed_is_echoed(self, tmp_path, p2_file, capsys):
+    def test_scenario_names_its_graph(self, tmp_path, p2_file):
+        # graph: is resolved against the scenario's directory, not the cwd
+        scenario = write_scenario(tmp_path, graph="p2.txt", t_final=1.0)
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--scenario", scenario, "--out", str(out)]) == 0
+        assert out.exists()
+
+    def test_graph_flag_overrides_scenario(self, tmp_path, p2_file):
+        scenario = write_scenario(tmp_path, graph="missing.txt", t_final=1.0)
+        out = str(tmp_path / "t.csv")
+        argv = ["simulate", "--scenario", scenario, "--out", out]
+        assert main(argv) == 1
+        assert main(argv + ["--graph", p2_file]) == 0
+
+    def test_non_path_graph_field(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path, graph=3, t_final=1.0)
+        assert main(["simulate", "--scenario", scenario, "--out", str(tmp_path / "t.csv")]) == 1
+        assert "graph must be a file path" in capsys.readouterr().err
+
+    def test_missing_graph(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, t_final=1.0)
-        main(
-            [
-                "--seed",
-                "42",
-                "simulate",
-                "--graph",
-                p2_file,
-                "--scenario",
-                scenario,
-                "--out",
-                str(tmp_path / "t.csv"),
-            ]
-        )
-        assert "seed: 42" in capsys.readouterr().out
+        assert main(["simulate", "--scenario", scenario, "--out", str(tmp_path / "t.csv")]) == 1
+        assert "no graph file given" in capsys.readouterr().err
+
+    def test_overrides_match_scenario_values(self, tmp_path, p2_file, capsys):
+        # --dt/--t-final give the same bytes as the same values in the scenario
+        def run(name, argv, **values):
+            scenario = write_scenario(tmp_path, name=f"{name}.yaml", **values)
+            out = tmp_path / f"{name}.csv"
+            main(["simulate", "--graph", p2_file, "--scenario", scenario, "--out", str(out), *argv])
+            report = capsys.readouterr().out.split(")\n", 1)[1].split("trajectory written")[0]
+            return out.read_bytes(), report
+
+        assert run("a", ["--dt", "0.02", "--t-final", "2.0"]) == run("b", [], dt=0.02, t_final=2.0)
 
 
 class TestVerifyCommand:

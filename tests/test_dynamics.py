@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resilient_consensus import (
     ADAPTIVE,
@@ -139,6 +141,27 @@ class TestSystemDerivative:
 
         with pytest.raises(NumericalBlowupError):
             system_derivative(p2, adaptive_cfg(2), np.zeros(2), s)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        seed=st.integers(0, 2**32 - 1),
+        alpha=st.floats(1e-3, 1e3),
+    )
+    def test_operator_matches_protocol_laws(self, n, seed, alpha):
+        # the one closed-loop operator agrees with the per-block laws
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(n, rng)
+        x, x_hat, w_hat, w = rng.normal(size=(4, n))
+        s = SimState(x=x, x_hat=x_hat, w_hat=w_hat, t=0.0)
+        ds = system_derivative(g, adaptive_cfg(n, alpha=alpha), w, s)
+        np.testing.assert_allclose(ds.x, adaptive_control(g, x, w_hat) + w, atol=1e-12)
+        np.testing.assert_allclose(ds.x_hat, emulator_derivative(g, x, x_hat), atol=1e-12)
+        np.testing.assert_allclose(ds.w_hat, alpha * (x - x_hat), atol=1e-12 * alpha)
+        ds = system_derivative(g, nominal_cfg(n), w, s)
+        np.testing.assert_allclose(ds.x, nominal_control(g, x) + w, atol=1e-12)
+        assert np.array_equal(ds.x_hat, np.zeros(n))
+        assert np.array_equal(ds.w_hat, np.zeros(n))
 
 
 class TestSimulate:

@@ -191,6 +191,14 @@ class TestQuadraticInertia:
         with pytest.raises(HypothesisViolationError):
             quadratic_inertia(np.eye(2), np.diag([1.0, -1.0]), np.eye(2))
 
+    def test_nonsymmetric_coefficients_rejected(self):
+        # the inertia identities need symmetric A and C
+        skew = np.array([[1.0, 1.0], [0.0, 1.0]])
+        with pytest.raises(HypothesisViolationError):
+            quadratic_inertia(skew, np.eye(2), np.eye(2))
+        with pytest.raises(HypothesisViolationError):
+            quadratic_inertia(np.eye(2), np.eye(2), skew)
+
     def test_singular_a_rejected(self):
         with pytest.raises(HypothesisViolationError):
             quadratic_inertia(np.zeros((2, 2)), np.eye(2), np.eye(2))

@@ -5,17 +5,20 @@ from resilient_consensus import (
     ADAPTIVE,
     Inertia,
     SimConfig,
+    adjacency_matrix,
     build_m,
     build_transform,
     centroid_analysis,
     check_energy_decay,
     check_perturbation_bound,
+    degree_matrix,
     eigenvalues,
     energy,
     error_block,
     fit_decay_rate,
     from_edge_list,
     laplacian,
+    quadratic_inertia,
     random_connected_graph,
     reduced_blocks,
     simulate,
@@ -94,6 +97,17 @@ class TestReducedBlocks:
         with pytest.raises(DisconnectedGraphError):
             reduced_blocks(g)
 
+    def test_closed_form_matches_transform(self, rng):
+        # A1 and A2 are the leading blocks of -T L T^-1 and T Adj
+        for _ in range(10):
+            g = random_connected_graph(int(rng.integers(2, 31)), rng)
+            n = g.n
+            tr = build_transform(n)
+            a1, a2 = reduced_blocks(g)
+            full = -tr.t_matrix @ laplacian(g) @ tr.t_inverse
+            assert np.max(np.abs(a1 - full[: n - 1, : n - 1])) <= 1e-12
+            assert np.max(np.abs(a2 - (tr.t_matrix @ adjacency_matrix(g))[: n - 1])) <= 1e-12
+
 
 class TestBuildM:
     def test_p2_spectrum(self, p2):
@@ -151,6 +165,28 @@ class TestVerifyTheorem:
             rep = verify_theorem(g, alpha)
             assert rep.quadratic_inertia_predicted == Inertia(0, 0, 2 * g.n)
             assert rep.quadratic_inertia_observed == rep.quadratic_inertia_predicted
+
+    @pytest.mark.parametrize("n", [2, 6, 15])
+    @pytest.mark.parametrize("alpha", [1e-3, 0.1, 1.0, 10.0, 1e3])
+    def test_observed_inertia_equals_companion(self, rng, n, alpha):
+        # spec(E) gives the inertia the companion linearization gives
+        g = random_connected_graph(n, rng)
+        rep = verify_theorem(g, alpha)
+        eye = np.eye(n)
+        predicted, observed = quadratic_inertia(eye, degree_matrix(g), alpha * eye)
+        assert rep.quadratic_inertia_predicted == predicted
+        assert rep.quadratic_inertia_observed == observed
+
+    def test_three_nonsymmetric_eigensolves(self, k3, monkeypatch):
+        # M, A1 and E once each; no companion matrix
+        import resilient_consensus.spectral as spectral
+
+        shapes = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: shapes.append(a.shape) or eigvals(a))
+        monkeypatch.setattr(spectral, "companion_matrix", None)
+        verify_theorem(k3, 1.0)
+        assert shapes == [(8, 8), (2, 2), (6, 6)]
 
     def test_stable_for_all_tested_gains(self, rng):
         for _ in range(10):
