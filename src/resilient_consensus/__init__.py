@@ -52,6 +52,7 @@ from .stability import (
     centroid_analysis,
     check_energy_decay,
     check_perturbation_bound,
+    closed_form_spectrum,
     energy,
     error_block,
     fit_decay_rate,

@@ -21,11 +21,16 @@ w_tilde = w_hat - w, so the closed-loop error dynamics are
     d(x_tilde)/dt = -Delta x_tilde - w_tilde,
     d(w_tilde)/dt = alpha x_tilde.
 
-Integration is classical fixed-step 4th-order Runge-Kutta.
+Integration is classical fixed-step 4th-order Runge-Kutta. On the linear
+closed loop one step multiplies each mode mu of A by
+R(dt mu) = 1 + z + z^2/2 + z^3/6 + z^4/24, z = dt mu, so ``simulate``
+rejects a step size with |R(dt mu)| > 1 before it integrates.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,12 +42,40 @@ from .errors import (
     NumericalBlowupError,
     ScenarioError,
 )
-from .graph import Graph, adjacency_matrix, algebraic_connectivity, degree_matrix, is_connected, laplacian
+from .graph import (
+    Graph,
+    adjacency_matrix,
+    algebraic_connectivity,
+    degree_matrix,
+    is_connected,
+    laplacian,
+    laplacian_spectrum,
+)
 
 NOMINAL = "nominal"
 ADAPTIVE = "adaptive"
 
 DEFAULT_DT = 0.001
+
+
+def read_scalar(raw, name: str, positive: bool = False) -> float:
+    """A finite real number from outside input, or a ``ScenarioError``.
+
+    Accepts a real number or a string that parses as one (PyYAML reads
+    ``1e-3`` as a string); booleans are not numbers here. With
+    ``positive``, the value must also be > 0.
+    """
+    if isinstance(raw, bool) or not isinstance(raw, (numbers.Real, str)):
+        raise ScenarioError(f"{name} must be a number, got {raw!r}")
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ScenarioError(f"{name} must be a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ScenarioError(f"{name} must be finite, got {raw!r}")
+    if positive and not value > 0:
+        raise ScenarioError(f"{name} must be positive, got {raw!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -74,12 +107,14 @@ class SimConfig:
     def __post_init__(self):
         if self.protocol not in (NOMINAL, ADAPTIVE):
             raise ScenarioError(f"unknown protocol {self.protocol!r}")
-        if not (self.dt > 0):
-            raise ScenarioError(f"dt must be positive, got {self.dt}")
+        for name in ("dt", "t_final"):
+            object.__setattr__(self, name, read_scalar(getattr(self, name), name, positive=True))
         if self.t_final < self.dt:
             raise ScenarioError("t_final must be at least one step")
-        if self.protocol == ADAPTIVE and (self.alpha is None or self.alpha <= 0):
-            raise ScenarioError("adaptive protocol requires alpha > 0")
+        if self.protocol == ADAPTIVE:
+            if self.alpha is None:
+                raise ScenarioError("adaptive protocol requires alpha > 0")
+            object.__setattr__(self, "alpha", read_scalar(self.alpha, "alpha", positive=True))
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
 
     @property
@@ -183,10 +218,39 @@ def system_derivative(g: Graph, cfg: SimConfig, w: np.ndarray, s: SimState) -> S
     return SimState(x=dy[:n], x_hat=dy[n : 2 * n], w_hat=dy[2 * n :], t=s.t)
 
 
+def _check_rk4_step(g: Graph, cfg: SimConfig) -> None:
+    """Reject a step size at which RK4 amplifies a closed-loop mode.
+
+    The modes are the closed-form spec(M) for the adaptive protocol and
+    -lambda_k(L), k >= 2, for the nominal one. The exact zero modes are
+    left out: |R(0)| = 1, and a computed zero of +-1e-16 would trip the
+    check.
+    """
+    from .stability import closed_form_spectrum  # stability imports this module
+
+    if cfg.protocol == ADAPTIVE:
+        modes = closed_form_spectrum(g, cfg.alpha).eigenvalues
+    else:
+        modes = -laplacian_spectrum(g)[1:]
+    z = cfg.dt * modes
+    gain = np.abs(1 + z * (1 + z / 2 * (1 + z / 3 * (1 + z / 4))))
+    k = int(np.argmax(gain))
+    if gain[k] > 1.0:
+        raise ScenarioError(
+            f"dt={cfg.dt:g} is outside RK4's stability region: the closed-loop mode "
+            f"{complex(modes[k]):.6g} has |R(dt mu)| = {gain[k]:.6g} > 1"
+        )
+
+
 def simulate(g: Graph, cfg: SimConfig, w: np.ndarray) -> Trajectory:
-    """Integrate the closed loop with classical RK4 from t=0 to t_final."""
+    """Integrate the closed loop with classical RK4 from t=0 to t_final.
+
+    ``_check_rk4_step`` runs first, so an unstable step size is rejected
+    before any state is allocated.
+    """
     if not is_connected(g):
         raise DisconnectedGraphError("simulation requires a connected graph")
+    _check_rk4_step(g, cfg)
     a, b = _closed_loop(g, cfg, w)
     n = g.n
     dt = cfg.dt

@@ -8,6 +8,7 @@ objects are immutable after construction and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,12 +28,12 @@ class Graph:
     n: int
     edges: frozenset = field(default_factory=frozenset)
 
-    @property
+    @cached_property
     def degrees(self) -> np.ndarray:
-        d = np.zeros(self.n, dtype=np.int64)
-        for a, b in self.edges:
-            d[a] += 1
-            d[b] += 1
+        """Node degrees, counted once per graph; the array is read-only."""
+        ends = np.fromiter((v for e in self.edges for v in e), dtype=np.int64)
+        d = np.bincount(ends, minlength=self.n)
+        d.flags.writeable = False
         return d
 
 

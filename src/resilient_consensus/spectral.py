@@ -25,9 +25,17 @@ CONDITION_WARN_THRESHOLD = 1e12
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Full eigenvalue multiset, descending by real part, ties by imag part."""
+    """Full eigenvalue multiset, descending by real part, ties by imag part.
+
+    Construction sorts the values into that order, and turns signed zeros
+    into 0.0 so that equal spectra print alike.
+    """
 
     eigenvalues: np.ndarray
+
+    def __post_init__(self):
+        vals = np.asarray(self.eigenvalues) + 0.0
+        object.__setattr__(self, "eigenvalues", vals[np.lexsort((vals.imag, -vals.real))])
 
     def __len__(self):
         return len(self.eigenvalues)
@@ -60,15 +68,10 @@ def _require_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def _sorted_eigs(vals: np.ndarray) -> np.ndarray:
-    order = np.lexsort((vals.imag, -vals.real))
-    return vals[order]
-
-
 def eigenvalues(a: np.ndarray) -> Spectrum:
     """Full spectrum of a square real matrix."""
     a = _require_square(a)
-    return Spectrum(_sorted_eigs(np.linalg.eigvals(a)))
+    return Spectrum(np.linalg.eigvals(a))
 
 
 def determinant(a: np.ndarray) -> float:
@@ -211,10 +214,11 @@ def quadratic_inertia(a, b, c, tol: float | None = None) -> tuple[Inertia, Inert
     return predicted, observed
 
 
-def spectrum_matching_distance(left: np.ndarray, right: np.ndarray) -> float:
-    """Optimal-matching multiset distance between two eigenvalue sets.
+def spectrum_matching(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, float]:
+    """Optimal matching between two eigenvalue multisets.
 
-    Hungarian assignment on pairwise moduli; returns the largest matched
+    Hungarian assignment on pairwise moduli. Returns ``pairs``, with
+    ``left[i]`` matched to ``right[pairs[i]]``, and the largest matched
     pair distance. Sets must have equal cardinality.
     """
     from scipy.optimize import linear_sum_assignment
@@ -227,4 +231,10 @@ def spectrum_matching_distance(left: np.ndarray, right: np.ndarray) -> float:
         )
     cost = np.abs(left[:, None] - right[None, :])
     rows, cols = linear_sum_assignment(cost)
-    return float(np.max(cost[rows, cols])) if len(rows) else 0.0
+    return cols, (float(np.max(cost[rows, cols])) if len(rows) else 0.0)
+
+
+def spectrum_matching_distance(left: np.ndarray, right: np.ndarray) -> float:
+    """Optimal-matching multiset distance: the largest matched pair distance
+    of ``spectrum_matching``."""
+    return spectrum_matching(left, right)[1]

@@ -14,6 +14,21 @@ abscissa of M certifies exponential stability. The quadratic polynomial
 lam^2 I + lam Delta + alpha I is the characteristic polynomial of E; its
 inertia must be (0, 0, 2n).
 
+Because M is block-triangular and E decouples per agent, its spectrum has
+the closed form
+
+    spec(M) = {-lambda_k(L) : k = 2..n}  U  {roots of lam^2 + d_i lam + alpha : i = 0..n-1},
+
+which ``closed_form_spectrum`` computes from one symmetric Laplacian
+eigensolve and 2n scalar quadratic roots. Run reports
+(``scenario.build_run_report``) and the RK4 step-size preflight
+(``dynamics.simulate``) use only the closed form. ``verify_theorem``
+reports the closed form and cross-checks it against the one dense
+nonsymmetric eigensolve of M that the toolkit makes: the Hungarian
+matching distance between the two is the decomposition residual, and the
+dense eigenvalues matched to the roots of E give the observed quadratic
+inertia.
+
 Trajectory-side checks cover the energy function
 E = 0.5 x_tilde'x_tilde + w_tilde'w_tilde/(2 alpha) (nonincreasing, with
 dE/dt = -x_tilde' Delta x_tilde), the transient bound
@@ -28,8 +43,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DisconnectedGraphError, MatrixShapeError, ScenarioError
-from .dynamics import ADAPTIVE, Trajectory, error_series
-from .graph import Graph, adjacency_matrix, degree_matrix, is_connected, laplacian
+from .dynamics import ADAPTIVE, Trajectory, error_series, read_scalar
+from .graph import (
+    Graph,
+    adjacency_matrix,
+    degree_matrix,
+    is_connected,
+    laplacian,
+    laplacian_spectrum,
+)
 from .spectral import (
     Inertia,
     Spectrum,
@@ -38,7 +60,7 @@ from .spectral import (
     inertia_of_values,
     predicted_quadratic_inertia,
     quadratic_zero_tol,
-    spectrum_matching_distance,
+    spectrum_matching,
 )
 
 DEFAULT_SPECTRAL_TOL = 1e-8
@@ -106,8 +128,7 @@ def reduced_blocks(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 
 def build_m(g: Graph, alpha: float) -> AugmentedSystem:
     """Assemble the augmented closed-loop matrix M = [[A1, [A2 0]], [0, E]]."""
-    if alpha <= 0:
-        raise ScenarioError(f"alpha must be positive, got {alpha}")
+    alpha = read_scalar(alpha, "alpha", positive=True)
     a1, a2 = reduced_blocks(g)
     b = np.hstack([a2, np.zeros((g.n - 1, g.n))])
     m = assemble_block_triangular(a1, b, error_block(g, alpha))
@@ -120,45 +141,62 @@ def error_block(g: Graph, alpha: float) -> np.ndarray:
     return np.block([[-degree_matrix(g), -eye], [alpha * eye, np.zeros_like(eye)]])
 
 
+def _closed_form_modes(g: Graph, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """spec(A1) = {-lambda_k(L) : k >= 2} and spec(E), the 2n roots of
+    lam^2 + d_i lam + alpha.
+
+    Each pair of roots is q = -(d/2 + sqrt(d^2/4 - alpha)) and its partner:
+    conj(q) when the pair is complex, else alpha / q (the product of the
+    roots is alpha), which avoids the cancellation of -d/2 + sqrt(.) when
+    alpha << d^2.
+    """
+    agreement = -laplacian_spectrum(g)[1:]
+    half = g.degrees / 2.0
+    q = -(half + np.sqrt((half * half - alpha).astype(complex)))
+    return agreement, np.concatenate([q, np.where(q.imag != 0, q.conj(), alpha / q)])
+
+
+def closed_form_spectrum(g: Graph, alpha: float) -> Spectrum:
+    """spec(M) from the Laplacian spectrum and the node degrees, without
+    assembling M: {-lambda_k(L) : k >= 2} U {roots of lam^2 + d_i lam + alpha}."""
+    alpha = read_scalar(alpha, "alpha", positive=True)
+    return Spectrum(np.concatenate(_closed_form_modes(g, alpha)))
+
+
 def verify_theorem(g: Graph, alpha: float, tol: float = DEFAULT_SPECTRAL_TOL) -> StabilityReport:
     """Spectral stability certificate for the adaptive closed loop.
 
-    The verdict is true iff every eigenvalue of M has real part below -tol.
-    Cross-checks: the spectrum of M must decompose into spec(A1) union
-    spec(E) (block-triangular structure), and the quadratic polynomial
-    lam^2 I + lam Delta + alpha I, whose roots are spec(E), must have the
-    inertia (0, 0, 2n) that the inertia identities predict.
+    The spectrum, abscissa and verdict come from ``closed_form_spectrum``;
+    the verdict is true iff every eigenvalue has real part below -tol.
+    Cross-check: one dense eigensolve of M, matched to the closed form.
+    The largest matched distance is the decomposition residual, and the
+    dense eigenvalues matched to the roots of E give the observed inertia
+    of lam^2 I + lam Delta + alpha I, against the (0, 0, 2n) that the
+    inertia identities predict.
     """
-    if not is_connected(g):
-        raise DisconnectedGraphError("theorem hypotheses require a connected graph")
-    if alpha <= 0:
-        raise ScenarioError(f"alpha must be positive, got {alpha}")
-    aug = build_m(g, alpha)
+    alpha = read_scalar(alpha, "alpha", positive=True)
+    agreement, error_roots = _closed_form_modes(g, alpha)
+    closed = np.concatenate([agreement, error_roots])
+    spectrum = Spectrum(closed)
+    dense = eigenvalues(build_m(g, alpha).m_matrix).eigenvalues
+    pairs, residual = spectrum_matching(dense, closed)
     n = g.n
-    spec_m = eigenvalues(aug.m_matrix)
-    abscissa = spec_m.abscissa
-    spec_a1 = eigenvalues(aug.a1).eigenvalues
-    spec_err = eigenvalues(aug.m_matrix[n - 1 :, n - 1 :]).eigenvalues
-    residual = spectrum_matching_distance(
-        spec_m.eigenvalues, np.concatenate([spec_a1, spec_err])
-    )
     coeffs = (np.eye(n), degree_matrix(g), alpha * np.eye(n))
     zero_tol = quadratic_zero_tol(*coeffs)
     return StabilityReport(
-        spectrum=spec_m,
-        spectral_abscissa=abscissa,
-        theorem_verdict=bool(abscissa < -tol),
+        spectrum=spectrum,
+        spectral_abscissa=spectrum.abscissa,
+        theorem_verdict=bool(spectrum.abscissa < -tol),
         decomposition_residual=residual,
         quadratic_inertia_predicted=predicted_quadratic_inertia(*coeffs, zero_tol),
-        quadratic_inertia_observed=inertia_of_values(spec_err, zero_tol),
+        quadratic_inertia_observed=inertia_of_values(dense[pairs >= len(agreement)], zero_tol),
         tol=tol,
     )
 
 
 def energy(x_tilde: np.ndarray, w_tilde: np.ndarray, alpha: float) -> float:
     """E = 0.5 ||x_tilde||^2 + ||w_tilde||^2 / (2 alpha)."""
-    if alpha <= 0:
-        raise ScenarioError(f"alpha must be positive, got {alpha}")
+    alpha = read_scalar(alpha, "alpha", positive=True)
     x_tilde = np.asarray(x_tilde, dtype=float)
     w_tilde = np.asarray(w_tilde, dtype=float)
     return float(0.5 * x_tilde @ x_tilde + (w_tilde @ w_tilde) / (2.0 * alpha))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import yaml
@@ -151,6 +153,91 @@ class TestSimulateCommand:
             return out.read_bytes(), report
 
         assert run("a", ["--dt", "0.02", "--t-final", "2.0"]) == run("b", [], dt=0.02, t_final=2.0)
+
+
+class TestScalarValidation:
+    """Every bad scalar ends in exit 1 and a message naming the field."""
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "0", "-1"])
+    def test_verify_alpha(self, p2_file, capsys, alpha):
+        assert main(["verify", "--graph", p2_file, f"--alpha={alpha}"]) == 1
+        assert "alpha must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("alpha", float("nan"), "alpha must be finite"),
+            ("alpha", float("inf"), "alpha must be finite"),
+            ("alpha", -1.0, "alpha must be positive"),
+            ("dt", "abc", "dt must be a number"),
+            ("dt", float("nan"), "dt must be finite"),
+            ("t_final", float("inf"), "t_final must be finite"),
+            ("x0", [True, False], "x0[0] must be a number"),
+            ("w", [1.0, True], "w[1] must be a number"),
+            ("x0", "abc", "x0 must be a list"),
+        ],
+    )
+    def test_scenario_field(self, tmp_path, p2_file, capsys, field, value, message):
+        scenario = write_scenario(tmp_path, **{field: value})
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--graph", p2_file, "--scenario", scenario, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_numeric_string_accepted(self, p2):
+        # PyYAML reads 1e-2 (no dot) as a string
+        raw = yaml.safe_load("schema: 1\nprotocol: adaptive\nalpha: 1e0\ndt: 1e-2\nt_final: 1\nx0: [0, 1]\n")
+        cfg = parse_scenario(raw, p2).config
+        assert (cfg.alpha, cfg.dt, cfg.t_final) == (1.0, 0.01, 1.0)
+
+    @pytest.mark.parametrize("argv", [["--dt", "nan"], ["--t-final", "inf"]])
+    def test_override_flags(self, tmp_path, p2_file, capsys, argv):
+        scenario = write_scenario(tmp_path)
+        out = str(tmp_path / "t.csv")
+        assert main(["simulate", "--graph", p2_file, "--scenario", scenario, "--out", out, *argv]) == 1
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_sweep_alpha(self, tmp_path, p2_file, capsys):
+        scenario = write_scenario(tmp_path, t_final=1.0)
+        argv = ["sweep", "--graph", p2_file, "--scenario", scenario, "--out", str(tmp_path / "s.csv")]
+        assert main(argv + ["--alpha", "1", "nan"]) == 1
+        assert "alpha must be finite" in capsys.readouterr().err
+
+
+class TestStepSizePreflight:
+    """simulate rejects a dt at which RK4 amplifies a closed-loop mode."""
+
+    def test_adaptive_stiff_gain(self, tmp_path, p2_file, capsys):
+        # the error modes -1/2 +- i sqrt(1e6 - 1/4) leave RK4's region at dt = 0.1
+        scenario = write_scenario(tmp_path, alpha=1e6, dt=0.1, t_final=10.0)
+        out = tmp_path / "t.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate", "--graph", p2_file, "--scenario", scenario, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "outside RK4's stability region" in err
+        assert "-0.5-1000j" in err and "|R(dt mu)| = 4.16492e+06" in err
+        assert not out.exists()
+
+    def test_nominal(self, tmp_path, p2_file, capsys):
+        # -lambda_2 = -2 and dt = 1.5 give R(-3) = 1.375
+        scenario = write_scenario(tmp_path, protocol="nominal", alpha=None, dt=1.5, t_final=15.0)
+        out = str(tmp_path / "t.csv")
+        assert main(["simulate", "--graph", p2_file, "--scenario", scenario, "--out", out]) == 1
+        assert "|R(dt mu)| = 1.375 > 1" in capsys.readouterr().err
+
+    def test_sweep_checks_each_gain(self, tmp_path, p2_file, capsys):
+        scenario = write_scenario(tmp_path, dt=0.1, t_final=10.0)
+        argv = ["sweep", "--graph", p2_file, "--scenario", scenario, "--out", str(tmp_path / "s.csv")]
+        assert main(argv + ["--alpha", "1", "4"]) == 0
+        assert main(argv + ["--alpha", "1", "1e6"]) == 1
+        assert "outside RK4's stability region" in capsys.readouterr().err
+
+    def test_step_inside_region_runs(self, tmp_path, p2_file):
+        # nominal: -lambda_2 = -2 stays inside the region up to dt ~ 1.39
+        scenario = write_scenario(tmp_path, protocol="nominal", alpha=None, dt=1.3, t_final=13.0)
+        assert main(["simulate", "--graph", p2_file, "--scenario", scenario, "--out", str(tmp_path / "t.csv")]) == 0
 
 
 class TestVerifyCommand:

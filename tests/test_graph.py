@@ -82,6 +82,19 @@ class TestMatrices:
     def test_degree_star(self, star4):
         assert np.array_equal(degree_matrix(star4), np.diag([3.0, 1.0, 1.0, 1.0]))
 
+    @settings(max_examples=50, deadline=None)
+    @given(random_graphs())
+    def test_degrees_counted_once(self, g):
+        # one read-only count per graph, equal to the per-edge loop
+        ref = np.zeros(g.n, dtype=np.int64)
+        for a, b in g.edges:
+            ref[a] += 1
+            ref[b] += 1
+        assert np.array_equal(g.degrees, ref)
+        assert g.degrees is g.degrees
+        with pytest.raises(ValueError):
+            g.degrees[0] = 1
+
     def test_adjacency_p2(self, p2):
         assert np.array_equal(adjacency_matrix(p2), [[0, 1], [1, 0]])
 

@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resilient_consensus import (
     ADAPTIVE,
     Inertia,
     SimConfig,
+    Spectrum,
     adjacency_matrix,
     build_m,
+    build_run_report,
     build_transform,
     centroid_analysis,
     check_energy_decay,
     check_perturbation_bound,
+    closed_form_spectrum,
     degree_matrix,
     eigenvalues,
     energy,
@@ -18,6 +23,7 @@ from resilient_consensus import (
     fit_decay_rate,
     from_edge_list,
     laplacian,
+    laplacian_spectrum,
     quadratic_inertia,
     random_connected_graph,
     reduced_blocks,
@@ -152,6 +158,66 @@ class TestBuildM:
         with pytest.raises(ScenarioError):
             build_m(p2, 0.0)
 
+    @pytest.mark.parametrize("alpha", [-1.0, float("nan"), float("inf"), True, "abc"])
+    def test_bad_alpha_rejected(self, p2, alpha):
+        for fn in (build_m, closed_form_spectrum, verify_theorem):
+            with pytest.raises(ScenarioError):
+                fn(p2, alpha)
+
+
+def dense_tolerance(g, alpha, m):
+    """How far a dense eigensolve of M may sit from its exact spectrum.
+
+    An eigenvalue with a Jordan chain of length j moves by about
+    (eps ||M||)^(1/j) under the solver's backward error. In M the chain
+    length is at most the chain in A1 (1: A1 is similar to -L on the
+    complement of 1) plus the chain in E (2 at a double root alpha = d^2/4,
+    else 1), and A1 adds to it only where an agreement mode equals a root
+    of E. A factor of 10 covers the constant.
+    """
+    d = g.degrees.astype(float)
+    disc = np.sqrt((d * d / 4 - alpha).astype(complex))
+    roots = np.concatenate([-d / 2 + disc, -d / 2 - disc])
+    agreement = -laplacian_spectrum(g)[1:]
+    chain = 2 if np.any(d * d == 4 * alpha) else 1
+    chain += int(np.any(np.abs(agreement[:, None] - roots[None, :]) <= 1e-9))
+    scale = np.finfo(float).eps * np.max(np.sum(np.abs(m), axis=1))
+    return max(1e-7, 10.0 * scale ** (1.0 / chain))
+
+
+class TestClosedFormSpectrum:
+    def test_p2(self, p2):
+        # -lambda_2 = -2, and l^2 + l + 1 once per agent
+        r = (-1 + 1j * np.sqrt(3)) / 2
+        spec = closed_form_spectrum(p2, 1.0).eigenvalues
+        assert spectrum_matching_distance(spec, [-2.0, r, np.conj(r), r, np.conj(r)]) < 1e-15
+
+    def test_spectrum_order(self, k3):
+        spec = closed_form_spectrum(k3, 10.0).eigenvalues
+        assert np.array_equal(spec, Spectrum(spec[::-1]).eigenvalues)
+        assert np.all(np.diff(spec.real) <= 0)
+
+    def test_small_root_without_cancellation(self, p2):
+        # alpha << d^2: the slow root is -alpha/d (1 + alpha/d^2 + ...)
+        spec = closed_form_spectrum(p2, 1e-12).eigenvalues
+        assert spec[0].real == pytest.approx(-1e-12, rel=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        seed=st.integers(0, 2**32 - 1),
+        density=st.floats(0.0, 1.0),
+        alpha=st.floats(1e-3, 1e3),
+    )
+    def test_matches_dense_eigensolve(self, n, seed, density, alpha):
+        # the drawn gain and every double-root gain d^2/4, where E is defective
+        g = random_connected_graph(n, np.random.default_rng(seed), density)
+        for a in [alpha, *(d * d / 4.0 for d in set(g.degrees.tolist()))]:
+            m = build_m(g, a).m_matrix
+            dense = np.linalg.eigvals(m)
+            dist = spectrum_matching_distance(closed_form_spectrum(g, a).eigenvalues, dense)
+            assert dist <= dense_tolerance(g, a, m)
+
 
 class TestVerifyTheorem:
     def test_p2(self, p2):
@@ -177,16 +243,37 @@ class TestVerifyTheorem:
         assert rep.quadratic_inertia_predicted == predicted
         assert rep.quadratic_inertia_observed == observed
 
-    def test_three_nonsymmetric_eigensolves(self, k3, monkeypatch):
-        # M, A1 and E once each; no companion matrix
+    def test_one_nonsymmetric_eigensolve(self, k3, monkeypatch):
+        # verify_theorem cross-checks with eig(M) alone; a run report makes none
         import resilient_consensus.spectral as spectral
 
+        w = np.array([1.0, 0.0, 0.0])
+        traj = run_adaptive(k3, w, t_final=1.0)
         shapes = []
-        eigvals = np.linalg.eigvals
-        monkeypatch.setattr(np.linalg, "eigvals", lambda a: shapes.append(a.shape) or eigvals(a))
+        for name in ("eig", "eigvals"):
+            solve = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name, lambda a, solve=solve: shapes.append(a.shape) or solve(a)
+            )
         monkeypatch.setattr(spectral, "companion_matrix", None)
         verify_theorem(k3, 1.0)
-        assert shapes == [(8, 8), (2, 2), (6, 6)]
+        assert shapes == [(8, 8)]
+        shapes.clear()
+        build_run_report(traj, w)
+        assert shapes == []
+
+    def test_cross_check_observes_the_dense_solve(self, k3, monkeypatch):
+        # a dense solve shifted right by 10 shows in the residual and the
+        # observed inertia, while the closed-form verdict stands
+        import resilient_consensus.stability as stability
+
+        solve = stability.eigenvalues
+        monkeypatch.setattr(stability, "eigenvalues", lambda a: Spectrum(solve(a).eigenvalues + 10.0))
+        rep = verify_theorem(k3, 1.0)
+        assert rep.theorem_verdict
+        assert rep.decomposition_residual == pytest.approx(10.0)
+        assert rep.quadratic_inertia_predicted == Inertia(0, 0, 6)
+        assert rep.quadratic_inertia_observed == Inertia(6, 0, 0)
 
     def test_stable_for_all_tested_gains(self, rng):
         for _ in range(10):
