@@ -6,8 +6,9 @@ Subcommands:
     sweep     repeat a scenario over a list of gains, write a summary CSV
     analyze   recompute the run report from a stored trajectory CSV
 
-Exit codes: 0 success, 1 input error, 2 verification failure, 3 numerical
-failure. All output is deterministic for identical inputs.
+Exit codes: 0 success, 1 input error (including a command-line usage
+error), 2 verification failure, 3 numerical failure. All output is
+deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .scenario import (
     read_scenario,
     stability_report_dict,
 )
-from .stability import DEFAULT_SPECTRAL_TOL, verify_theorem
+from .stability import verify_theorem
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -83,7 +84,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     g = _load_graph(args.graph)
-    report = verify_theorem(g, args.alpha, tol=args.tol)
+    report = verify_theorem(g, args.alpha)
     _print_report(stability_report_dict(report), f"stability report (alpha={args.alpha})")
     if not report.theorem_verdict:
         print("VERDICT: unstable (theorem contradiction)", file=sys.stderr)
@@ -130,8 +131,17 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors reported as input errors (exit 1), not
+    argparse's own exit 2, which here means a verification failure."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="resilient-consensus",
         description="Simulate and verify resilient consensus under constant disturbances.",
     )
@@ -148,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="spectral stability certificate")
     p_ver.add_argument("--graph", required=True, help="edge-list file")
     p_ver.add_argument("--alpha", type=float, required=True)
-    p_ver.add_argument("--tol", type=float, default=DEFAULT_SPECTRAL_TOL)
     p_ver.set_defaults(func=cmd_verify)
 
     p_sw = sub.add_parser("sweep", help="repeat a scenario over a gain list")

@@ -24,7 +24,10 @@ w_tilde = w_hat - w, so the closed-loop error dynamics are
 Integration is classical fixed-step 4th-order Runge-Kutta. On the linear
 closed loop one step multiplies each mode mu of A by
 R(dt mu) = 1 + z + z^2/2 + z^3/6 + z^4/24, z = dt mu, so ``simulate``
-rejects a step size with |R(dt mu)| > 1 before it integrates.
+rejects a step size with |R(dt mu)| > 1 before it integrates. The
+adaptive spec(A) is {0} U spec(M), with M the agreement-coordinate matrix
+of ``stability``; ``closed_form_spectrum`` gives spec(M) in closed form
+from the Laplacian spectrum and the node degrees.
 """
 
 from __future__ import annotations
@@ -45,17 +48,22 @@ from .errors import (
 from .graph import (
     Graph,
     adjacency_matrix,
-    algebraic_connectivity,
     degree_matrix,
     is_connected,
     laplacian,
     laplacian_spectrum,
 )
+from .spectral import Spectrum
 
 NOMINAL = "nominal"
 ADAPTIVE = "adaptive"
 
 DEFAULT_DT = 0.001
+
+#: Largest trajectory ``simulate`` allocates, in samples: (steps + 1) * 3n
+#: float64 values, 800 MB. The largest run in the tests and the benchmark
+#: has 1.8 M samples (p2, dt = 1e-4, 30 s).
+MAX_TRAJECTORY_SAMPLES = 100_000_000
 
 
 def read_scalar(raw, name: str, positive: bool = False) -> float:
@@ -139,7 +147,7 @@ class SimConfig:
 
 def default_t_final(g: Graph) -> float:
     """Default horizon: 20 algebraic-connectivity time constants."""
-    return 20.0 / algebraic_connectivity(g)
+    return 20.0 / float(laplacian_spectrum(g)[1])
 
 
 @dataclass(frozen=True)
@@ -191,17 +199,17 @@ def _closed_loop(g: Graph, cfg: SimConfig, w: np.ndarray) -> tuple[sparse.csr_ma
     """The closed loop y' = A y + b of the configured protocol, A in CSR form."""
     _check_lengths(g, cfg.x0, w)
     n = g.n
-    lap = sparse.csr_matrix(laplacian(g))
+    adj = sparse.csr_matrix(adjacency_matrix(g))
+    deg = sparse.diags(g.degrees.astype(float))
+    neg_lap = adj - deg
     if cfg.protocol == ADAPTIVE:
         eye = sparse.identity(n)
-        adj = sparse.csr_matrix(adjacency_matrix(g))
-        deg = sparse.diags(g.degrees.astype(float))
         a = sparse.bmat(
-            [[-lap, None, -eye], [adj, -deg, None], [cfg.alpha * eye, -cfg.alpha * eye, None]],
+            [[neg_lap, None, -eye], [adj, -deg, None], [cfg.alpha * eye, -cfg.alpha * eye, None]],
             format="csr",
         )
     else:
-        a = sparse.block_diag([-lap, sparse.csr_matrix((2 * n, 2 * n))], format="csr")
+        a = sparse.block_diag([neg_lap, sparse.csr_matrix((2 * n, 2 * n))], format="csr")
     b = np.concatenate([np.asarray(w, dtype=float), np.zeros(2 * n)])
     return a, b
 
@@ -218,6 +226,29 @@ def system_derivative(g: Graph, cfg: SimConfig, w: np.ndarray, s: SimState) -> S
     return SimState(x=dy[:n], x_hat=dy[n : 2 * n], w_hat=dy[2 * n :], t=s.t)
 
 
+def _closed_form_modes(g: Graph, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """spec(A1) = {-lambda_k(L) : k >= 2} and spec(E), the 2n roots of
+    lam^2 + d_i lam + alpha, of the adaptive closed loop in agreement
+    coordinates (see ``stability``).
+
+    Each pair of roots is q = -(d/2 + sqrt(d^2/4 - alpha)) and its partner:
+    conj(q) when the pair is complex, else alpha / q (the product of the
+    roots is alpha), which avoids the cancellation of -d/2 + sqrt(.) when
+    alpha << d^2.
+    """
+    agreement = -laplacian_spectrum(g)[1:]
+    half = g.degrees / 2.0
+    q = -(half + np.sqrt((half * half - alpha).astype(complex)))
+    return agreement, np.concatenate([q, np.where(q.imag != 0, q.conj(), alpha / q)])
+
+
+def closed_form_spectrum(g: Graph, alpha: float) -> Spectrum:
+    """spec(M) from the Laplacian spectrum and the node degrees, without
+    assembling M: {-lambda_k(L) : k >= 2} U {roots of lam^2 + d_i lam + alpha}."""
+    alpha = read_scalar(alpha, "alpha", positive=True)
+    return Spectrum(np.concatenate(_closed_form_modes(g, alpha)))
+
+
 def _check_rk4_step(g: Graph, cfg: SimConfig) -> None:
     """Reject a step size at which RK4 amplifies a closed-loop mode.
 
@@ -226,8 +257,6 @@ def _check_rk4_step(g: Graph, cfg: SimConfig) -> None:
     left out: |R(0)| = 1, and a computed zero of +-1e-16 would trip the
     check.
     """
-    from .stability import closed_form_spectrum  # stability imports this module
-
     if cfg.protocol == ADAPTIVE:
         modes = closed_form_spectrum(g, cfg.alpha).eigenvalues
     else:
@@ -242,19 +271,33 @@ def _check_rk4_step(g: Graph, cfg: SimConfig) -> None:
         )
 
 
+def _step_count(g: Graph, cfg: SimConfig) -> int:
+    """RK4 steps from 0 to t_final; rejects a run whose trajectory of
+    (steps + 1) x 3n samples exceeds ``MAX_TRAJECTORY_SAMPLES``."""
+    steps = cfg.t_final / cfg.dt
+    samples = (steps + 1) * 3 * g.n
+    if not samples <= MAX_TRAJECTORY_SAMPLES:
+        raise ScenarioError(
+            f"run too large: {steps:.6g} steps of 3n = {3 * g.n} values (n={g.n}) need "
+            f"{8 * samples:.6g} bytes, over the budget of {8 * MAX_TRAJECTORY_SAMPLES} bytes"
+        )
+    return int(round(steps))
+
+
 def simulate(g: Graph, cfg: SimConfig, w: np.ndarray) -> Trajectory:
     """Integrate the closed loop with classical RK4 from t=0 to t_final.
 
-    ``_check_rk4_step`` runs first, so an unstable step size is rejected
-    before any state is allocated.
+    The run-size budget and ``_check_rk4_step`` run first, so a run that is
+    too large or an unstable step size is rejected before any state is
+    allocated.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("simulation requires a connected graph")
+    steps = _step_count(g, cfg)
     _check_rk4_step(g, cfg)
     a, b = _closed_loop(g, cfg, w)
     n = g.n
     dt = cfg.dt
-    steps = int(round(cfg.t_final / dt))
     s0 = cfg.initial_state()
     y = np.concatenate([s0.x, s0.x_hat, s0.w_hat])
     out = np.empty((steps + 1, 3 * n))
@@ -307,7 +350,9 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 
 
 def read_trajectory_csv(path, g: Graph, cfg: SimConfig) -> Trajectory:
-    """Read a trajectory CSV back; validates the header against the graph."""
+    """Read a trajectory CSV back; validates the header against the graph
+    and the time column against the grid ``simulate`` writes for cfg:
+    exactly t_k = k dt for k = 0..round(t_final / dt)."""
     n = g.n
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
@@ -318,12 +363,28 @@ def read_trajectory_csv(path, g: Graph, cfg: SimConfig) -> Trajectory:
             parts = line.strip().split(",")
             if len(parts) != 1 + 3 * n:
                 raise ScenarioError(f"trajectory CSV row {lineno} has {len(parts)} fields")
-            rows.append([float(p) for p in parts])
+            try:
+                rows.append([float(p) for p in parts])
+            except ValueError:
+                raise ScenarioError(f"trajectory CSV row {lineno} has a non-numeric field") from None
     if not rows:
         raise ScenarioError("trajectory CSV has no samples")
     data = np.asarray(rows)
+    times = data[:, 0]
+    steps = cfg.t_final / cfg.dt
+    on_grid = (
+        math.isfinite(steps)
+        and len(times) - 1 == round(steps)
+        and np.array_equal(times, np.arange(len(times)) * cfg.dt)
+    )
+    if not on_grid:
+        raise ScenarioError(
+            f"trajectory CSV time grid ({len(times)} samples, t from {float(times[0])!r} to "
+            f"{float(times[-1])!r}) is not the scenario's: t_k = k * {cfg.dt!r} for "
+            f"k = 0..round({cfg.t_final!r} / {cfg.dt!r})"
+        )
     return Trajectory(
-        times=data[:, 0],
+        times=times,
         x=data[:, 1 : 1 + n],
         x_hat=data[:, 1 + n : 1 + 2 * n],
         w_hat=data[:, 1 + 2 * n :],

@@ -2,7 +2,9 @@
 
 Node indices are 0-based everywhere. Edges are stored order-normalized as
 (min, max) tuples so equality and deduplication are deterministic. Graph
-objects are immutable after construction and safe to share.
+objects are immutable after construction and safe to share. What a graph
+determines (degrees, adjacency, connectivity, Laplacian spectrum) is
+computed once per graph, on first use, and returned read-only.
 """
 
 from __future__ import annotations
@@ -32,9 +34,54 @@ class Graph:
     def degrees(self) -> np.ndarray:
         """Node degrees, counted once per graph; the array is read-only."""
         ends = np.fromiter((v for e in self.edges for v in e), dtype=np.int64)
-        d = np.bincount(ends, minlength=self.n)
-        d.flags.writeable = False
-        return d
+        return _read_only(np.bincount(ends, minlength=self.n))
+
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        """Symmetric 0/1 adjacency matrix with zero diagonal, built once
+        per graph; the array is read-only."""
+        a = np.zeros((self.n, self.n))
+        for i, j in self.edges:
+            a[i, j] = 1.0
+            a[j, i] = 1.0
+        return _read_only(a)
+
+    @cached_property
+    def connected(self) -> bool:
+        """Reachability of every node from node 0, searched once per graph.
+
+        A connected graph has at least n - 1 edges, so fewer answer False
+        before the search allocates anything of size n.
+        """
+        if len(self.edges) < self.n - 1:
+            return False
+        adj = [[] for _ in range(self.n)]
+        for i, j in self.edges:
+            adj[i].append(j)
+            adj[j].append(i)
+        seen = [False] * self.n
+        seen[0] = True
+        stack = [0]
+        while stack:
+            u = stack.pop()
+            for v in adj[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    stack.append(v)
+        return all(seen)
+
+    @cached_property
+    def laplacian_eigenvalues(self) -> np.ndarray:
+        """Ascending Laplacian eigenvalues, one symmetric eigensolve per
+        graph; the array is read-only. Raises DisconnectedGraphError."""
+        if not self.connected:
+            raise DisconnectedGraphError("Laplacian spectrum ordering requires a connected graph")
+        return _read_only(np.linalg.eigvalsh(laplacian(self)))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def from_edge_list(n: int, edges) -> Graph:
@@ -60,12 +107,8 @@ def degree_matrix(g: Graph) -> np.ndarray:
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
-    """Symmetric 0/1 adjacency matrix with zero diagonal."""
-    a = np.zeros((g.n, g.n))
-    for i, j in g.edges:
-        a[i, j] = 1.0
-        a[j, i] = 1.0
-    return a
+    """Symmetric 0/1 adjacency matrix with zero diagonal (read-only)."""
+    return g.adjacency
 
 
 def laplacian(g: Graph) -> np.ndarray:
@@ -74,38 +117,17 @@ def laplacian(g: Graph) -> np.ndarray:
 
 
 def is_connected(g: Graph) -> bool:
-    """Breadth-first reachability from node 0."""
-    adj = [[] for _ in range(g.n)]
-    for i, j in g.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = [False] * g.n
-    seen[0] = True
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(v)
-    return all(seen)
+    """Whether every node is reachable from node 0."""
+    return g.connected
 
 
 def laplacian_spectrum(g: Graph) -> np.ndarray:
-    """Ascending Laplacian eigenvalues of a connected graph.
+    """Ascending Laplacian eigenvalues of a connected graph (read-only).
 
     The first eigenvalue is 0 (eigenvector 1); the second is the algebraic
     connectivity and must be strictly positive.
     """
-    if not is_connected(g):
-        raise DisconnectedGraphError("Laplacian spectrum ordering requires a connected graph")
-    vals = np.linalg.eigvalsh(laplacian(g))
-    return np.sort(vals)
-
-
-def algebraic_connectivity(g: Graph) -> float:
-    """Second-smallest Laplacian eigenvalue; positive iff connected."""
-    return float(laplacian_spectrum(g)[1])
+    return g.laplacian_eigenvalues
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -19,15 +19,16 @@ the closed form
 
     spec(M) = {-lambda_k(L) : k = 2..n}  U  {roots of lam^2 + d_i lam + alpha : i = 0..n-1},
 
-which ``closed_form_spectrum`` computes from one symmetric Laplacian
-eigensolve and 2n scalar quadratic roots. Run reports
-(``scenario.build_run_report``) and the RK4 step-size preflight
-(``dynamics.simulate``) use only the closed form. ``verify_theorem``
-reports the closed form and cross-checks it against the one dense
-nonsymmetric eigensolve of M that the toolkit makes: the Hungarian
-matching distance between the two is the decomposition residual, and the
-dense eigenvalues matched to the roots of E give the observed quadratic
-inertia.
+which ``closed_form_spectrum`` computes from the graph's one symmetric
+Laplacian eigensolve and 2n scalar quadratic roots. It lives in
+``dynamics``, beside the closed loop whose RK4 preflight uses it, and is
+exported here too. Run reports (``scenario.build_run_report``) and the
+RK4 step-size preflight (``dynamics.simulate``) use only the closed form.
+``verify_theorem`` reports the closed form and cross-checks it against
+the one dense nonsymmetric eigensolve of M that the toolkit makes: the
+Hungarian matching distance between the two is the decomposition
+residual, and the dense eigenvalues matched to the roots of E give the
+observed quadratic inertia.
 
 Trajectory-side checks cover the energy function
 E = 0.5 x_tilde'x_tilde + w_tilde'w_tilde/(2 alpha) (nonincreasing, with
@@ -43,15 +44,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DisconnectedGraphError, MatrixShapeError, ScenarioError
-from .dynamics import ADAPTIVE, Trajectory, error_series, read_scalar
-from .graph import (
-    Graph,
-    adjacency_matrix,
-    degree_matrix,
-    is_connected,
-    laplacian,
-    laplacian_spectrum,
+from .dynamics import (
+    ADAPTIVE,
+    Trajectory,
+    _closed_form_modes,
+    closed_form_spectrum,  # noqa: F401 - defined beside the closed loop, exported here
+    error_series,
+    read_scalar,
 )
+from .graph import Graph, adjacency_matrix, degree_matrix, is_connected, laplacian
 from .spectral import (
     Inertia,
     Spectrum,
@@ -141,28 +142,6 @@ def error_block(g: Graph, alpha: float) -> np.ndarray:
     return np.block([[-degree_matrix(g), -eye], [alpha * eye, np.zeros_like(eye)]])
 
 
-def _closed_form_modes(g: Graph, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """spec(A1) = {-lambda_k(L) : k >= 2} and spec(E), the 2n roots of
-    lam^2 + d_i lam + alpha.
-
-    Each pair of roots is q = -(d/2 + sqrt(d^2/4 - alpha)) and its partner:
-    conj(q) when the pair is complex, else alpha / q (the product of the
-    roots is alpha), which avoids the cancellation of -d/2 + sqrt(.) when
-    alpha << d^2.
-    """
-    agreement = -laplacian_spectrum(g)[1:]
-    half = g.degrees / 2.0
-    q = -(half + np.sqrt((half * half - alpha).astype(complex)))
-    return agreement, np.concatenate([q, np.where(q.imag != 0, q.conj(), alpha / q)])
-
-
-def closed_form_spectrum(g: Graph, alpha: float) -> Spectrum:
-    """spec(M) from the Laplacian spectrum and the node degrees, without
-    assembling M: {-lambda_k(L) : k >= 2} U {roots of lam^2 + d_i lam + alpha}."""
-    alpha = read_scalar(alpha, "alpha", positive=True)
-    return Spectrum(np.concatenate(_closed_form_modes(g, alpha)))
-
-
 def verify_theorem(g: Graph, alpha: float, tol: float = DEFAULT_SPECTRAL_TOL) -> StabilityReport:
     """Spectral stability certificate for the adaptive closed loop.
 
@@ -173,6 +152,12 @@ def verify_theorem(g: Graph, alpha: float, tol: float = DEFAULT_SPECTRAL_TOL) ->
     dense eigenvalues matched to the roots of E give the observed inertia
     of lam^2 I + lam Delta + alpha I, against the (0, 0, 2n) that the
     inertia identities predict.
+
+    The decomposition residual is the error of the dense solve, since the
+    closed form is exact. Where M has a Jordan chain of length j the dense
+    eigenvalue is off by about (eps ||M||)^(1/j), so the residual can
+    exceed 1e-7 on a valid input: at alpha = d^2/4 a root of E is double,
+    and an agreement mode lambda_k = d/2 equal to it makes j = 3.
     """
     alpha = read_scalar(alpha, "alpha", positive=True)
     agreement, error_roots = _closed_form_modes(g, alpha)

@@ -1,7 +1,9 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 
-from resilient_consensus import complete_graph, from_edge_list, path_graph
+from resilient_consensus import Graph, complete_graph, from_edge_list, path_graph
 
 # Seed for every randomized test in the suite; printed so failures are
 # reproducible with an explicit value.
@@ -36,3 +38,19 @@ def star4():
 @pytest.fixture
 def path4():
     return path_graph(4)
+
+
+@pytest.fixture
+def count_builds(monkeypatch):
+    """count_builds(name) records each run of the body of the cached
+    ``Graph`` property ``name``: one entry, the node count, per run."""
+
+    def count(name: str) -> list:
+        body = getattr(Graph, name).func
+        calls = []
+        prop = cached_property(lambda g: calls.append(g.n) or body(g))
+        prop.__set_name__(Graph, name)
+        monkeypatch.setattr(Graph, name, prop)
+        return calls
+
+    return count

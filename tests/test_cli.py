@@ -7,7 +7,7 @@ import yaml
 from resilient_consensus.cli import main
 from resilient_consensus.scenario import parse_scenario
 from resilient_consensus.errors import ScenarioError
-from resilient_consensus.graph import complete_graph, from_edge_list, format_edge_list
+from resilient_consensus.graph import complete_graph, from_edge_list, format_edge_list, path_graph
 
 P2_EDGES = "2 1\n0 1\n"
 
@@ -240,7 +240,94 @@ class TestStepSizePreflight:
         assert main(["simulate", "--graph", p2_file, "--scenario", scenario, "--out", str(tmp_path / "t.csv")]) == 0
 
 
+class TestRunSizeBudget:
+    """simulate rejects a run whose (steps + 1) x 3n trajectory exceeds the
+    budget before it allocates it."""
+
+    @pytest.mark.parametrize(
+        "dt, t_final, steps", [(0.01, 1.0e300, "1e+302 steps"), (1e-3, 1e9, "1e+12 steps")]
+    )
+    def test_too_many_steps(self, tmp_path, p2_file, capsys, dt, t_final, steps):
+        scenario = write_scenario(tmp_path, dt=dt, t_final=t_final)
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--graph", p2_file, "--scenario", scenario, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "run too large" in err and steps in err and "(n=2)" in err and "bytes" in err
+        assert not out.exists()
+
+
+class TestUsageErrors:
+    """A command line argparse rejects is an input error: exit 1."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--graph", "g.txt", "--alpha", "abc"],
+            ["verify", "--graph", "g.txt"],
+            ["verify", "--graph", "g.txt", "--alpha", "1", "--tol", "5"],
+            [],
+        ],
+    )
+    def test_exit_1(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        assert "--tol" not in capsys.readouterr().out
+
+
+class TestOneComputationPerGraph:
+    """Every command makes one connectivity search, one adjacency build and
+    one Laplacian eigensolve for its graph, however many consumers read them."""
+
+    @pytest.fixture
+    def p5(self, tmp_path):
+        graph = tmp_path / "p5.txt"
+        graph.write_text(format_edge_list(path_graph(5)))
+        # no t_final: the default horizon 20 / lambda_2 reads the spectrum too
+        doc = {"schema": 1, "protocol": "adaptive", "alpha": 1.0, "dt": 0.05,
+               "x0": [0.0] * 5, "w": [1.0, 0.0, 0.0, 0.0, 0.0]}
+        scenario = tmp_path / "p5.yaml"
+        scenario.write_text(yaml.safe_dump(doc))
+        return ["--graph", str(graph), "--scenario", str(scenario)]
+
+    @pytest.fixture
+    def builds(self, monkeypatch, count_builds):
+        shapes = []
+        solve = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or solve(a))
+        return {
+            "eigvalsh": shapes,
+            "connected": count_builds("connected"),
+            "adjacency": count_builds("adjacency"),
+        }
+
+    def test_sweep(self, tmp_path, p5, builds):
+        argv = ["sweep", *p5, "--alpha", "0.5", "1", "4", "--out", str(tmp_path / "s.csv")]
+        assert main(argv) == 0
+        assert builds == {"eigvalsh": [(5, 5)], "connected": [5], "adjacency": [5]}
+
+    def test_simulate(self, tmp_path, p5, builds):
+        assert main(["simulate", *p5, "--out", str(tmp_path / "t.csv")]) == 0
+        assert builds == {"eigvalsh": [(5, 5)], "connected": [5], "adjacency": [5]}
+
+    def test_verify(self, p5, builds):
+        assert main(["verify", *p5[:2], "--alpha", "1"]) == 0
+        assert builds["connected"] == [5] and builds["adjacency"] == [5]
+
+
 class TestVerifyCommand:
+    def test_huge_node_count_without_edges(self, tmp_path, capsys):
+        # a connected graph on 3e6 nodes needs 3e6 - 1 edges: answered at once
+        path = tmp_path / "huge.txt"
+        path.write_text("3000000 1\n0 1\n")
+        assert main(["verify", "--graph", str(path), "--alpha", "1.0"]) == 1
+        assert "graph not connected" in capsys.readouterr().err
+
     def test_p2(self, p2_file, capsys):
         code = main(["verify", "--graph", p2_file, "--alpha", "1.0"])
         assert code == 0
@@ -365,6 +452,36 @@ class TestAnalyzeCommand:
             ]
         )
         assert code == 1
+
+    def analyze(self, trajectory, p2_file, scenario):
+        return main(["analyze", "--trajectory", str(trajectory), "--graph", p2_file, "--scenario", scenario])
+
+    def test_different_dt_rejected(self, tmp_path, p2_file, capsys):
+        scenario = write_scenario(tmp_path, t_final=1.0)
+        out = tmp_path / "traj.csv"
+        main(["simulate", "--graph", p2_file, "--scenario", scenario, "--out", str(out), "--dt", "0.02"])
+        capsys.readouterr()
+        assert self.analyze(out, p2_file, scenario) == 1
+        err = capsys.readouterr().err
+        assert "51 samples, t from 0.0 to 1.0" in err
+        assert "t_k = k * 0.01 for k = 0..round(1.0 / 0.01)" in err
+
+    def test_cut_at_row_boundary_rejected(self, tmp_path, p2_file, capsys):
+        scenario = write_scenario(tmp_path, t_final=1.0)
+        out = tmp_path / "traj.csv"
+        main(["simulate", "--graph", p2_file, "--scenario", scenario, "--out", str(out)])
+        capsys.readouterr()
+        lines = out.read_text().splitlines(keepends=True)
+        out.write_text("".join(lines[:60]))
+        assert self.analyze(out, p2_file, scenario) == 1
+        assert "59 samples" in capsys.readouterr().err
+
+    def test_non_numeric_field_rejected(self, tmp_path, p2_file, capsys):
+        scenario = write_scenario(tmp_path, t_final=0.01)
+        out = tmp_path / "traj.csv"
+        out.write_text("t,x_0,x_1,xhat_0,xhat_1,what_0,what_1\n0.0,0,0,0,0,0,abc\n")
+        assert self.analyze(out, p2_file, scenario) == 1
+        assert "row 2 has a non-numeric field" in capsys.readouterr().err
 
     def test_nominal_disturbed_run_flags_disagreement(self, tmp_path, p2_file, capsys):
         # steady-state disagreement pinv(L) w on P2 with w = [1, -1] is 1

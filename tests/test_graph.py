@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -140,6 +142,19 @@ class TestConnectivity:
         lam2 = np.sort(np.linalg.eigvalsh(laplacian(g)))[1]
         assert is_connected(g) == (lam2 > 1e-8)
 
+    def test_too_few_edges_allocate_nothing(self):
+        # a connected graph needs n - 1 edges; fewer answer before any
+        # per-node allocation (without the count, the search peaks at about
+        # 69 MB on this input)
+        tracemalloc.start()
+        try:
+            connected = is_connected(from_edge_list(10**6, [(0, 1)]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not connected
+        assert peak < 1_000_000
+
     def test_connected_graph_has_positive_degrees(self, rng):
         for _ in range(20):
             g = random_connected_graph(int(rng.integers(2, 15)), rng)
@@ -166,6 +181,25 @@ class TestSpectrum:
         g = from_edge_list(4, [(0, 1), (2, 3)])
         with pytest.raises(DisconnectedGraphError):
             laplacian_spectrum(g)
+
+
+class TestComputedOncePerGraph:
+    def test_cached_and_read_only(self, rng):
+        g = random_connected_graph(6, rng)
+        for get in (adjacency_matrix, laplacian_spectrum):
+            assert get(g) is get(g)
+            with pytest.raises(ValueError):
+                get(g)[0] = 1.0
+
+    def test_one_search_per_graph(self, count_builds, rng):
+        calls = count_builds("connected")
+        g = random_connected_graph(6, rng)
+        for _ in range(3):
+            assert is_connected(g)
+            laplacian_spectrum(g)
+        assert calls == [6]
+        assert not is_connected(from_edge_list(4, [(0, 1), (2, 3)]))
+        assert calls == [6, 4]
 
 
 class TestGenerators:
