@@ -22,12 +22,29 @@ w_tilde = w_hat - w, so the closed-loop error dynamics are
     d(w_tilde)/dt = alpha x_tilde.
 
 Integration is classical fixed-step 4th-order Runge-Kutta. On the linear
-closed loop one step multiplies each mode mu of A by
-R(dt mu) = 1 + z + z^2/2 + z^3/6 + z^4/24, z = dt mu, so ``simulate``
-rejects a step size with |R(dt mu)| > 1 before it integrates. The
-adaptive spec(A) is {0} U spec(M), with M the agreement-coordinate matrix
-of ``stability``; ``closed_form_spectrum`` gives spec(M) in closed form
-from the Laplacian spectrum and the node degrees.
+closed loop one step of size h is exactly the affine map
+
+    y <- R(hA) y + h phi(hA) b,   R(z) = 1 + z phi(z),
+                                  phi(z) = 1 + z/2 + z^2/6 + z^3/24,
+
+so it multiplies each mode mu of A by R(h mu) = 1 + z + z^2/2 + z^3/6 +
+z^4/24, z = h mu, and ``simulate`` rejects a step size with
+|R(h mu)| > 1 before it integrates. The adaptive spec(A) is {0} U spec(M),
+with M the agreement-coordinate matrix of ``stability``;
+``closed_form_spectrum`` gives spec(M) in closed form from the Laplacian
+spectrum and the node degrees.
+
+``simulate`` takes one of two routes to the same steps, chosen by the run
+size alone. A run with 3n <= min(steps, ``MAX_MAP_DIM``) materialises
+P = R(hA) and q = h phi(hA) b as a dense 3n x 3n matrix and a vector, by
+Horner's rule on phi with the sparse A times a dense matrix (O(nnz(A) 3n)
+each), and then makes one dense matvec per step. Any other run evaluates
+the four RK4 stages with the sparse A at every step: a run shorter than
+3n steps does not repay forming P, and above ``MAX_MAP_DIM`` the dense
+matvec costs more per step than the four sparse stages. The rule also
+bounds memory: steps >= 3n gives (3n)^2 <= steps * 3n, so P is never
+larger than the trajectory that ``MAX_TRAJECTORY_SAMPLES`` already
+budgets, and never larger than 8 * MAX_MAP_DIM^2 bytes (1.6 MB).
 """
 
 from __future__ import annotations
@@ -64,6 +81,12 @@ DEFAULT_DT = 0.001
 #: float64 values, 800 MB. The largest run in the tests and the benchmark
 #: has 1.8 M samples (p2, dt = 1e-4, 30 s).
 MAX_TRAJECTORY_SAMPLES = 100_000_000
+
+#: Largest state dimension 3n at which ``simulate`` integrates with the
+#: dense RK4 map P, so P takes at most 1.6 MB. On a Xeon with 2 MB of L2
+#: cache per core and single-threaded OpenBLAS, one step with a P of 480^2
+#: or more took longer than the four sparse RK4 stages it replaces.
+MAX_MAP_DIM = 450
 
 
 def read_scalar(raw, name: str, positive: bool = False) -> float:
@@ -284,12 +307,46 @@ def _step_count(g: Graph, cfg: SimConfig) -> int:
     return int(round(steps))
 
 
+def _rk4_stages(a: sparse.csr_matrix, b: np.ndarray, dt: float, out: np.ndarray) -> None:
+    """Fill out[1:] with RK4 steps of y' = A y + b from out[0], evaluating
+    the four stages with the sparse A at every step."""
+    half = 0.5 * dt
+    for k in range(len(out) - 1):
+        y = out[k]
+        k1 = a @ y + b
+        k2 = a @ (y + half * k1) + b
+        k3 = a @ (y + half * k2) + b
+        k4 = a @ (y + dt * k3) + b
+        out[k + 1] = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _rk4_map(a: sparse.csr_matrix, b: np.ndarray, dt: float, out: np.ndarray) -> None:
+    """The steps of ``_rk4_stages`` as the affine map y <- P y + q, with
+    P = I + A T, q = T b and T = dt phi(dt A) formed once by Horner's rule."""
+    dim = a.shape[0]
+    t = np.eye(dim)
+    for c in (4.0, 3.0, 2.0):
+        t = a @ t
+        t *= dt / c
+        t.flat[:: dim + 1] += 1.0
+    t *= dt
+    p = a @ t
+    p.flat[:: dim + 1] += 1.0
+    q = t @ b
+    for k in range(len(out) - 1):
+        out[k + 1] = p @ out[k] + q
+
+
 def simulate(g: Graph, cfg: SimConfig, w: np.ndarray) -> Trajectory:
     """Integrate the closed loop with classical RK4 from t=0 to t_final.
 
     The run-size budget and ``_check_rk4_step`` run first, so a run that is
     too large or an unstable step size is rejected before any state is
-    allocated.
+    allocated. A run with 3n <= min(steps, ``MAX_MAP_DIM``) takes the
+    dense affine map (``_rk4_map``), any other the sparse stages
+    (``_rk4_stages``); see the module docstring. Either way a non-finite
+    sample raises ``NumericalBlowupError`` with the time of the first one,
+    and no numpy floating-point warning is printed.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("simulation requires a connected graph")
@@ -299,19 +356,14 @@ def simulate(g: Graph, cfg: SimConfig, w: np.ndarray) -> Trajectory:
     n = g.n
     dt = cfg.dt
     s0 = cfg.initial_state()
-    y = np.concatenate([s0.x, s0.x_hat, s0.w_hat])
     out = np.empty((steps + 1, 3 * n))
-    out[0] = y
-    half = 0.5 * dt
-    for k in range(steps):
-        k1 = a @ y + b
-        k2 = a @ (y + half * k1) + b
-        k3 = a @ (y + half * k2) + b
-        k4 = a @ (y + dt * k3) + b
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[k + 1] = y
-        if not np.all(np.isfinite(y)):
-            raise NumericalBlowupError((k + 1) * dt)
+    out[0] = np.concatenate([s0.x, s0.x_hat, s0.w_hat])
+    integrate = _rk4_map if 3 * n <= min(steps, MAX_MAP_DIM) else _rk4_stages
+    with np.errstate(over="ignore", invalid="ignore"):
+        integrate(a, b, dt, out)
+    blown = ~np.isfinite(out).all(axis=1)
+    if blown.any():
+        raise NumericalBlowupError(int(np.argmax(blown)) * dt)
     times = np.arange(steps + 1) * dt
     return Trajectory(
         times=times,
@@ -355,18 +407,23 @@ def read_trajectory_csv(path, g: Graph, cfg: SimConfig) -> Trajectory:
     exactly t_k = k dt for k = 0..round(t_final / dt)."""
     n = g.n
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header != _csv_columns(n):
-            raise ScenarioError(f"trajectory CSV header does not match graph with n={n}")
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.strip().split(",")
-            if len(parts) != 1 + 3 * n:
-                raise ScenarioError(f"trajectory CSV row {lineno} has {len(parts)} fields")
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError:
-                raise ScenarioError(f"trajectory CSV row {lineno} has a non-numeric field") from None
+        try:
+            header = fh.readline().strip().split(",")
+            if header != _csv_columns(n):
+                raise ScenarioError(f"trajectory CSV header does not match graph with n={n}")
+            rows = []
+            for lineno, line in enumerate(fh, start=2):
+                parts = line.strip().split(",")
+                if len(parts) != 1 + 3 * n:
+                    raise ScenarioError(f"trajectory CSV row {lineno} has {len(parts)} fields")
+                try:
+                    rows.append([float(p) for p in parts])
+                except ValueError:
+                    raise ScenarioError(
+                        f"trajectory CSV row {lineno} has a non-numeric field"
+                    ) from None
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(f"trajectory CSV is not UTF-8 text ({exc.reason})") from None
     if not rows:
         raise ScenarioError("trajectory CSV has no samples")
     data = np.asarray(rows)

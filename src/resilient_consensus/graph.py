@@ -172,7 +172,12 @@ def parse_edge_list(text: str) -> Graph:
 
 def load_edge_list(path) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            line = exc.object.count(b"\n", 0, exc.start) + 1
+            raise EdgeListParseError(f"not UTF-8 text ({exc.reason})", line) from None
+    return parse_edge_list(text)
 
 
 def format_edge_list(g: Graph) -> str:

@@ -118,6 +118,10 @@ def read_scenario(path) -> dict:
             raw = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
             raise ScenarioError(f"cannot parse scenario {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(
+                f"cannot read scenario {path}: not UTF-8 text ({exc.reason})"
+            ) from None
     if not isinstance(raw, dict):
         raise ScenarioError("scenario file must be a mapping")
     if raw.get("graph") is not None:

@@ -80,11 +80,16 @@ def determinant(a: np.ndarray) -> float:
     return float(np.linalg.det(a))
 
 
+def scaled_zero_tol(scale: float) -> float:
+    """Zero-real-part tolerance for a matrix whose max absolute row sum is
+    ``scale``."""
+    return 1e-9 * max(1.0, scale)
+
+
 def default_zero_tol(a: np.ndarray) -> float:
     """Zero-real-part tolerance scaled by the matrix's max row sum."""
     a = np.asarray(a, dtype=float)
-    scale = max(1.0, float(np.max(np.sum(np.abs(a), axis=1))))
-    return 1e-9 * scale
+    return scaled_zero_tol(float(np.max(np.sum(np.abs(a), axis=1))))
 
 
 def inertia(a: np.ndarray, tol: float | None = None) -> Inertia:
@@ -162,41 +167,49 @@ def quadratic_eigenvalues(a, b, c) -> Spectrum:
     return eigenvalues(companion_matrix(a, b, c))
 
 
-def _is_positive_definite(b: np.ndarray, tol: float) -> bool:
-    sym = 0.5 * (b + b.T)
-    return bool(np.min(np.linalg.eigvalsh(sym)) > tol)
-
-
 def quadratic_zero_tol(a, b, c) -> float:
     """Zero-real-part tolerance for Z(lam) = A lam^2 + B lam + C."""
     return max(default_zero_tol(_require_square(m, name)) for m, name in zip((a, b, c), "ABC"))
 
 
-def _symmetric_inertia(a: np.ndarray, name: str, tol: float) -> Inertia:
+def _symmetric_eigenvalues(a: np.ndarray, name: str, tol: float) -> np.ndarray:
     if not np.allclose(a, a.T, rtol=0.0, atol=tol):
         raise HypothesisViolationError(f"{name} is not symmetric")
-    return inertia_of_values(np.linalg.eigvalsh(a), tol)
+    return np.linalg.eigvalsh(a)
 
 
-def predicted_quadratic_inertia(a, b, c, tol: float) -> Inertia:
-    """Inertia of Z(lam) = A lam^2 + B lam + C from the inertia identities
+def inertia_identities(a_vals, b_vals, c_vals, tol: float) -> Inertia:
+    """Inertia of Z(lam) = A lam^2 + B lam + C from the eigenvalues of
+    symmetric A and C and of B's symmetric part, by the inertia identities
 
         pi+(Z) = pi-(A) + pi-(C),
         pi-(Z) = pi+(A) + pi+(C),
         pi0(Z) = pi0(C),
 
-    which hold for symmetric A and C and positive-definite B (symmetric
-    part). Only symmetric eigensolves are made.
+    which hold when B's symmetric part is positive-definite. For diagonal
+    coefficients the eigenvalues are the diagonals, and no eigensolve is
+    needed.
     """
-    a, b, c = (_require_square(m, name) for m, name in zip((a, b, c), "ABC"))
-    if not _is_positive_definite(b, tol):
+    if not np.min(b_vals) > tol:
         raise HypothesisViolationError("middle coefficient B is not positive-definite")
-    in_a = _symmetric_inertia(a, "leading coefficient A", tol)
-    in_c = _symmetric_inertia(c, "constant coefficient C", tol)
+    in_a = inertia_of_values(a_vals, tol)
+    in_c = inertia_of_values(c_vals, tol)
     return Inertia(
         n_plus=in_a.n_minus + in_c.n_minus,
         n_zero=in_c.n_zero,
         n_minus=in_a.n_plus + in_c.n_plus,
+    )
+
+
+def predicted_quadratic_inertia(a, b, c, tol: float) -> Inertia:
+    """Inertia of Z(lam) = A lam^2 + B lam + C by ``inertia_identities``,
+    from symmetric eigensolves of A, C and B's symmetric part."""
+    a, b, c = (_require_square(m, name) for m, name in zip((a, b, c), "ABC"))
+    return inertia_identities(
+        _symmetric_eigenvalues(a, "leading coefficient A", tol),
+        np.linalg.eigvalsh(0.5 * (b + b.T)),
+        _symmetric_eigenvalues(c, "constant coefficient C", tol),
+        tol,
     )
 
 

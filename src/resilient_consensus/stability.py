@@ -58,9 +58,9 @@ from .spectral import (
     Spectrum,
     assemble_block_triangular,
     eigenvalues,
+    inertia_identities,
     inertia_of_values,
-    predicted_quadratic_inertia,
-    quadratic_zero_tol,
+    scaled_zero_tol,
     spectrum_matching,
 )
 
@@ -165,15 +165,17 @@ def verify_theorem(g: Graph, alpha: float, tol: float = DEFAULT_SPECTRAL_TOL) ->
     spectrum = Spectrum(closed)
     dense = eigenvalues(build_m(g, alpha).m_matrix).eigenvalues
     pairs, residual = spectrum_matching(dense, closed)
-    n = g.n
-    coeffs = (np.eye(n), degree_matrix(g), alpha * np.eye(n))
-    zero_tol = quadratic_zero_tol(*coeffs)
+    # lam^2 I + lam Delta + alpha I has diagonal coefficients: their
+    # eigenvalues are the diagonals, and the largest row sum is max(d, alpha)
+    deg = g.degrees.astype(float)
+    ones = np.ones(g.n)
+    zero_tol = scaled_zero_tol(max(float(np.max(deg)), alpha))
     return StabilityReport(
         spectrum=spectrum,
         spectral_abscissa=spectrum.abscissa,
         theorem_verdict=bool(spectrum.abscissa < -tol),
         decomposition_residual=residual,
-        quadratic_inertia_predicted=predicted_quadratic_inertia(*coeffs, zero_tol),
+        quadratic_inertia_predicted=inertia_identities(ones, deg, alpha * ones, zero_tol),
         quadratic_inertia_observed=inertia_of_values(dense[pairs >= len(agreement)], zero_tol),
         tol=tol,
     )

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import resilient_consensus
 from resilient_consensus.cli import main
 from resilient_consensus.scenario import parse_scenario
 from resilient_consensus.errors import ScenarioError
@@ -256,6 +261,50 @@ class TestRunSizeBudget:
         assert not out.exists()
 
 
+class TestNumericalBlowup:
+    def test_overflow_exits_3_with_clean_stderr(self, tmp_path, p2_file):
+        # the state itself overflows at t = 0.1; in a fresh interpreter, so
+        # stderr is exactly what a user sees
+        big = [1.7e308, 1.7e308]
+        scenario = write_scenario(tmp_path, dt=0.1, t_final=2.0, x0=big, w=big)
+        out = tmp_path / "t.csv"
+        src = str(Path(resilient_consensus.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        argv = ["simulate", "--graph", p2_file, "--scenario", scenario, "--out", str(out)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "resilient_consensus.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == "error: non-finite state encountered at t=0.1\n"
+        assert not out.exists()
+
+
+class TestNotUtf8:
+    """An input file that is not UTF-8 text is an input error (exit 1)."""
+
+    @pytest.fixture
+    def not_utf8(self, tmp_path):
+        path = tmp_path / "utf16.bin"
+        path.write_bytes(b"\xff\xfe2\x001\x00")
+        return str(path)
+
+    def test_edge_list(self, not_utf8, capsys):
+        assert main(["verify", "--graph", not_utf8, "--alpha", "1"]) == 1
+        assert capsys.readouterr().err == "error: line 1: not UTF-8 text (invalid start byte)\n"
+
+    def test_scenario(self, not_utf8, p2_file, tmp_path, capsys):
+        argv = ["simulate", "--graph", p2_file, "--scenario", not_utf8, "--out", str(tmp_path / "t.csv")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: cannot read scenario ")
+
+    def test_trajectory_csv(self, not_utf8, p2_file, tmp_path, capsys):
+        scenario = write_scenario(tmp_path)
+        argv = ["analyze", "--trajectory", not_utf8, "--graph", p2_file, "--scenario", scenario]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: trajectory CSV is not UTF-8 text (invalid start byte)\n"
+
+
 class TestUsageErrors:
     """A command line argparse rejects is an input error: exit 1."""
 
@@ -317,7 +366,7 @@ class TestOneComputationPerGraph:
 
     def test_verify(self, p5, builds):
         assert main(["verify", *p5[:2], "--alpha", "1"]) == 0
-        assert builds["connected"] == [5] and builds["adjacency"] == [5]
+        assert builds == {"eigvalsh": [(5, 5)], "connected": [5], "adjacency": [5]}
 
 
 class TestVerifyCommand:

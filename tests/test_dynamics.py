@@ -1,8 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
+from resilient_consensus import dynamics
 from resilient_consensus import (
     ADAPTIVE,
     NOMINAL,
@@ -25,9 +29,10 @@ from resilient_consensus import (
 from resilient_consensus.errors import (
     DisconnectedGraphError,
     MatrixShapeError,
+    NumericalBlowupError,
     ScenarioError,
 )
-from resilient_consensus.graph import from_edge_list
+from resilient_consensus.graph import from_edge_list, path_graph
 
 
 def adaptive_cfg(n, alpha=1.0, dt=0.001, t_final=10.0, x0=None, **kw):
@@ -243,6 +248,83 @@ class TestSimulate:
             SimConfig(protocol=ADAPTIVE, dt=0.001, t_final=1.0, x0=np.zeros(2))
         with pytest.raises(ScenarioError):
             SimConfig(protocol=NOMINAL, dt=-0.1, t_final=1.0, x0=np.zeros(2))
+
+
+class TestIntegrationPaths:
+    """``simulate`` integrates with the dense RK4 map when
+    3n <= min(steps, MAX_MAP_DIM), else with the four sparse stages."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        seed=st.integers(0, 2**32 - 1),
+        alpha=st.floats(1e-3, 1e3),
+        protocol=st.sampled_from([NOMINAL, ADAPTIVE]),
+        frac=st.floats(0.05, 1.0),
+    )
+    def test_map_matches_stages(self, n, seed, alpha, protocol, frac):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(n, rng)
+        x0, w = rng.normal(size=(2, n))
+        # |mu| <= max(2 d_max, sqrt(alpha)) for every mode of A, and RK4 is
+        # stable on the left half of the disc |z| <= 2.5
+        dt = frac * 2.5 / max(2.0 * np.max(g.degrees), np.sqrt(alpha))
+        cfg = adaptive_cfg(n, alpha=alpha) if protocol == ADAPTIVE else nominal_cfg(n)
+        a, b = dynamics._closed_loop(g, cfg, w)
+        stages = np.empty((101, 3 * n))
+        stages[0] = np.concatenate([x0, x0, np.zeros(n)])
+        mapped = stages.copy()
+        dynamics._rk4_stages(a, b, dt, stages)
+        dynamics._rk4_map(a, b, dt, mapped)
+        scale = np.maximum(1.0, np.max(np.abs(stages), axis=1))
+        assert np.all(np.max(np.abs(mapped - stages), axis=1) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize(
+        "n, steps, path",
+        [
+            (2, 5, "stages"),  # fewer than 3n steps
+            (2, 6, "map"),
+            # 3n just above and at MAX_MAP_DIM, with steps = 3n
+            (dynamics.MAX_MAP_DIM // 3 + 1, 3 * (dynamics.MAX_MAP_DIM // 3 + 1), "stages"),
+            (dynamics.MAX_MAP_DIM // 3, 3 * (dynamics.MAX_MAP_DIM // 3), "map"),
+        ],
+    )
+    def test_rule_picks_path(self, monkeypatch, n, steps, path):
+        # the stages make four CSR matvecs per step; the map makes none
+        matvecs = []
+
+        class CountingCsr(sparse.csr_matrix):
+            def __matmul__(self, other):
+                if np.ndim(other) == 1:
+                    matvecs.append(1)
+                return super().__matmul__(other)
+
+        build = dynamics._closed_loop
+
+        def counting_closed_loop(*args):
+            a, b = build(*args)
+            return CountingCsr(a), b
+
+        monkeypatch.setattr(dynamics, "_closed_loop", counting_closed_loop)
+        g = path_graph(n)
+        simulate(g, nominal_cfg(n, dt=0.01, t_final=0.01 * steps, x0=np.arange(n)), np.ones(n))
+        assert len(matvecs) == (4 * steps if path == "stages" else 0)
+
+    @pytest.mark.parametrize(
+        "x0, steps, t",
+        [
+            (1.7e308, 2, 0.1),  # stages: the first step overflows
+            (1.7e308, 20, 0.1),  # map
+            (1.0e308, 20, 0.5),  # map: x grows by about w dt per step
+        ],
+    )
+    def test_blowup_reports_first_non_finite_sample(self, p2, x0, steps, t):
+        cfg = adaptive_cfg(2, dt=0.1, t_final=0.1 * steps, x0=[x0, x0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy floating-point warning
+            with pytest.raises(NumericalBlowupError) as err:
+                simulate(p2, cfg, np.array([1.7e308, 1.7e308]))
+        assert err.value.t == t
 
 
 class TestErrorSeries:
