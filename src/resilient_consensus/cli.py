@@ -87,7 +87,11 @@ def cmd_verify(args) -> int:
     report = verify_theorem(g, args.alpha)
     _print_report(stability_report_dict(report), f"stability report (alpha={args.alpha})")
     if not report.theorem_verdict:
-        print("VERDICT: unstable (theorem contradiction)", file=sys.stderr)
+        # an abscissa in (-tol, 0) is stable, but too close to 0 to certify
+        if report.spectral_abscissa < 0:
+            print(f"VERDICT: not certified at tol={report.tol:g}", file=sys.stderr)
+        else:
+            print("VERDICT: unstable (theorem contradiction)", file=sys.stderr)
         return EXIT_VERIFY
     print("VERDICT: exponentially stable")
     return EXIT_OK

@@ -52,9 +52,9 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .errors import (
     DisconnectedGraphError,
@@ -71,6 +71,9 @@ from .graph import (
     laplacian_spectrum,
 )
 from .spectral import Spectrum
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 NOMINAL = "nominal"
 ADAPTIVE = "adaptive"
@@ -219,7 +222,14 @@ def emulator_derivative(g: Graph, x: np.ndarray, x_hat: np.ndarray) -> np.ndarra
 
 
 def _closed_loop(g: Graph, cfg: SimConfig, w: np.ndarray) -> tuple[sparse.csr_matrix, np.ndarray]:
-    """The closed loop y' = A y + b of the configured protocol, A in CSR form."""
+    """The closed loop y' = A y + b of the configured protocol, A in CSR form.
+
+    ``scipy.sparse`` is imported here, not at module level: only
+    ``simulate`` and ``system_derivative`` need it, so ``verify`` and
+    ``analyze`` run without importing scipy.
+    """
+    from scipy import sparse
+
     _check_lengths(g, cfg.x0, w)
     n = g.n
     adj = sparse.csr_matrix(adjacency_matrix(g))
@@ -278,14 +288,17 @@ def _check_rk4_step(g: Graph, cfg: SimConfig) -> None:
     The modes are the closed-form spec(M) for the adaptive protocol and
     -lambda_k(L), k >= 2, for the nominal one. The exact zero modes are
     left out: |R(0)| = 1, and a computed zero of +-1e-16 would trip the
-    check.
+    check. A mode so large that R(dt mu) overflows has gain inf, with no
+    numpy warning.
     """
     if cfg.protocol == ADAPTIVE:
         modes = closed_form_spectrum(g, cfg.alpha).eigenvalues
     else:
         modes = -laplacian_spectrum(g)[1:]
-    z = cfg.dt * modes
-    gain = np.abs(1 + z * (1 + z / 2 * (1 + z / 3 * (1 + z / 4))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = cfg.dt * modes
+        gain = np.abs(1 + z * (1 + z / 2 * (1 + z / 3 * (1 + z / 4))))
+    gain[np.isnan(gain)] = np.inf
     k = int(np.argmax(gain))
     if gain[k] > 1.0:
         raise ScenarioError(
@@ -345,8 +358,13 @@ def simulate(g: Graph, cfg: SimConfig, w: np.ndarray) -> Trajectory:
     allocated. A run with 3n <= min(steps, ``MAX_MAP_DIM``) takes the
     dense affine map (``_rk4_map``), any other the sparse stages
     (``_rk4_stages``); see the module docstring. Either way a non-finite
-    sample raises ``NumericalBlowupError`` with the time of the first one,
-    and no numpy floating-point warning is printed.
+    value raises ``NumericalBlowupError``, and no numpy floating-point
+    warning is printed. The time it names is that of the first non-finite
+    sample on the map path, but the end of the first step in which a stage
+    overflows on the stage path: the stage sums (y + dt k3,
+    k1 + 2 k2 + 2 k3 + k4) can leave the float range a few steps before the
+    state does, so an overflowing run can be reported earlier when it takes
+    the stages.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("simulation requires a connected graph")

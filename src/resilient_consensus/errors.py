@@ -47,8 +47,15 @@ class ScenarioError(ConsensusToolkitError, ValueError):
 
 
 class NumericalBlowupError(ConsensusToolkitError, RuntimeError):
-    """Integration produced a non-finite state; carries the time of failure."""
+    """A run produced a non-finite number: a state during integration,
+    with ``t`` the time of failure, or the run-report values named in
+    ``fields``."""
 
-    def __init__(self, t: float):
-        super().__init__(f"non-finite state encountered at t={t:.6g}")
+    def __init__(self, t: float | None = None, fields: tuple[str, ...] = ()):
+        if fields:
+            message = f"non-finite run report value: {', '.join(fields)}"
+        else:
+            message = f"non-finite state encountered at t={t:.6g}"
+        super().__init__(message)
         self.t = t
+        self.fields = fields

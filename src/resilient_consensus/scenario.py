@@ -20,6 +20,7 @@ the simulation-time report byte for byte.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -37,7 +38,7 @@ from .dynamics import (
     error_series,
     read_scalar,
 )
-from .errors import ScenarioError
+from .errors import NumericalBlowupError, ScenarioError
 from .graph import Graph
 from .stability import (
     DEFAULT_SPECTRAL_TOL,
@@ -49,6 +50,12 @@ from .stability import (
 )
 
 SCHEMA_VERSION = 1
+
+#: libyaml's C parser and emitter when PyYAML was built with them, else the
+#: pure-Python classes. Both read the same mappings and write the same bytes
+#: for scenarios and reports; the C ones are several times faster.
+_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+_DUMPER = yaml.CSafeDumper if yaml.__with_libyaml__ else yaml.SafeDumper
 
 
 @dataclass(frozen=True)
@@ -115,7 +122,7 @@ def read_scenario(path) -> dict:
     ``graph:`` path is resolved against the file's directory."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_LOADER)
         except yaml.YAMLError as exc:
             raise ScenarioError(f"cannot parse scenario {path}: {exc}") from exc
         except UnicodeDecodeError as exc:
@@ -136,7 +143,24 @@ def load_scenario(path, g: Graph | None = None) -> Scenario:
 
 
 def build_run_report(traj: Trajectory, w: np.ndarray) -> dict:
-    """Machine-readable run summary, deterministic for a given trajectory."""
+    """Machine-readable run summary, deterministic for a given trajectory.
+
+    Every number in it is finite; ``decay_rate_fit`` is None when the run
+    is too short to fit. A finite trajectory whose errors, energies or
+    norms overflow raises ``NumericalBlowupError`` naming the non-finite
+    values, and prints no numpy floating-point warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        report = _run_report(traj, w)
+    bad = tuple(
+        k for k, v in sorted(report.items()) if isinstance(v, float) and not math.isfinite(v)
+    )
+    if bad:
+        raise NumericalBlowupError(fields=bad)
+    return report
+
+
+def _run_report(traj: Trajectory, w: np.ndarray) -> dict:
     cfg = traj.config
     g = traj.graph
     report: dict = {
@@ -202,4 +226,4 @@ def stability_report_dict(report) -> dict:
 
 def dump_report(report: dict) -> str:
     """Deterministic YAML rendering of a report mapping."""
-    return yaml.safe_dump(report, sort_keys=True, default_flow_style=False)
+    return yaml.dump(report, Dumper=_DUMPER, sort_keys=True, default_flow_style=False)

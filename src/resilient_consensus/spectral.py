@@ -8,6 +8,22 @@ against its companion linearization.
 
 Dense eigensolves are delegated to LAPACK (Hessenberg reduction + shifted
 QR), via numpy.
+
+``spectrum_matching`` pairs a computed spectrum with an exact one (such
+as the closed form, where agents of equal degree share their roots bit for
+bit) by the min-sum assignment on pairwise moduli. It first groups the
+exact values into clusters of equal values and sends each computed value
+to its nearest cluster. Let r be the largest distance so matched. When
+every cluster receives exactly its multiplicity and r is below half the
+smallest gap between clusters (with a few ulps of slack), every
+cross-cluster pair costs more than r, so more than any within-cluster
+pair, and every min-sum assignment pairs within clusters. Within a
+cluster all pairings cost the same, so the largest matched distance is
+the assignment's bit for bit, and so is which computed values land on
+each side of a split of the exact values, unless a cluster straddles the
+split. Where one of these conditions fails, as at a Jordan chain or at
+near-repeated Laplacian eigenvalues, ``scipy.optimize`` is imported and
+``linear_sum_assignment`` solves the assignment.
 """
 
 from __future__ import annotations
@@ -227,21 +243,61 @@ def quadratic_inertia(a, b, c, tol: float | None = None) -> tuple[Inertia, Inert
     return predicted, observed
 
 
-def spectrum_matching(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, float]:
+def _cluster_matching(
+    left: np.ndarray, right: np.ndarray, split: int | None
+) -> tuple[np.ndarray, float] | None:
+    """``spectrum_matching`` by nearest cluster of equal ``right`` values
+    (see the module docstring), or None where that is not provably the
+    min-sum assignment's answer."""
+    values, inverse, counts = np.unique(right, return_inverse=True, return_counts=True)
+    if not (len(values) and np.all(np.isfinite(values)) and np.all(np.isfinite(left))):
+        return None
+    if split is not None:
+        above = np.bincount(inverse, weights=np.arange(len(right)) >= split, minlength=len(values))
+        if np.any((above > 0) & (above < counts)):
+            return None
+    dist = np.abs(left[:, None] - values[None, :])
+    nearest = np.argmin(dist, axis=1)
+    if not np.array_equal(np.bincount(nearest, minlength=len(values)), counts):
+        return None
+    r = float(np.max(dist[np.arange(len(left)), nearest]))
+    if len(values) > 1:
+        gaps = np.abs(values[:, None] - values[None, :])
+        np.fill_diagonal(gaps, np.inf)
+        if not 2.0 * r < float(np.min(gaps)) * (1.0 - 4.0 * np.finfo(float).eps):
+            return None
+    pairs = np.empty(len(left), dtype=np.intp)
+    pairs[np.argsort(nearest, kind="stable")] = np.argsort(inverse, kind="stable")
+    return pairs, r
+
+
+def spectrum_matching(
+    left: np.ndarray, right: np.ndarray, split: int | None = None
+) -> tuple[np.ndarray, float]:
     """Optimal matching between two eigenvalue multisets.
 
-    Hungarian assignment on pairwise moduli. Returns ``pairs``, with
-    ``left[i]`` matched to ``right[pairs[i]]``, and the largest matched
-    pair distance. Sets must have equal cardinality.
-    """
-    from scipy.optimize import linear_sum_assignment
+    The min-sum (Hungarian) assignment on pairwise moduli. Returns
+    ``pairs``, with ``left[i]`` matched to ``right[pairs[i]]``, and the
+    largest matched pair distance. Sets must have equal cardinality.
 
+    Where the nearest-cluster conditions of the module docstring hold,
+    no assignment is solved and no scipy module imported. The largest
+    distance and the ``left`` values matched into ``right[:split]`` and
+    into ``right[split:]`` are then those of ``linear_sum_assignment`` bit
+    for bit; ``pairs`` may differ from its columns only within a set of
+    equal ``right`` values.
+    """
     left = np.asarray(left, dtype=complex)
     right = np.asarray(right, dtype=complex)
     if left.shape != right.shape:
         raise MatrixShapeError(
             f"spectra differ in size: {left.shape} vs {right.shape}"
         )
+    fast = _cluster_matching(left, right, split)
+    if fast is not None:
+        return fast
+    from scipy.optimize import linear_sum_assignment
+
     cost = np.abs(left[:, None] - right[None, :])
     rows, cols = linear_sum_assignment(cost)
     return cols, (float(np.max(cost[rows, cols])) if len(rows) else 0.0)

@@ -26,9 +26,19 @@ exported here too. Run reports (``scenario.build_run_report``) and the
 RK4 step-size preflight (``dynamics.simulate``) use only the closed form.
 ``verify_theorem`` reports the closed form and cross-checks it against
 the one dense nonsymmetric eigensolve of M that the toolkit makes: the
-Hungarian matching distance between the two is the decomposition
+optimal (min-sum) matching distance between the two is the decomposition
 residual, and the dense eigenvalues matched to the roots of E give the
 observed quadratic inertia.
+
+The matching (``spectral.spectrum_matching``) groups the closed-form
+values into clusters of equal values and sends each dense eigenvalue to
+its nearest cluster. The residual and the observed inertia are then the
+Hungarian assignment's bit for bit when every cluster receives exactly
+its multiplicity, the largest matched distance is below half the smallest
+gap between clusters, and no cluster holds both an agreement mode and a
+root of E. Otherwise, as at a Jordan chain or at near-repeated Laplacian
+eigenvalues, ``scipy.optimize.linear_sum_assignment`` solves it. So
+``verify`` imports no scipy module on typical inputs.
 
 Trajectory-side checks cover the energy function
 E = 0.5 x_tilde'x_tilde + w_tilde'w_tilde/(2 alpha) (nonincreasing, with
@@ -164,7 +174,7 @@ def verify_theorem(g: Graph, alpha: float, tol: float = DEFAULT_SPECTRAL_TOL) ->
     closed = np.concatenate([agreement, error_roots])
     spectrum = Spectrum(closed)
     dense = eigenvalues(build_m(g, alpha).m_matrix).eigenvalues
-    pairs, residual = spectrum_matching(dense, closed)
+    pairs, residual = spectrum_matching(dense, closed, split=len(agreement))
     # lam^2 I + lam Delta + alpha I has diagonal coefficients: their
     # eigenvalues are the diagonals, and the largest row sum is max(d, alpha)
     deg = g.degrees.astype(float)

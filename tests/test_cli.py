@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,12 +10,48 @@ import pytest
 import yaml
 
 import resilient_consensus
+from resilient_consensus import scenario as scenario_module
+from resilient_consensus import simulate, verify_theorem
 from resilient_consensus.cli import main
-from resilient_consensus.scenario import parse_scenario
+from resilient_consensus.scenario import (
+    build_run_report,
+    dump_report,
+    load_scenario,
+    parse_scenario,
+    read_scenario,
+    stability_report_dict,
+)
 from resilient_consensus.errors import ScenarioError
-from resilient_consensus.graph import complete_graph, from_edge_list, format_edge_list, path_graph
+from resilient_consensus.graph import (
+    complete_graph,
+    from_edge_list,
+    format_edge_list,
+    load_edge_list,
+    path_graph,
+)
 
 P2_EDGES = "2 1\n0 1\n"
+DEMO = Path(__file__).resolve().parents[1] / "demo"
+DEMO_GRAPH = str(DEMO / "p2.txt")
+DEMO_SCENARIO = str(DEMO / "adaptive_p2.yaml")
+
+
+def run_fresh(*args):
+    """``python *args`` in a fresh interpreter that finds this package."""
+    src = str(Path(resilient_consensus.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+
+
+#: For ``python -c``: run ``cli.main`` on the arguments, then print to
+#: stderr the scipy modules the run imported.
+MAIN_THEN_SCIPY_MODULES = """
+import sys
+from resilient_consensus.cli import main
+code = main(sys.argv[1:])
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"), file=sys.stderr)
+sys.exit(code)
+"""
 
 
 @pytest.fixture
@@ -239,6 +276,18 @@ class TestStepSizePreflight:
         assert main(argv + ["--alpha", "1", "1e6"]) == 1
         assert "outside RK4's stability region" in capsys.readouterr().err
 
+    def test_overflowing_gain_prints_only_the_error(self, tmp_path, capsys):
+        # at alpha = 1e308 the polynomial R(dt mu) overflows: gain inf, no warning
+        argv = ["sweep", "--graph", DEMO_GRAPH, "--scenario", DEMO_SCENARIO, "--alpha", "1e308"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv + ["--out", str(tmp_path / "s.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: dt=0.01 is outside RK4's stability region: the closed-loop mode "
+            "-0.5-1e+154j has |R(dt mu)| = inf > 1\n"
+        )
+
     def test_step_inside_region_runs(self, tmp_path, p2_file):
         # nominal: -lambda_2 = -2 stays inside the region up to dt ~ 1.39
         scenario = write_scenario(tmp_path, protocol="nominal", alpha=None, dt=1.3, t_final=13.0)
@@ -268,15 +317,46 @@ class TestNumericalBlowup:
         big = [1.7e308, 1.7e308]
         scenario = write_scenario(tmp_path, dt=0.1, t_final=2.0, x0=big, w=big)
         out = tmp_path / "t.csv"
-        src = str(Path(resilient_consensus.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         argv = ["simulate", "--graph", p2_file, "--scenario", scenario, "--out", str(out)]
-        proc = subprocess.run(
-            [sys.executable, "-m", "resilient_consensus.cli", *argv],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = run_fresh("-m", "resilient_consensus.cli", *argv)
         assert proc.returncode == 3
         assert proc.stderr == "error: non-finite state encountered at t=0.1\n"
+        assert not out.exists()
+
+
+class TestNonFiniteReport:
+    """A finite trajectory whose run report overflows is a numerical
+    failure: exit 3 with one line naming the values, and no numpy warning."""
+
+    MESSAGE = (
+        "error: non-finite run report value: "
+        "decay_rate_fit, energy_max_increase, perturbation_bound, sup_xtilde\n"
+    )
+
+    def test_simulate_and_analyze(self, tmp_path, p2_file, capsys):
+        # x_tilde = x - x_hat and w_tilde = w_hat - w overflow, the state does not
+        scenario = write_scenario(tmp_path, dt=0.1, t_final=1.0, x0=[0.0, 1e308], w=[-1e308, 1e308])
+        out = tmp_path / "t.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate", "--graph", p2_file, "--scenario", scenario, "--out", str(out)])
+            simulated = capsys.readouterr()
+            analyzed_code = main(
+                ["analyze", "--trajectory", str(out), "--graph", p2_file, "--scenario", scenario]
+            )
+            analyzed = capsys.readouterr()
+        assert code == analyzed_code == 3
+        assert simulated.err == analyzed.err == self.MESSAGE
+        assert simulated.out == analyzed.out == ""
+
+    def test_sweep(self, tmp_path, p2_file, capsys):
+        scenario = write_scenario(tmp_path, dt=0.1, t_final=1.0, x0=[0.0, 1e308], w=[-1e308, 1e308])
+        out = tmp_path / "s.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["sweep", "--graph", p2_file, "--scenario", scenario, "--alpha", "1", "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == self.MESSAGE
         assert not out.exists()
 
 
@@ -384,6 +464,22 @@ class TestVerifyCommand:
         report = yaml.safe_load(out.split(")\n", 1)[1].split("VERDICT")[0])
         assert report["spectral_abscissa"] == pytest.approx(-0.5, abs=1e-9)
         assert report["theorem_verdict"] is True
+
+    def test_tiny_gain_not_certified(self, p2_file, capsys):
+        # the slow roots are about -alpha / d = -1e-9: stable, but not below -tol
+        assert main(["verify", "--graph", p2_file, "--alpha", "1e-9"]) == 2
+        captured = capsys.readouterr()
+        report = yaml.safe_load(captured.out.split(")\n", 1)[1])
+        assert -report["tol"] < report["spectral_abscissa"] < 0
+        assert captured.err == "VERDICT: not certified at tol=1e-08\n"
+
+    def test_nonnegative_abscissa_contradicts_theorem(self, p2, p2_file, capsys, monkeypatch):
+        import resilient_consensus.cli as cli
+
+        unstable = replace(verify_theorem(p2, 1.0), spectral_abscissa=0.0, theorem_verdict=False)
+        monkeypatch.setattr(cli, "verify_theorem", lambda g, alpha: unstable)
+        assert main(["verify", "--graph", p2_file, "--alpha", "1.0"]) == 2
+        assert capsys.readouterr().err == "VERDICT: unstable (theorem contradiction)\n"
 
     def test_disconnected(self, tmp_path, capsys):
         path = tmp_path / "disc.txt"
@@ -554,3 +650,83 @@ class TestAnalyzeCommand:
         )
         report = yaml.safe_load(capsys.readouterr().out.split(")\n", 1)[1])
         assert report["consensus_error_final"] == pytest.approx(1.0, abs=1e-6)
+
+
+class TestNoScipyOnCertificatePath:
+    """verify and analyze run on numpy and PyYAML: a fresh interpreter
+    running either one imports no scipy module."""
+
+    def test_verify(self):
+        proc = run_fresh("-c", MAIN_THEN_SCIPY_MODULES, "verify", "--graph", DEMO_GRAPH, "--alpha", "1.0")
+        assert proc.returncode == 0
+        assert proc.stderr == "[]\n"
+        assert proc.stdout.endswith("VERDICT: exponentially stable\n")
+
+    def test_analyze(self, tmp_path, capsys):
+        traj = str(tmp_path / "traj.csv")
+        args = ["--graph", DEMO_GRAPH, "--scenario", DEMO_SCENARIO]
+        assert main(["simulate", *args, "--out", traj]) == 0
+        simulated = capsys.readouterr().out
+        proc = run_fresh("-c", MAIN_THEN_SCIPY_MODULES, "analyze", "--trajectory", traj, *args)
+        assert proc.returncode == 0
+        assert proc.stderr == "[]\n"
+        report = proc.stdout.split(")\n", 1)[1]
+        assert report == simulated.split(")\n", 1)[1].split("trajectory written")[0]
+
+
+needs_libyaml = pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+
+
+class TestLibyaml:
+    """Scenarios load and reports dump through libyaml when PyYAML has it,
+    with the same mappings and bytes as the pure-Python classes."""
+
+    @staticmethod
+    def demo_reports():
+        g = load_edge_list(DEMO_GRAPH)
+        sc = load_scenario(DEMO_SCENARIO, g)
+        return [
+            stability_report_dict(verify_theorem(g, 1.0)),
+            build_run_report(simulate(g, sc.config, sc.w), sc.w),
+        ]
+
+    @needs_libyaml
+    def test_libyaml_classes_chosen(self):
+        assert scenario_module._LOADER is yaml.CSafeLoader
+        assert scenario_module._DUMPER is yaml.CSafeDumper
+
+    @needs_libyaml
+    def test_dumpers_write_same_bytes(self):
+        for report in self.demo_reports():
+            dumps = {
+                yaml.dump(report, Dumper=dumper, sort_keys=True, default_flow_style=False)
+                for dumper in (yaml.SafeDumper, yaml.CSafeDumper)
+            }
+            assert dumps == {dump_report(report)}
+
+    @needs_libyaml
+    def test_loaders_read_same_mapping(self):
+        text = Path(DEMO_SCENARIO).read_text(encoding="utf-8")
+        raw = yaml.load(text, Loader=yaml.SafeLoader)
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == raw == read_scenario(DEMO_SCENARIO)
+
+    def test_without_libyaml(self, tmp_path):
+        # a PyYAML without libyaml: the pure-Python classes, the same output
+        no_libyaml = (
+            "import yaml\n"
+            "yaml.__with_libyaml__ = False\n"
+            "from resilient_consensus import scenario\n"
+            "assert scenario._LOADER is yaml.SafeLoader and scenario._DUMPER is yaml.SafeDumper\n"
+            + MAIN_THEN_SCIPY_MODULES
+        )
+        traj = str(tmp_path / "traj.csv")
+        args = ["--graph", DEMO_GRAPH, "--scenario", DEMO_SCENARIO]
+        for argv in (
+            ["verify", "--graph", DEMO_GRAPH, "--alpha", "1.0"],
+            ["simulate", *args, "--out", traj],
+            ["analyze", "--trajectory", traj, *args],
+        ):
+            default = run_fresh("-m", "resilient_consensus.cli", *argv)
+            fallback = run_fresh("-c", no_libyaml, *argv)
+            assert default.returncode == fallback.returncode == 0
+            assert fallback.stdout == default.stdout

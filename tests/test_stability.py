@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from resilient_consensus import (
     ADAPTIVE,
@@ -16,6 +17,7 @@ from resilient_consensus import (
     check_energy_decay,
     check_perturbation_bound,
     closed_form_spectrum,
+    complete_graph,
     degree_matrix,
     eigenvalues,
     energy,
@@ -24,6 +26,7 @@ from resilient_consensus import (
     from_edge_list,
     laplacian,
     laplacian_spectrum,
+    path_graph,
     quadratic_inertia,
     random_connected_graph,
     reduced_blocks,
@@ -31,6 +34,8 @@ from resilient_consensus import (
     spectrum_matching_distance,
     verify_theorem,
 )
+from resilient_consensus.dynamics import _closed_form_modes
+from resilient_consensus.spectral import _cluster_matching, inertia_of_values, spectrum_matching
 from resilient_consensus.errors import (
     DisconnectedGraphError,
     MatrixShapeError,
@@ -217,6 +222,113 @@ class TestClosedFormSpectrum:
             dense = np.linalg.eigvals(m)
             dist = spectrum_matching_distance(closed_form_spectrum(g, a).eigenvalues, dense)
             assert dist <= dense_tolerance(g, a, m)
+
+
+def hungarian(left, right, split):
+    """Reference for ``spectrum_matching``: the matched ``right`` value of
+    each ``left`` value, the largest matched distance, and the ``left``
+    values matched into ``right[split:]``, by linear_sum_assignment."""
+    cost = np.abs(left[:, None] - right[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return right[cols], float(np.max(cost[rows, cols])), left[cols >= split]
+
+
+def certificate_inputs(g, alpha):
+    """The dense eigenvalues of M, the closed form, and the closed form's
+    count of agreement modes, as ``verify_theorem`` matches them."""
+    agreement, error_roots = _closed_form_modes(g, alpha)
+    dense = np.linalg.eigvals(build_m(g, alpha).m_matrix).astype(complex)
+    return dense, np.concatenate([agreement, error_roots]), len(agreement)
+
+
+class TestClusterMatching:
+    """The cluster path of ``spectrum_matching`` gives the Hungarian result
+    bit for bit where it applies, and refuses where it cannot."""
+
+    def assert_hungarian(self, left, right, split):
+        """spectrum_matching equals the reference; returns whether the
+        cluster path took it."""
+        fast = _cluster_matching(left, right, split)
+        pairs, residual = spectrum_matching(left, right, split=split)
+        matched, ref_residual, ref_error_side = hungarian(left, right, split)
+        assert residual == ref_residual
+        assert np.array_equal(np.sort_complex(left[pairs >= split]), np.sort_complex(ref_error_side))
+        tol = 1e-9
+        assert inertia_of_values(left[pairs >= split], tol) == inertia_of_values(ref_error_side, tol)
+        if fast is not None:
+            assert np.array_equal(pairs, fast[0]) and residual == fast[1]
+            assert np.array_equal(right[pairs], matched)
+        return fast is not None
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        seed=st.integers(0, 2**32 - 1),
+        density=st.floats(0.0, 1.0),
+        alpha=st.floats(1e-3, 1e3),
+    )
+    def test_property_inputs(self, n, seed, density, alpha):
+        # the inputs of TestClosedFormSpectrum.test_matches_dense_eigensolve
+        g = random_connected_graph(n, np.random.default_rng(seed), density)
+        for a in [alpha, *(d * d / 4.0 for d in set(g.degrees.tolist()))]:
+            self.assert_hungarian(*certificate_inputs(g, a))
+
+    def test_acceptance_grid(self):
+        # the graphs and gains of criteria 1 and 4 in test_acceptance.py
+        rng = np.random.default_rng(12345)
+        graphs = [random_connected_graph(int(rng.integers(2, 13)), rng) for _ in range(100)]
+        fast = [
+            self.assert_hungarian(*certificate_inputs(g, alpha))
+            for g in graphs
+            for alpha in (0.1, 1.0, 10.0)
+        ]
+        assert sum(fast) >= 0.5 * len(fast)
+
+    def test_jordan_chain_falls_back(self):
+        # path 0-1-2: d_1 = 2 and lambda_2 = 1 = d_1 / 2, so at alpha = d_1^2 / 4
+        # -1 is a double root of E and an agreement mode: a chain of length 3
+        args = certificate_inputs(path_graph(3), 1.0)
+        assert _cluster_matching(*args) is None
+        assert not self.assert_hungarian(*args)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_complete_graphs(self, n):
+        # lambda = n with multiplicity n - 1: eigvalsh returns it bit-equal
+        # (cluster path) or spread over a few ulps (fallback), by platform
+        for alpha in (0.1, 1.0, (n - 1) ** 2 / 4.0):
+            self.assert_hungarian(*certificate_inputs(complete_graph(n), alpha))
+
+    def test_complete_graph_falls_back(self):
+        # eigvalsh may return the (n-1)-fold Laplacian eigenvalue n of a
+        # complete graph as values a few ulps apart, closer together than the
+        # dense solve's error; whether it does for a given n depends on the
+        # LAPACK build, so the cluster path must refuse for some n in 4..8,
+        # and always for such values built by hand
+        fallbacks = [
+            _cluster_matching(*certificate_inputs(complete_graph(n), 1.0)) is None
+            for n in range(4, 9)
+        ]
+        assert any(fallbacks)
+        right = np.array([-5.0, np.nextafter(-5.0, 0), np.nextafter(-5.0, -10), -2.0], dtype=complex)
+        left = np.array([-5.0 + 3e-15, -5.0 - 2e-15, -5.0 + 1e-15j, -2.0 - 1e-15], dtype=complex)
+        assert _cluster_matching(left, right, None) is None
+        assert not self.assert_hungarian(left, right, 4)
+
+    def test_mixed_cluster_falls_back(self):
+        # -1 is both an agreement mode (index 0) and a root of E (index 1):
+        # which dense value goes to which side is the Hungarian's choice
+        right = np.array([-1.0, -1.0, -3.0], dtype=complex)
+        left = np.array([-1.0 + 1e-12, -1.0 - 1e-12, -3.0], dtype=complex)
+        assert _cluster_matching(left, right, None) is not None
+        assert _cluster_matching(left, right, 1) is None
+        assert not self.assert_hungarian(left, right, 1)
+
+    def test_count_mismatch_falls_back(self):
+        # both dense values lie nearest -1, but -1 has multiplicity 1
+        right = np.array([-1.0, -2.0], dtype=complex)
+        left = np.array([-1.1, -0.9], dtype=complex)
+        assert _cluster_matching(left, right, None) is None
+        assert not self.assert_hungarian(left, right, 1)
 
 
 class TestVerifyTheorem:
