@@ -73,8 +73,8 @@ def _print_report(report: dict, title: str) -> None:
 def cmd_simulate(args) -> int:
     g, sc = _load_inputs(args)
     traj = simulate(g, replace(sc.config, **_overrides(args)), sc.w)
+    report = build_run_report(traj, sc.w)  # first: a non-finite report leaves no CSV
     write_trajectory_csv(traj, args.out)
-    report = build_run_report(traj, sc.w)
     if sc.x_hat0_overridden:
         report["x_hat0_overridden"] = True
     _print_report(report, f"run report ({args.scenario})")

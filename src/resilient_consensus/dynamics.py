@@ -22,29 +22,29 @@ w_tilde = w_hat - w, so the closed-loop error dynamics are
     d(w_tilde)/dt = alpha x_tilde.
 
 Integration is classical fixed-step 4th-order Runge-Kutta. On the linear
-closed loop one step of size h is exactly the affine map
+closed loop one step of size h is exactly
 
-    y <- R(hA) y + h phi(hA) b,   R(z) = 1 + z phi(z),
-                                  phi(z) = 1 + z/2 + z^2/6 + z^3/24,
+    y <- y + h phi(hA)(A y + b),   phi(z) = 1 + z/2 + z^2/6 + z^3/24,
 
-so it multiplies each mode mu of A by R(h mu) = 1 + z + z^2/2 + z^3/6 +
-z^4/24, z = h mu, and ``simulate`` rejects a step size with
-|R(h mu)| > 1 before it integrates. The adaptive spec(A) is {0} U spec(M),
-with M the agreement-coordinate matrix of ``stability``;
+which ``_rk4_increment`` forms by Horner's rule, the one place the
+polynomial is written. The step multiplies each mode mu of A by
+R(h mu) = 1 + z phi(z), z = h mu, and ``simulate`` rejects a step size
+with |R(h mu)| > 1 before it integrates. The adaptive spec(A) is
+{0} U spec(M), with M the agreement-coordinate matrix of ``stability``;
 ``closed_form_spectrum`` gives spec(M) in closed form from the Laplacian
 spectrum and the node degrees.
 
 ``simulate`` takes one of two routes to the same steps, chosen by the run
-size alone. A run with 3n <= min(steps, ``MAX_MAP_DIM``) materialises
-P = R(hA) and q = h phi(hA) b as a dense 3n x 3n matrix and a vector, by
-Horner's rule on phi with the sparse A times a dense matrix (O(nnz(A) 3n)
-each), and then makes one dense matvec per step. Any other run evaluates
-the four RK4 stages with the sparse A at every step: a run shorter than
-3n steps does not repay forming P, and above ``MAX_MAP_DIM`` the dense
-matvec costs more per step than the four sparse stages. The rule also
-bounds memory: steps >= 3n gives (3n)^2 <= steps * 3n, so P is never
-larger than the trajectory that ``MAX_TRAJECTORY_SAMPLES`` already
-budgets, and never larger than 8 * MAX_MAP_DIM^2 bytes (1.6 MB).
+size alone. A run with 3n <= min(steps, ``MAX_MAP_DIM``) forms the map
+y <- P y + q, P = I + A T, q = T b, T = h phi(hA), with the sparse A
+times a dense matrix (O(nnz(A) 3n) each), then makes one dense matvec
+per step. Any other run applies the polynomial to A y + b at every step,
+four sparse matvecs: a run shorter than 3n steps does not repay forming
+P, and above ``MAX_MAP_DIM`` the dense matvec costs more per step than
+the four sparse ones. The rule also bounds memory: steps >= 3n gives
+(3n)^2 <= steps * 3n, so P is never larger than the trajectory that
+``MAX_TRAJECTORY_SAMPLES`` already budgets, and never larger than
+8 * MAX_MAP_DIM^2 bytes (1.6 MB).
 """
 
 from __future__ import annotations
@@ -282,8 +282,26 @@ def closed_form_spectrum(g: Graph, alpha: float) -> Spectrum:
     return Spectrum(np.concatenate(_closed_form_modes(g, alpha)))
 
 
-def _check_rk4_step(g: Graph, cfg: SimConfig) -> None:
-    """Reject a step size at which RK4 amplifies a closed-loop mode.
+def _rk4_increment(mul, v, dt: float):
+    """dt phi(dt X) v, phi(z) = 1 + z/2 + z^2/6 + z^3/24, by Horner's rule,
+    with ``mul(t)`` returning X t. A scalar v stands for v times the
+    identity; where X t is a matrix it is added on the diagonal in place,
+    so forming T = dt phi(dt A) holds no dense identity alive."""
+    t = v
+    for c in (4.0, 3.0, 2.0):
+        t = mul(t)
+        t *= dt / c
+        if t.ndim == 2:
+            t.flat[:: len(t) + 1] += v
+        else:
+            t += v
+    t *= dt
+    return t
+
+
+def _check_rk4_step(g: Graph, cfg: SimConfig) -> np.ndarray:
+    """Reject a step size at which RK4 amplifies a closed-loop mode; else
+    return |R(dt mu)| = |1 + mu dt phi(dt mu)| per mode.
 
     The modes are the closed-form spec(M) for the adaptive protocol and
     -lambda_k(L), k >= 2, for the nominal one. The exact zero modes are
@@ -296,8 +314,7 @@ def _check_rk4_step(g: Graph, cfg: SimConfig) -> None:
     else:
         modes = -laplacian_spectrum(g)[1:]
     with np.errstate(over="ignore", invalid="ignore"):
-        z = cfg.dt * modes
-        gain = np.abs(1 + z * (1 + z / 2 * (1 + z / 3 * (1 + z / 4))))
+        gain = np.abs(1 + modes * _rk4_increment(lambda t: modes * t, 1.0, cfg.dt))
     gain[np.isnan(gain)] = np.inf
     k = int(np.argmax(gain))
     if gain[k] > 1.0:
@@ -305,6 +322,7 @@ def _check_rk4_step(g: Graph, cfg: SimConfig) -> None:
             f"dt={cfg.dt:g} is outside RK4's stability region: the closed-loop mode "
             f"{complex(modes[k]):.6g} has |R(dt mu)| = {gain[k]:.6g} > 1"
         )
+    return gain
 
 
 def _step_count(g: Graph, cfg: SimConfig) -> int:
@@ -321,30 +339,19 @@ def _step_count(g: Graph, cfg: SimConfig) -> int:
 
 
 def _rk4_stages(a: sparse.csr_matrix, b: np.ndarray, dt: float, out: np.ndarray) -> None:
-    """Fill out[1:] with RK4 steps of y' = A y + b from out[0], evaluating
-    the four stages with the sparse A at every step."""
-    half = 0.5 * dt
+    """Fill out[1:] with RK4 steps y <- y + dt phi(dt A)(A y + b) of
+    y' = A y + b from out[0]: four sparse matvecs per step."""
     for k in range(len(out) - 1):
         y = out[k]
-        k1 = a @ y + b
-        k2 = a @ (y + half * k1) + b
-        k3 = a @ (y + half * k2) + b
-        k4 = a @ (y + dt * k3) + b
-        out[k + 1] = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[k + 1] = y + _rk4_increment(a.__matmul__, a @ y + b, dt)
 
 
 def _rk4_map(a: sparse.csr_matrix, b: np.ndarray, dt: float, out: np.ndarray) -> None:
     """The steps of ``_rk4_stages`` as the affine map y <- P y + q, with
-    P = I + A T, q = T b and T = dt phi(dt A) formed once by Horner's rule."""
-    dim = a.shape[0]
-    t = np.eye(dim)
-    for c in (4.0, 3.0, 2.0):
-        t = a @ t
-        t *= dt / c
-        t.flat[:: dim + 1] += 1.0
-    t *= dt
+    P = I + A T, q = T b and T = dt phi(dt A) formed once."""
+    t = _rk4_increment(lambda t: a @ (np.eye(len(b)) if np.isscalar(t) else t), 1.0, dt)
     p = a @ t
-    p.flat[:: dim + 1] += 1.0
+    p.flat[:: len(p) + 1] += 1.0
     q = t @ b
     for k in range(len(out) - 1):
         out[k + 1] = p @ out[k] + q
@@ -357,14 +364,10 @@ def simulate(g: Graph, cfg: SimConfig, w: np.ndarray) -> Trajectory:
     too large or an unstable step size is rejected before any state is
     allocated. A run with 3n <= min(steps, ``MAX_MAP_DIM``) takes the
     dense affine map (``_rk4_map``), any other the sparse stages
-    (``_rk4_stages``); see the module docstring. Either way a non-finite
-    value raises ``NumericalBlowupError``, and no numpy floating-point
-    warning is printed. The time it names is that of the first non-finite
-    sample on the map path, but the end of the first step in which a stage
-    overflows on the stage path: the stage sums (y + dt k3,
-    k1 + 2 k2 + 2 k3 + k4) can leave the float range a few steps before the
-    state does, so an overflowing run can be reported earlier when it takes
-    the stages.
+    (``_rk4_stages``); see the module docstring. Both evaluate the one
+    polynomial of ``_rk4_increment``. Either way a non-finite value raises
+    ``NumericalBlowupError`` naming the time of the first non-finite
+    sample, and no numpy floating-point warning is printed.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("simulation requires a connected graph")

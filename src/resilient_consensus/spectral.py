@@ -96,16 +96,10 @@ def determinant(a: np.ndarray) -> float:
     return float(np.linalg.det(a))
 
 
-def scaled_zero_tol(scale: float) -> float:
-    """Zero-real-part tolerance for a matrix whose max absolute row sum is
-    ``scale``."""
-    return 1e-9 * max(1.0, scale)
-
-
 def default_zero_tol(a: np.ndarray) -> float:
     """Zero-real-part tolerance scaled by the matrix's max row sum."""
     a = np.asarray(a, dtype=float)
-    return scaled_zero_tol(float(np.max(np.sum(np.abs(a), axis=1))))
+    return 1e-9 * max(1.0, float(np.max(np.sum(np.abs(a), axis=1))))
 
 
 def inertia(a: np.ndarray, tol: float | None = None) -> Inertia:

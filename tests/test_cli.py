@@ -11,7 +11,7 @@ import yaml
 
 import resilient_consensus
 from resilient_consensus import scenario as scenario_module
-from resilient_consensus import simulate, verify_theorem
+from resilient_consensus import simulate, verify_theorem, write_trajectory_csv
 from resilient_consensus.cli import main
 from resilient_consensus.scenario import (
     build_run_report,
@@ -333,7 +333,7 @@ class TestNonFiniteReport:
         "decay_rate_fit, energy_max_increase, perturbation_bound, sup_xtilde\n"
     )
 
-    def test_simulate_and_analyze(self, tmp_path, p2_file, capsys):
+    def test_simulate_and_analyze(self, tmp_path, p2, p2_file, capsys):
         # x_tilde = x - x_hat and w_tilde = w_hat - w overflow, the state does not
         scenario = write_scenario(tmp_path, dt=0.1, t_final=1.0, x0=[0.0, 1e308], w=[-1e308, 1e308])
         out = tmp_path / "t.csv"
@@ -341,6 +341,9 @@ class TestNonFiniteReport:
             warnings.simplefilter("error")
             code = main(["simulate", "--graph", p2_file, "--scenario", scenario, "--out", str(out)])
             simulated = capsys.readouterr()
+            assert not out.exists()  # the report is built before the CSV is written
+            sc = load_scenario(scenario, p2)
+            write_trajectory_csv(simulate(p2, sc.config, sc.w), out)
             analyzed_code = main(
                 ["analyze", "--trajectory", str(out), "--graph", p2_file, "--scenario", scenario]
             )
@@ -472,6 +475,14 @@ class TestVerifyCommand:
         report = yaml.safe_load(captured.out.split(")\n", 1)[1])
         assert -report["tol"] < report["spectral_abscissa"] < 0
         assert captured.err == "VERDICT: not certified at tol=1e-08\n"
+
+    @pytest.mark.parametrize("alpha, code", [("1e-12", 2), ("1e-9", 2), ("1e9", 0), ("1e16", 0)])
+    def test_inertia_at_extreme_gains(self, p2_file, capsys, alpha, code):
+        # the prediction takes the exact coefficients, and the dense roots are
+        # counted against the dense solve's error, not against a scale of alpha
+        assert main(["verify", "--graph", p2_file, "--alpha", alpha]) == code
+        report = yaml.safe_load(capsys.readouterr().out.split(")\n", 1)[1])
+        assert report["quadratic_inertia_predicted"] == report["quadratic_inertia_observed"] == [0, 0, 4]
 
     def test_nonnegative_abscissa_contradicts_theorem(self, p2, p2_file, capsys, monkeypatch):
         import resilient_consensus.cli as cli

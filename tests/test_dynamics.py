@@ -315,7 +315,8 @@ class TestIntegrationPaths:
         [
             (1.7e308, 2, 0.1),  # stages: the first step overflows
             (1.7e308, 20, 0.1),  # map
-            (1.0e308, 20, 0.5),  # map: x grows by about w dt per step
+            (1.0e308, 5, 0.5),  # stages: x grows by about w dt per step
+            (1.0e308, 20, 0.5),  # map: the same sample
         ],
     )
     def test_blowup_reports_first_non_finite_sample(self, p2, x0, steps, t):
@@ -325,6 +326,21 @@ class TestIntegrationPaths:
             with pytest.raises(NumericalBlowupError) as err:
                 simulate(p2, cfg, np.array([1.7e308, 1.7e308]))
         assert err.value.t == t
+
+    @pytest.mark.parametrize("graph", ["p2", "path4", "random"])
+    def test_preflight_and_map_share_one_polynomial(self, graph, request):
+        # the eigenvalues of P = R(dt A) are R(dt mu) over spec(A) = {0} U spec(M)
+        if graph == "random":
+            g = random_connected_graph(7, np.random.default_rng(3))
+        else:
+            g = request.getfixturevalue(graph)
+        cfg = adaptive_cfg(g.n, alpha=2.0, dt=0.05)
+        gain = np.append(1.0, dynamics._check_rk4_step(g, cfg))
+        dim = 3 * g.n
+        a, _ = dynamics._closed_loop(g, cfg, np.zeros(g.n))
+        out = np.stack([np.eye(dim), np.empty((dim, dim))])
+        dynamics._rk4_map(a, np.zeros(dim), cfg.dt, out)  # b = 0: out[1] = P I = P
+        assert np.abs(np.sort(np.abs(np.linalg.eigvals(out[1]))) - np.sort(gain)).max() <= 1e-10
 
 
 class TestErrorSeries:
