@@ -31,7 +31,6 @@ from .dynamics import (
     ADAPTIVE,
     NOMINAL,
     SimConfig,
-    SimState,
     Trajectory,
     adaptive_control,
     consensus_error,
@@ -41,7 +40,6 @@ from .dynamics import (
     nominal_control,
     read_trajectory_csv,
     simulate,
-    system_derivative,
     write_trajectory_csv,
 )
 from .stability import (

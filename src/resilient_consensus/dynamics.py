@@ -14,7 +14,8 @@ closed loop is the linear time-invariant system
          [alpha I,  -alpha I,  0]]
 
 with Adj the adjacency and Delta the degree matrix, L = Delta - Adj.
-``_closed_loop`` builds (A, b); RK4 and ``system_derivative`` evaluate it.
+``_closed_loop`` builds (A, b) and RK4 integrates it; a ``Trajectory`` is
+the (steps + 1) x 3n array of stacked states that RK4 fills.
 
 Error conventions used throughout: x_tilde = x - x_hat and
 w_tilde = w_hat - w, so the closed-loop error dynamics are
@@ -113,21 +114,12 @@ def read_scalar(raw, name: str, positive: bool = False) -> float:
 
 
 @dataclass(frozen=True)
-class SimState:
-    """Snapshot of agent states, emulator states, and disturbance estimates."""
-
-    x: np.ndarray
-    x_hat: np.ndarray
-    w_hat: np.ndarray
-    t: float
-
-
-@dataclass(frozen=True)
 class SimConfig:
     """Simulation setup: protocol, gain, step size, horizon, initial vectors.
 
-    x_hat0 defaults to x0 (zero initial emulator mismatch) and w_hat0
-    defaults to zero; both may be overridden.
+    x_hat0 defaults to x0 (zero initial emulator mismatch) and w_hat0 to
+    zero; both may be overridden. The nominal protocol runs no emulator or
+    estimate, so both are zero there. ``y0`` is the stacked initial state.
     """
 
     protocol: str
@@ -149,26 +141,22 @@ class SimConfig:
             if self.alpha is None:
                 raise ScenarioError("adaptive protocol requires alpha > 0")
             object.__setattr__(self, "alpha", read_scalar(self.alpha, "alpha", positive=True))
-        object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
-
-    @property
-    def n(self) -> int:
-        return len(self.x0)
-
-    def initial_state(self) -> SimState:
         x0 = np.asarray(self.x0, dtype=float)
+        zeros = np.zeros_like(x0)
         if self.protocol == NOMINAL:
-            # inert placeholders so Trajectory has one shape
-            x_hat0 = np.zeros_like(x0)
-            w_hat0 = np.zeros_like(x0)
+            x_hat0 = w_hat0 = zeros
         else:
-            x_hat0 = x0.copy() if self.x_hat0 is None else np.asarray(self.x_hat0, dtype=float)
-            w_hat0 = (
-                np.zeros_like(x0) if self.w_hat0 is None else np.asarray(self.w_hat0, dtype=float)
-            )
+            x_hat0 = x0 if self.x_hat0 is None else np.asarray(self.x_hat0, dtype=float)
+            w_hat0 = zeros if self.w_hat0 is None else np.asarray(self.w_hat0, dtype=float)
         if len(x_hat0) != len(x0) or len(w_hat0) != len(x0):
             raise ScenarioError("x_hat0/w_hat0 length must match x0")
-        return SimState(x=x0, x_hat=x_hat0, w_hat=w_hat0, t=0.0)
+        for name, v in (("x0", x0), ("x_hat0", x_hat0), ("w_hat0", w_hat0)):
+            object.__setattr__(self, name, v)
+
+    @property
+    def y0(self) -> np.ndarray:
+        """The stacked initial state (x0, x_hat0, w_hat0)."""
+        return np.concatenate([self.x0, self.x_hat0, self.w_hat0])
 
 
 def default_t_final(g: Graph) -> float:
@@ -178,17 +166,28 @@ def default_t_final(g: Graph) -> float:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled simulation output: row k is the state at times[k]."""
+    """Uniformly sampled run: row k of ``states`` is the stacked state
+    y = (x, x_hat, w_hat) at t_k = k dt, as RK4 fills it."""
 
-    times: np.ndarray
-    x: np.ndarray
-    x_hat: np.ndarray
-    w_hat: np.ndarray
+    states: np.ndarray
     graph: Graph
     config: SimConfig
 
-    def __len__(self):
-        return len(self.times)
+    @property
+    def times(self) -> np.ndarray:
+        return np.arange(len(self.states)) * self.config.dt
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.states[:, : self.graph.n]
+
+    @property
+    def x_hat(self) -> np.ndarray:
+        return self.states[:, self.graph.n : 2 * self.graph.n]
+
+    @property
+    def w_hat(self) -> np.ndarray:
+        return self.states[:, 2 * self.graph.n :]
 
 
 def _check_lengths(g: Graph, *vecs):
@@ -225,8 +224,8 @@ def _closed_loop(g: Graph, cfg: SimConfig, w: np.ndarray) -> tuple[sparse.csr_ma
     """The closed loop y' = A y + b of the configured protocol, A in CSR form.
 
     ``scipy.sparse`` is imported here, not at module level: only
-    ``simulate`` and ``system_derivative`` need it, so ``verify`` and
-    ``analyze`` run without importing scipy.
+    ``simulate`` needs it, so ``verify`` and ``analyze`` run without
+    importing scipy.
     """
     from scipy import sparse
 
@@ -245,18 +244,6 @@ def _closed_loop(g: Graph, cfg: SimConfig, w: np.ndarray) -> tuple[sparse.csr_ma
         a = sparse.block_diag([neg_lap, sparse.csr_matrix((2 * n, 2 * n))], format="csr")
     b = np.concatenate([np.asarray(w, dtype=float), np.zeros(2 * n)])
     return a, b
-
-
-def system_derivative(g: Graph, cfg: SimConfig, w: np.ndarray, s: SimState) -> SimState:
-    """Full time derivative of (x, x_hat, w_hat) under the chosen protocol."""
-    _check_lengths(g, s.x, s.x_hat, s.w_hat)
-    y = np.concatenate([s.x, s.x_hat, s.w_hat])
-    if not np.all(np.isfinite(y)):
-        raise NumericalBlowupError(s.t)
-    a, b = _closed_loop(g, cfg, w)
-    dy = a @ y + b
-    n = g.n
-    return SimState(x=dy[:n], x_hat=dy[n : 2 * n], w_hat=dy[2 * n :], t=s.t)
 
 
 def _closed_form_modes(g: Graph, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -374,26 +361,15 @@ def simulate(g: Graph, cfg: SimConfig, w: np.ndarray) -> Trajectory:
     steps = _step_count(g, cfg)
     _check_rk4_step(g, cfg)
     a, b = _closed_loop(g, cfg, w)
-    n = g.n
-    dt = cfg.dt
-    s0 = cfg.initial_state()
-    out = np.empty((steps + 1, 3 * n))
-    out[0] = np.concatenate([s0.x, s0.x_hat, s0.w_hat])
-    integrate = _rk4_map if 3 * n <= min(steps, MAX_MAP_DIM) else _rk4_stages
+    out = np.empty((steps + 1, len(b)))
+    out[0] = cfg.y0
+    integrate = _rk4_map if len(b) <= min(steps, MAX_MAP_DIM) else _rk4_stages
     with np.errstate(over="ignore", invalid="ignore"):
-        integrate(a, b, dt, out)
+        integrate(a, b, cfg.dt, out)
     blown = ~np.isfinite(out).all(axis=1)
     if blown.any():
-        raise NumericalBlowupError(int(np.argmax(blown)) * dt)
-    times = np.arange(steps + 1) * dt
-    return Trajectory(
-        times=times,
-        x=out[:, :n],
-        x_hat=out[:, n : 2 * n],
-        w_hat=out[:, 2 * n :],
-        graph=g,
-        config=cfg,
-    )
+        raise NumericalBlowupError(int(np.argmax(blown)) * cfg.dt)
+    return Trajectory(out, g, cfg)
 
 
 def error_series(traj: Trajectory, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -414,12 +390,13 @@ def _csv_columns(n: int) -> list[str]:
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Trajectory CSV: header t,x_0..,xhat_0..,what_0..; full precision."""
+    """Trajectory CSV: header t,x_0..,xhat_0..,what_0..; each value is the
+    ``repr`` of its float. Rows are converted one at a time, so the writer
+    holds one row of Python floats, not a copy of the trajectory."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(_csv_columns(traj.graph.n)) + "\n")
-        for k in range(len(traj)):
-            row = [traj.times[k], *traj.x[k], *traj.x_hat[k], *traj.w_hat[k]]
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for t, y in zip(traj.times.tolist(), traj.states):
+            fh.write(f"{t!r},{','.join(map(repr, y.tolist()))}\n")
 
 
 def read_trajectory_csv(path, g: Graph, cfg: SimConfig) -> Trajectory:
@@ -448,24 +425,15 @@ def read_trajectory_csv(path, g: Graph, cfg: SimConfig) -> Trajectory:
     if not rows:
         raise ScenarioError("trajectory CSV has no samples")
     data = np.asarray(rows)
+    traj = Trajectory(data[:, 1:], g, cfg)
     times = data[:, 0]
     steps = cfg.t_final / cfg.dt
-    on_grid = (
-        math.isfinite(steps)
-        and len(times) - 1 == round(steps)
-        and np.array_equal(times, np.arange(len(times)) * cfg.dt)
-    )
-    if not on_grid:
+    if not (
+        math.isfinite(steps) and len(times) - 1 == round(steps) and np.array_equal(times, traj.times)
+    ):
         raise ScenarioError(
             f"trajectory CSV time grid ({len(times)} samples, t from {float(times[0])!r} to "
             f"{float(times[-1])!r}) is not the scenario's: t_k = k * {cfg.dt!r} for "
             f"k = 0..round({cfg.t_final!r} / {cfg.dt!r})"
         )
-    return Trajectory(
-        times=times,
-        x=data[:, 1 : 1 + n],
-        x_hat=data[:, 1 + n : 1 + 2 * n],
-        w_hat=data[:, 1 + 2 * n :],
-        graph=g,
-        config=cfg,
-    )
+    return traj

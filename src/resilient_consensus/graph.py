@@ -22,6 +22,13 @@ from .errors import (
     TooFewNodesError,
 )
 
+#: Largest node count an edge list may declare for a graph that can be
+#: connected. The largest dense matrix any command builds is verify's
+#: (3n-1) x (3n-1) certificate matrix M: at n = 3333 it holds
+#: 9998^2 < 10^8 float64 values (800 MB), the budget that
+#: ``dynamics.MAX_TRAJECTORY_SAMPLES`` sets for a trajectory.
+MAX_NODES = 3333
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -134,7 +141,10 @@ def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list text format.
 
     First non-comment line is ``n m``; then m lines ``i j``. Lines starting
-    with ``#`` are comments. Errors report 1-based line numbers.
+    with ``#`` are comments. Errors report 1-based line numbers. A header
+    with n over ``MAX_NODES`` and at least n - 1 edges is rejected before
+    the edges are read; fewer edges cannot connect the graph, which every
+    command rejects without an n x n allocation.
     """
     header = None
     pairs = []
@@ -150,6 +160,12 @@ def parse_edge_list(text: str) -> Graph:
         except ValueError:
             raise EdgeListParseError(f"non-integer token in {line!r}", lineno) from None
         if header is None:
+            if a > MAX_NODES and b >= a - 1:
+                raise EdgeListParseError(
+                    f"n={a} is over the node budget of {MAX_NODES}: the (3n-1)^2 certificate "
+                    f"matrix would take {8 * (3 * a - 1) ** 2:.6g} bytes",
+                    lineno,
+                )
             header = (a, b, lineno)
         else:
             pairs.append((a, b, lineno))

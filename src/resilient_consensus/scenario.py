@@ -205,21 +205,16 @@ def _run_report(traj: Trajectory, w: np.ndarray) -> dict:
 def stability_report_dict(report) -> dict:
     """StabilityReport as plain data for serialization."""
     eigs = report.spectrum.eigenvalues
+    predicted, observed = report.quadratic_inertia_predicted, report.quadratic_inertia_observed
     return {
         "spectrum": [[float(v.real), float(v.imag)] for v in eigs],
         "spectral_abscissa": report.spectral_abscissa,
         "theorem_verdict": report.theorem_verdict,
         "decomposition_residual": report.decomposition_residual,
-        "quadratic_inertia_predicted": [
-            report.quadratic_inertia_predicted.n_plus,
-            report.quadratic_inertia_predicted.n_zero,
-            report.quadratic_inertia_predicted.n_minus,
-        ],
-        "quadratic_inertia_observed": [
-            report.quadratic_inertia_observed.n_plus,
-            report.quadratic_inertia_observed.n_zero,
-            report.quadratic_inertia_observed.n_minus,
-        ],
+        "quadratic_inertia_predicted": [predicted.n_plus, predicted.n_zero, predicted.n_minus],
+        "quadratic_inertia_observed": (
+            None if observed is None else [observed.n_plus, observed.n_zero, observed.n_minus]
+        ),
         "tol": report.tol,
     }
 

@@ -75,6 +75,10 @@ from .spectral import (
 
 DEFAULT_SPECTRAL_TOL = 1e-8
 
+#: ``fit_decay_rate`` fits the samples with ||xi|| between these multiples
+#: of ||xi(0)||, where the slowest mode dominates.
+DECAY_WINDOW = (1e-8, 1e-2)
+
 
 @dataclass(frozen=True)
 class AgreementTransform:
@@ -101,7 +105,7 @@ class StabilityReport:
     theorem_verdict: bool
     decomposition_residual: float
     quadratic_inertia_predicted: Inertia
-    quadratic_inertia_observed: Inertia
+    quadratic_inertia_observed: Inertia | None
     tol: float
 
 
@@ -151,17 +155,20 @@ def error_block(g: Graph, alpha: float) -> np.ndarray:
     return np.block([[-degree_matrix(g), -eye], [alpha * eye, np.zeros_like(eye)]])
 
 
-def verify_theorem(g: Graph, alpha: float, tol: float = DEFAULT_SPECTRAL_TOL) -> StabilityReport:
+def verify_theorem(g: Graph, alpha: float) -> StabilityReport:
     """Spectral stability certificate for the adaptive closed loop.
 
     The spectrum, abscissa and verdict come from ``closed_form_spectrum``;
-    the verdict is true iff every eigenvalue has real part below -tol.
+    the verdict is true iff every eigenvalue has real part below
+    -``DEFAULT_SPECTRAL_TOL``.
     Cross-check: one dense eigensolve of M, matched to the closed form.
     The largest matched distance is the decomposition residual, and the
     dense eigenvalues matched to the roots of E give the observed inertia
     of lam^2 I + lam Delta + alpha I, against the (0, 0, 2n) that the
     inertia identities predict. The dense solve resolves the real parts
-    -d/2 only below alpha of about (d / (2 dim eps))^2, 2e29 on p2.
+    -d/2 only below alpha of about (d / (2 dim eps))^2, 2e29 on p2; where
+    its error reaches the smallest |Re| of the roots of E the observed
+    inertia is None, and the verdict, from the closed form, stands.
 
     The decomposition residual is the error of the dense solve, since the
     closed form is exact. Where M has a Jordan chain of length j the dense
@@ -182,14 +189,17 @@ def verify_theorem(g: Graph, alpha: float, tol: float = DEFAULT_SPECTRAL_TOL) ->
     # of the order of the spectral radius here.
     ones = np.ones(g.n)
     dense_tol = len(dense) * np.finfo(float).eps * float(np.max(np.abs(dense)))
+    observed = None
+    if dense_tol < np.min(np.abs(error_roots.real)):
+        observed = inertia_of_values(dense[pairs >= len(agreement)], dense_tol)
     return StabilityReport(
         spectrum=spectrum,
         spectral_abscissa=spectrum.abscissa,
-        theorem_verdict=bool(spectrum.abscissa < -tol),
+        theorem_verdict=bool(spectrum.abscissa < -DEFAULT_SPECTRAL_TOL),
         decomposition_residual=residual,
         quadratic_inertia_predicted=inertia_identities(ones, g.degrees, alpha * ones, 0.0),
-        quadratic_inertia_observed=inertia_of_values(dense[pairs >= len(agreement)], dense_tol),
-        tol=tol,
+        quadratic_inertia_observed=observed,
+        tol=DEFAULT_SPECTRAL_TOL,
     )
 
 
@@ -217,7 +227,7 @@ def check_energy_decay(
     (trapezoid-averaged across the step, so the residual is O(dt^2)).
     """
     e = energy_series(traj, w, alpha)
-    dt = float(traj.times[1] - traj.times[0])
+    dt = traj.config.dt
     max_increase = float(np.max(np.diff(e))) if len(e) > 1 else 0.0
     x_t, _ = error_series(traj, w)
     deg = traj.graph.degrees.astype(float)
@@ -261,7 +271,7 @@ def centroid_analysis(traj: Trajectory, w: np.ndarray) -> CentroidAnalysis:
     limit divided by n.
     """
     c = np.sum(traj.x_hat, axis=1)
-    dt = float(traj.times[1] - traj.times[0])
+    dt = traj.config.dt
     x_t, _ = error_series(traj, w)
     deg = traj.graph.degrees.astype(float)
     rate = np.sum(deg[None, :] * x_t, axis=1)
@@ -290,23 +300,16 @@ def transformed_error_norms(traj: Trajectory, w: np.ndarray) -> np.ndarray:
     return np.linalg.norm(xi, axis=1)
 
 
-def fit_decay_rate(
-    traj: Trajectory,
-    w: np.ndarray,
-    window: tuple[float, float] = (1e-8, 1e-2),
-) -> float:
-    """Least-squares slope of log ||xi(t)|| over the late-decay window.
-
-    The window keeps samples with ||xi|| between window[0] and window[1]
-    times ||xi(0)||, where the slowest mode dominates.
-    """
+def fit_decay_rate(traj: Trajectory, w: np.ndarray) -> float:
+    """Least-squares slope of log ||xi(t)|| over the late-decay window
+    ``DECAY_WINDOW``."""
     if traj.config.protocol != ADAPTIVE:
         raise ScenarioError("decay-rate fit applies to adaptive runs")
     norms = transformed_error_norms(traj, w)
     n0 = norms[0]
     if n0 == 0.0:
         raise ScenarioError("initial transformed error is zero; nothing to fit")
-    lo, hi = window[0] * n0, window[1] * n0
+    lo, hi = DECAY_WINDOW[0] * n0, DECAY_WINDOW[1] * n0
     mask = (norms >= lo) & (norms <= hi)
     if np.sum(mask) < 2:
         raise ScenarioError("decay window is empty; run is too short")

@@ -25,7 +25,8 @@ from resilient_consensus.errors import (
     SelfLoopError,
     TooFewNodesError,
 )
-from resilient_consensus.graph import format_edge_list
+from resilient_consensus.dynamics import MAX_TRAJECTORY_SAMPLES
+from resilient_consensus.graph import MAX_NODES, format_edge_list
 
 
 def random_graphs(n_lo=2, n_hi=20):
@@ -245,3 +246,19 @@ class TestEdgeListFormat:
     def test_empty_file(self):
         with pytest.raises(EdgeListParseError):
             parse_edge_list("# nothing here\n")
+
+
+class TestNodeBudget:
+    def test_budget_keeps_certificate_matrix_within_trajectory_budget(self):
+        # verify's (3n-1)^2 M is the largest dense matrix any command builds
+        assert (3 * MAX_NODES - 1) ** 2 <= MAX_TRAJECTORY_SAMPLES < (3 * MAX_NODES + 2) ** 2
+
+    def test_header_over_budget_rejected_before_edges(self):
+        n = MAX_NODES + 1
+        with pytest.raises(EdgeListParseError, match=f"line 2: n={n} .* bytes"):
+            parse_edge_list(f"# header only\n{n} {n - 1}\n")
+
+    def test_largest_budgeted_path_parses(self):
+        n = MAX_NODES
+        text = f"{n} {n - 1}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1))
+        assert parse_edge_list(text).n == n
