@@ -36,22 +36,29 @@ with |R(h mu)| > 1 before it integrates. The adaptive spec(A) is
 spectrum and the node degrees.
 
 ``simulate`` takes one of two routes to the same steps, chosen by the run
-size alone. A run with 3n <= min(steps, ``MAX_MAP_DIM``) forms the map
-y <- P y + q, P = I + A T, q = T b, T = h phi(hA), with the sparse A
-times a dense matrix (O(nnz(A) 3n) each), then makes one dense matvec
-per step. Any other run applies the polynomial to A y + b at every step,
-four sparse matvecs: a run shorter than 3n steps does not repay forming
-P, and above ``MAX_MAP_DIM`` the dense matvec costs more per step than
-the four sparse ones. The rule also bounds memory: steps >= 3n gives
-(3n)^2 <= steps * 3n, so P is never larger than the trajectory that
-``MAX_TRAJECTORY_SAMPLES`` already budgets, and never larger than
-8 * MAX_MAP_DIM^2 bytes (1.6 MB).
+size alone. A run with 3n <= ``MAX_MAP_DIM`` and
+steps >= 2 + (3n)^3 / ``MAP_BREAK_EVEN`` forms the map y <- P y + q,
+P = I + A T, q = T b, T = h phi(hA), with the sparse A times a dense
+matrix (O(nnz(A) 3n) each), and marches it in blocks by repeated
+squaring: rows k..k+m-1 are rows k-m..k-1 advanced by P^m and q_m, one
+matmul per block, with P^2m = P^m P^m and q_2m = P^m q_m + q_m. The
+block doubles while one more squaring (about 2 (3n)^3 flops) costs less
+than the matmul calls it saves, 4 m (3n)^3 < ``MATMUL_CALL_FLOPS`` * steps;
+where no squaring pays, the map makes one dense matvec per step. Any
+other run applies the polynomial to A y + b at every step, four sparse
+matvecs: a short run does not repay forming P, and above ``MAX_MAP_DIM``
+the dense matvec costs more per step than the four sparse ones. The map
+holds at most two 3n x 3n arrays at once (T and P while forming P, then
+P^m and its square), 3.2 MB at ``MAX_MAP_DIM``, besides the trajectory
+that ``MAX_TRAJECTORY_SAMPLES`` budgets.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
+import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -91,6 +98,21 @@ MAX_TRAJECTORY_SAMPLES = 100_000_000
 #: cache per core and single-threaded OpenBLAS, one step with a P of 480^2
 #: or more took longer than the four sparse RK4 stages it replaces.
 MAX_MAP_DIM = 450
+
+#: Break-even of the dense map against the sparse stages: the map path
+#: needs steps >= 2 + (3n)^3 / MAP_BREAK_EVEN. Fitted to the measured runs
+#: (forming P included) on which the map first beat the stages: 2-3 steps
+#: up to 3n = 60, 12 at 3n = 150, 64-128 at 300 and 256-384 at 360.
+MAP_BREAK_EVEN = 2**18
+
+#: Overhead of one numpy matmul call on a block of rows, in flops of a
+#: squaring of P: about 3 us, at the 14 GFlop/s a 30 x 30 squaring reaches
+#: on a Xeon with single-threaded OpenBLAS. ``_rk4_map`` squares P^m into
+#: P^2m (about 2 (3n)^3 flops) only while that costs less than the
+#: steps / 2m calls it saves: 4 m (3n)^3 < MATMUL_CALL_FLOPS * steps.
+#: From 3n = 90 up a squaring runs at about 50 GFlop/s, so the rule
+#: squares no more than pays there either.
+MATMUL_CALL_FLOPS = 40_000
 
 
 def read_scalar(raw, name: str, positive: bool = False) -> float:
@@ -333,15 +355,49 @@ def _rk4_stages(a: sparse.csr_matrix, b: np.ndarray, dt: float, out: np.ndarray)
         out[k + 1] = y + _rk4_increment(a.__matmul__, a @ y + b, dt)
 
 
-def _rk4_map(a: sparse.csr_matrix, b: np.ndarray, dt: float, out: np.ndarray) -> None:
-    """The steps of ``_rk4_stages`` as the affine map y <- P y + q, with
-    P = I + A T, q = T b and T = dt phi(dt A) formed once."""
+def _rk4_affine_map(
+    a: sparse.csr_matrix, b: np.ndarray, dt: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(P, q) with one RK4 step of y' = A y + b equal to y <- P y + q:
+    P = I + A T and q = T b, T = dt phi(dt A), with the sparse A times a
+    dense matrix (O(nnz(A) 3n) each)."""
     t = _rk4_increment(lambda t: a @ (np.eye(len(b)) if np.isscalar(t) else t), 1.0, dt)
     p = a @ t
     p.flat[:: len(p) + 1] += 1.0
-    q = t @ b
-    for k in range(len(out) - 1):
-        out[k + 1] = p @ out[k] + q
+    return p, t @ b
+
+
+def _rk4_map(a: sparse.csr_matrix, b: np.ndarray, dt: float, out: np.ndarray) -> None:
+    """The steps of ``_rk4_stages`` as the affine map y <- P y + q of
+    ``_rk4_affine_map``, marched in blocks of m rows by repeated squaring:
+    out[k:k+m] = out[k-m:k] (P^m)^T + q_m, with P^2m = P^m P^m and
+    q_2m = P^m q_m + q_m.
+
+    While one more squaring pays (``MATMUL_CALL_FLOPS``) and saves at least
+    one block, rows [m, 2m) are filled from rows [0, m) and m doubles;
+    then one matmul per block of m rows fills the rest, the last block
+    possibly partial. With m = 1 (no squaring pays, or fewer than four
+    rows) each step is one matvec. Extra memory: P^m and its square, two
+    3n x 3n arrays."""
+    p, q = _rk4_affine_map(a, b, dt)
+    rows, dim = out.shape
+    m = 1  # out[:m] is filled; p, q advance a row by m steps
+    while 3 * m < rows and 4 * m * dim**3 < MATMUL_CALL_FLOPS * (rows - 1):
+        np.matmul(out[:m], p.T, out=out[m : 2 * m])
+        out[m : 2 * m] += q
+        q = p @ q + q
+        p = p @ p
+        m *= 2
+    if m == 1:  # no squaring pays: one matvec per row, without block views
+        for k in range(1, rows):
+            row = out[k]
+            np.matmul(p, out[k - 1], out=row)
+            row += q
+        return
+    for k in range(m, rows, m):
+        end = min(k + m, rows)
+        np.matmul(out[k - m : end - m], p.T, out=out[k:end])
+        out[k:end] += q
 
 
 def simulate(g: Graph, cfg: SimConfig, w: np.ndarray) -> Trajectory:
@@ -349,21 +405,25 @@ def simulate(g: Graph, cfg: SimConfig, w: np.ndarray) -> Trajectory:
 
     The run-size budget and ``_check_rk4_step`` run first, so a run that is
     too large or an unstable step size is rejected before any state is
-    allocated. A run with 3n <= min(steps, ``MAX_MAP_DIM``) takes the
-    dense affine map (``_rk4_map``), any other the sparse stages
-    (``_rk4_stages``); see the module docstring. Both evaluate the one
-    polynomial of ``_rk4_increment``. Either way a non-finite value raises
-    ``NumericalBlowupError`` naming the time of the first non-finite
-    sample, and no numpy floating-point warning is printed.
+    allocated. A run with 3n <= ``MAX_MAP_DIM`` and at least
+    2 + (3n)^3 / ``MAP_BREAK_EVEN`` steps takes the dense affine map,
+    marched in blocks by repeated squaring (``_rk4_map``), any other the
+    sparse stages (``_rk4_stages``); see the module docstring. Both
+    evaluate the one polynomial of ``_rk4_increment``. Either way a
+    non-finite value raises ``NumericalBlowupError`` naming the time of
+    the first non-finite sample, and no numpy floating-point warning is
+    printed.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("simulation requires a connected graph")
     steps = _step_count(g, cfg)
     _check_rk4_step(g, cfg)
     a, b = _closed_loop(g, cfg, w)
-    out = np.empty((steps + 1, len(b)))
+    dim = len(b)
+    out = np.empty((steps + 1, dim))
     out[0] = cfg.y0
-    integrate = _rk4_map if len(b) <= min(steps, MAX_MAP_DIM) else _rk4_stages
+    takes_map = dim <= MAX_MAP_DIM and steps >= 2 + dim**3 / MAP_BREAK_EVEN
+    integrate = _rk4_map if takes_map else _rk4_stages
     with np.errstate(over="ignore", invalid="ignore"):
         integrate(a, b, cfg.dt, out)
     blown = ~np.isfinite(out).all(axis=1)
@@ -399,32 +459,56 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
             fh.write(f"{t!r},{','.join(map(repr, y.tolist()))}\n")
 
 
+def _scan_csv_rows(lines, n: int) -> np.ndarray:
+    """Trajectory CSV body lines parsed one by one; raises ``ScenarioError``
+    naming the first row with the wrong number of fields or a non-numeric
+    field (the header is row 1)."""
+    rows = []
+    for lineno, line in enumerate(lines, start=2):
+        parts = line.strip().split(",")
+        if len(parts) != 1 + 3 * n:
+            raise ScenarioError(f"trajectory CSV row {lineno} has {len(parts)} fields")
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError:
+            raise ScenarioError(f"trajectory CSV row {lineno} has a non-numeric field") from None
+    return np.asarray(rows)
+
+
 def read_trajectory_csv(path, g: Graph, cfg: SimConfig) -> Trajectory:
     """Read a trajectory CSV back; validates the header against the graph
     and the time column against the grid ``simulate`` writes for cfg:
-    exactly t_k = k dt for k = 0..round(t_final / dt)."""
+    exactly t_k = k dt for k = 0..round(t_final / dt).
+
+    numpy's C text reader parses the body as it streams from the file.
+    It skips empty lines, so a body in which it skipped a line, which it
+    rejects, or which it reads into the wrong width is read again by
+    ``_scan_csv_rows``: that names the first bad row, or accepts what
+    ``float`` accepts."""
     n = g.n
     with open(path, "r", encoding="utf-8") as fh:
         try:
             header = fh.readline().strip().split(",")
             if header != _csv_columns(n):
                 raise ScenarioError(f"trajectory CSV header does not match graph with n={n}")
-            rows = []
-            for lineno, line in enumerate(fh, start=2):
-                parts = line.strip().split(",")
-                if len(parts) != 1 + 3 * n:
-                    raise ScenarioError(f"trajectory CSV row {lineno} has {len(parts)} fields")
+            start = fh.tell()
+            lines = itertools.count()  # then next(lines) counts the lines parsed
+            with warnings.catch_warnings():
+                # a body with no data lines warns; the scan rejects it below
+                warnings.simplefilter("ignore", UserWarning)
                 try:
-                    rows.append([float(p) for p in parts])
+                    data = np.loadtxt(
+                        (line for line, _ in zip(fh, lines)), delimiter=",", comments=None, ndmin=2
+                    )
                 except ValueError:
-                    raise ScenarioError(
-                        f"trajectory CSV row {lineno} has a non-numeric field"
-                    ) from None
+                    data = None
+            if data is None or data.shape != (next(lines), 1 + 3 * n):
+                fh.seek(start)
+                data = _scan_csv_rows(fh, n)
         except UnicodeDecodeError as exc:
             raise ScenarioError(f"trajectory CSV is not UTF-8 text ({exc.reason})") from None
-    if not rows:
+    if not len(data):
         raise ScenarioError("trajectory CSV has no samples")
-    data = np.asarray(rows)
     traj = Trajectory(data[:, 1:], g, cfg)
     times = data[:, 0]
     steps = cfg.t_final / cfg.dt

@@ -109,8 +109,10 @@ def from_edge_list(n: int, edges) -> Graph:
 
 
 def degree_matrix(g: Graph) -> np.ndarray:
-    """Diagonal matrix of node degrees."""
-    return np.diag(g.degrees).astype(float)
+    """Diagonal matrix of node degrees, built as one float n x n array."""
+    delta = np.zeros((g.n, g.n))
+    delta.flat[:: g.n + 1] = g.degrees
+    return delta
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
@@ -119,8 +121,11 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
 
 
 def laplacian(g: Graph) -> np.ndarray:
-    """Graph Laplacian: degree matrix minus adjacency matrix."""
-    return degree_matrix(g) - adjacency_matrix(g)
+    """Graph Laplacian: degree matrix minus adjacency matrix, built as one
+    float n x n array (0 - Adj, then the degrees added on the diagonal)."""
+    lap = np.subtract(0.0, adjacency_matrix(g))
+    lap.flat[:: g.n + 1] += g.degrees
+    return lap
 
 
 def is_connected(g: Graph) -> bool:

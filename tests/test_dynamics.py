@@ -26,6 +26,7 @@ from resilient_consensus import (
     write_trajectory_csv,
 )
 from resilient_consensus.errors import (
+    ConsensusToolkitError,
     DisconnectedGraphError,
     MatrixShapeError,
     NumericalBlowupError,
@@ -240,8 +241,9 @@ class TestSimulate:
 
 
 class TestIntegrationPaths:
-    """``simulate`` integrates with the dense RK4 map when
-    3n <= min(steps, MAX_MAP_DIM), else with the four sparse stages."""
+    """``simulate`` integrates with the dense RK4 map, marched in blocks by
+    repeated squaring, when 3n <= MAX_MAP_DIM and
+    steps >= 2 + (3n)^3 / MAP_BREAK_EVEN, else with the four sparse stages."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -269,10 +271,48 @@ class TestIntegrationPaths:
         assert np.all(np.max(np.abs(mapped - stages), axis=1) <= 1e-12 * scale)
 
     @pytest.mark.parametrize(
+        "n, steps",
+        [
+            (10, 1),
+            (10, 2),
+            (10, 3),
+            # blocks of 32 rows after doubling: the last block is full at 63
+            # steps and partial (1 or 2 rows) at 64 and 65
+            (10, 63),
+            (10, 64),
+            (10, 65),
+            (10, 1023),
+            (10, 1024),
+            (10, 1025),
+            (10, 4000),  # a long horizon: blocks of 2048 rows
+            (2, 3000),
+            (50, 20),  # no squaring pays: one matvec per step
+        ],
+    )
+    def test_blocked_map_matches_stages(self, n, steps):
+        rng = np.random.default_rng(n)
+        g = random_connected_graph(n, rng)
+        x0, w = rng.normal(size=(2, n))
+        cfg = adaptive_cfg(n, alpha=2.0)
+        dt = 1.0 / max(2.0 * np.max(g.degrees), np.sqrt(cfg.alpha))
+        a, b = dynamics._closed_loop(g, cfg, w)
+        stages = np.empty((steps + 1, 3 * n))
+        stages[0] = np.concatenate([x0, x0, np.zeros(n)])
+        mapped = stages.copy()
+        dynamics._rk4_stages(a, b, dt, stages)
+        dynamics._rk4_map(a, b, dt, mapped)
+        scale = np.maximum(1.0, np.max(np.abs(stages), axis=1))
+        assert np.all(np.max(np.abs(mapped - stages), axis=1) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize(
         "n, steps, path",
         [
-            (2, 5, "stages"),  # fewer than 3n steps
-            (2, 6, "map"),
+            # the break-even 2 + (3n)^3 / MAP_BREAK_EVEN: 2.0008 steps at
+            # n = 2, 14.9 at n = 50
+            (2, 2, "stages"),
+            (2, 3, "map"),
+            (50, 14, "stages"),
+            (50, 15, "map"),
             # 3n just above and at MAX_MAP_DIM, with steps = 3n
             (dynamics.MAX_MAP_DIM // 3 + 1, 3 * (dynamics.MAX_MAP_DIM // 3 + 1), "stages"),
             (dynamics.MAX_MAP_DIM // 3, 3 * (dynamics.MAX_MAP_DIM // 3), "map"),
@@ -304,7 +344,7 @@ class TestIntegrationPaths:
         [
             (1.7e308, 2, 0.1),  # stages: the first step overflows
             (1.7e308, 20, 0.1),  # map
-            (1.0e308, 5, 0.5),  # stages: x grows by about w dt per step
+            (1.0e308, 5, 0.5),  # map: x grows by about w dt per step
             (1.0e308, 20, 0.5),  # map: the same sample
         ],
     )
@@ -325,11 +365,44 @@ class TestIntegrationPaths:
             g = request.getfixturevalue(graph)
         cfg = adaptive_cfg(g.n, alpha=2.0, dt=0.05)
         gain = np.append(1.0, dynamics._check_rk4_step(g, cfg))
-        dim = 3 * g.n
-        a, _ = dynamics._closed_loop(g, cfg, np.zeros(g.n))
-        out = np.stack([np.eye(dim), np.empty((dim, dim))])
-        dynamics._rk4_map(a, np.zeros(dim), cfg.dt, out)  # b = 0: out[1] = P I = P
-        assert np.abs(np.sort(np.abs(np.linalg.eigvals(out[1]))) - np.sort(gain)).max() <= 1e-10
+        a, b = dynamics._closed_loop(g, cfg, np.zeros(g.n))
+        p, _ = dynamics._rk4_affine_map(a, b, cfg.dt)
+        assert np.abs(np.sort(np.abs(np.linalg.eigvals(p))) - np.sort(gain)).max() <= 1e-10
+
+    def test_stage_path_blowup_time(self, p2, monkeypatch):
+        # 5 steps on p2 take the map; without it the stages name the same sample
+        monkeypatch.setattr(dynamics, "MAX_MAP_DIM", 0)
+        cfg = adaptive_cfg(2, dt=0.1, t_final=0.5, x0=[1.0e308, 1.0e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalBlowupError) as err:
+                simulate(p2, cfg, np.array([1.7e308, 1.7e308]))
+        assert err.value.t == 0.5
+
+    @pytest.mark.parametrize("dt, steps", [(0.001, 2000), (0.0002, 3000)])
+    def test_blowup_inside_a_block_matches_per_step_map(self, p2, dt, steps):
+        # the blocked map names the first non-finite row of the per-step map,
+        # y <- P y + q one step at a time; that row is odd, so it lies inside
+        # a block of m >= 2 rows (blocks start at 1, 2, 4, .., m, then at
+        # multiples of m): in the doubling block [256, 512) at 2000 steps, in
+        # the marched block [2048, 3001) at 3000
+        cfg = adaptive_cfg(2, dt=dt, t_final=dt * steps, x0=[1.0e308, 1.0e308])
+        w = np.array([1.7e308, 1.7e308])
+        a, b = dynamics._closed_loop(p2, cfg, w)
+        p, q = dynamics._rk4_affine_map(a, b, dt)
+        ref = np.empty((steps + 1, 6))
+        ref[0] = cfg.y0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(steps):
+                ref[k + 1] = p @ ref[k] + q
+        blown = ~np.isfinite(ref).all(axis=1)
+        row = int(np.argmax(blown))
+        assert blown.any() and row % 2 == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalBlowupError) as err:
+                simulate(p2, cfg, w)
+        assert err.value.t == row * dt
 
 
 class TestErrorSeries:
@@ -363,7 +436,89 @@ class TestConsensusError:
         assert consensus_error(x) == pytest.approx(consensus_error(x + 17.0))
 
 
+P2_HEADER = "t,x_0,x_1,xhat_0,xhat_1,what_0,what_1\n"
+CSV_FIELDS = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["", " ", "nan", "-nan", "inf", "1_0", "0x1p3", "1e400", " 1.0 ", "\x00", "\u0661"]),
+    st.text(max_size=4),
+)
+ROW_ENDS = ["\n", "\r\n", "\r", "\n\n", " \n"]
+
+
+def replace_field(fields, patch):
+    """fields with fields[k] = field for patch = (k, field), or unchanged."""
+    if patch is None:
+        return fields
+    k, field = patch
+    return fields[:k] + [field] + fields[k + 1 :]
+
+
+def csv_rows(t_column: bool):
+    """Rows of fuzzed fields, each with a fuzzed line end. With
+    ``t_column`` there are at least two; row k is the time k * 0.1 and six
+    floats, one of which may be replaced by a fuzzed field. Without it,
+    rows may have any fields and also run together."""
+    if t_column:
+        floats = st.lists(st.floats().map(repr), min_size=6, max_size=6)
+        patch = st.one_of(st.none(), st.tuples(st.integers(0, 5), CSV_FIELDS))
+        fields = st.builds(replace_field, floats, patch)
+        ends = st.sampled_from(ROW_ENDS)
+    else:
+        fields = st.lists(CSV_FIELDS, max_size=8)
+        ends = st.sampled_from(ROW_ENDS + [""])
+    rows = st.lists(st.tuples(fields, ends), min_size=2 if t_column else 0, max_size=4)
+    return rows.map(
+        lambda rows: [
+            ",".join(([repr(k * 0.1)] if t_column else []) + fields) + end
+            for k, (fields, end) in enumerate(rows)
+        ]
+    )
+
+
 class TestTrajectoryCsv:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        raw=st.one_of(
+            st.binary(max_size=200),
+            st.text(max_size=200).map(str.encode),
+            st.binary(max_size=100).map(P2_HEADER.encode().__add__),
+            csv_rows(t_column=False).map(lambda rows: (P2_HEADER + "".join(rows)).encode()),
+        ),
+        steps=st.sampled_from([1, 2]),
+    )
+    def test_fuzzed_file_raises_only_typed_errors(self, tmp_path_factory, raw, steps):
+        path = tmp_path_factory.getbasetemp() / "fuzzed.csv"
+        path.write_bytes(raw)
+        cfg = adaptive_cfg(2, dt=0.1, t_final=0.1 * steps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                read_trajectory_csv(path, path_graph(2), cfg)
+            except ConsensusToolkitError:
+                pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=csv_rows(t_column=True))
+    def test_c_parse_reads_what_the_line_scan_reads(self, tmp_path_factory, rows):
+        # the reader (numpy's C parser, with the scan as its fallback) and
+        # the line-by-line float() scan alone give the same error message or
+        # the same bits
+        path = tmp_path_factory.getbasetemp() / "fuzzed.csv"
+        path.write_bytes((P2_HEADER + "".join(rows)).encode())
+        with open(path, encoding="utf-8") as fh:
+            fh.readline()
+            lines = fh.readlines()
+        try:
+            expected = dynamics._scan_csv_rows(lines, 2)[:, 1:].tobytes()
+        except ScenarioError as exc:
+            expected = str(exc)
+        cfg = adaptive_cfg(2, dt=0.1, t_final=0.1 * (len(rows) - 1))
+        try:
+            got = read_trajectory_csv(path, path_graph(2), cfg).states.tobytes()
+        except ScenarioError as exc:
+            got = str(exc)
+        assert got == expected
+
     def test_round_trip(self, p2, tmp_path):
         w = np.array([1.0, 0.0])
         traj = simulate(p2, adaptive_cfg(2, dt=0.01, t_final=1.0), w)

@@ -126,6 +126,20 @@ class TestMatrices:
         assert np.array_equal(lap, lap.T)
         assert np.array_equal(lap @ np.ones(g.n), np.zeros(g.n))
 
+    @pytest.mark.parametrize("build", [laplacian, degree_matrix])
+    def test_one_dense_array_per_call(self, build):
+        # one float n x n array per call, with the cached adjacency built
+        # first (a diag, its float copy and a difference were three)
+        g = path_graph(1000)
+        adjacency_matrix(g)
+        tracemalloc.start()
+        try:
+            build(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 8 * g.n**2
+
 
 class TestConnectivity:
     def test_p2_connected(self, p2):

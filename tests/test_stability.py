@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -158,6 +160,24 @@ class TestBuildM:
                     ]
                 )
                 assert spectrum_matching_distance(whole, parts) < 1e-8
+
+    def test_error_block_is_one_array(self):
+        # [[-Delta, -I], [alpha I, 0]] is one float 2n x 2n array, built
+        # without n x n blocks to stack
+        g = path_graph(1000)
+        g.degrees
+        tracemalloc.start()
+        try:
+            e = error_block(g, 2.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 8 * (2 * g.n) ** 2
+        n = g.n
+        assert np.array_equal(e[:n, :n], -np.diag(g.degrees.astype(float)))
+        assert np.array_equal(e[:n, n:], -np.eye(n))
+        assert np.array_equal(e[n:, :n], 2.0 * np.eye(n))
+        assert not e[n:, n:].any()
 
     def test_nonpositive_alpha_rejected(self, p2):
         with pytest.raises(ScenarioError):
