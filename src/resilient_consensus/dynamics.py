@@ -14,16 +14,28 @@ closed loop is the linear time-invariant system
          [alpha I,  -alpha I,  0]]
 
 with Adj the adjacency and Delta the degree matrix, L = Delta - Adj.
-``_closed_loop`` builds (A, b) and RK4 integrates it; a ``Trajectory`` is
-the (steps + 1) x 3n array of stacked states that RK4 fills.
+``_closed_loop`` builds (A, b) for the stage route below; a ``Trajectory``
+is the (steps + 1) x 3n array of stacked states that RK4 fills.
 
 Error conventions used throughout: x_tilde = x - x_hat and
 w_tilde = w_hat - w, so the closed-loop error dynamics are
     d(x_tilde)/dt = -Delta x_tilde - w_tilde,
     d(w_tilde)/dt = alpha x_tilde.
 
-Integration is classical fixed-step 4th-order Runge-Kutta. On the linear
-closed loop one step of size h is exactly
+In the error coordinates z = (x, x_tilde, w_tilde) the adaptive loop is
+homogeneous, since x' = -L x - w_hat + w = -L x - w_tilde:
+
+    z' = B z,   B = [[-L,  0,        -I],
+                     [0,   -Delta,   -I],
+                     [0,   alpha I,   0]].
+
+Only x sees the graph; each agent's error (x_tilde_i, w_tilde_i) evolves
+on its own, by the 2 x 2 block E_i = [[-d_i, -1], [alpha, 0]]. The
+nominal loop is the same system with alpha = 0 and w_tilde held at -w
+(x_hat = w_hat = 0).
+
+Integration is classical fixed-step 4th-order Runge-Kutta. On a linear
+loop one step of size h is exactly
 
     y <- y + h phi(hA)(A y + b),   phi(z) = 1 + z/2 + z^2/6 + z^3/24,
 
@@ -36,21 +48,30 @@ with |R(h mu)| > 1 before it integrates. The adaptive spec(A) is
 spectrum and the node degrees.
 
 ``simulate`` takes one of two routes to the same steps, chosen by the run
-size alone. A run with 3n <= ``MAX_MAP_DIM`` and
-steps >= 2 + (3n)^3 / ``MAP_BREAK_EVEN`` forms the map y <- P y + q,
-P = I + A T, q = T b, T = h phi(hA), with the sparse A times a dense
-matrix (O(nnz(A) 3n) each), and marches it in blocks by repeated
-squaring: rows k..k+m-1 are rows k-m..k-1 advanced by P^m and q_m, one
-matmul per block, with P^2m = P^m P^m and q_2m = P^m q_m + q_m. The
-block doubles while one more squaring (about 2 (3n)^3 flops) costs less
-than the matmul calls it saves, 4 m (3n)^3 < ``MATMUL_CALL_FLOPS`` * steps;
-where no squaring pays, the map makes one dense matvec per step. Any
-other run applies the polynomial to A y + b at every step, four sparse
-matvecs: a short run does not repay forming P, and above ``MAX_MAP_DIM``
-the dense matvec costs more per step than the four sparse ones. The map
-holds at most two 3n x 3n arrays at once (T and P while forming P, then
-P^m and its square), 3.2 MB at ``MAX_MAP_DIM``, besides the trajectory
-that ``MAX_TRAJECTORY_SAMPLES`` budgets.
+size alone. A run with n <= ``MAX_MAP_NODES`` and
+steps >= n^4 / ``MAP_BREAK_EVEN`` takes the map in error coordinates.
+One step R(hB) is block upper triangular: its error block is the n
+per-agent 2 x 2 maps G_i = R(h E_i), and its x rows form the n x 3n block
+[P_xx | Q], both formed by one Horner evaluation with the dense Laplacian
+(``_rk4_row_map``). Every error row is filled first, agent by agent, by
+doubling G (O(steps n) elementwise work). Then the x columns are marched
+in blocks by repeated squaring: rows k..k+m-1 of x are rows k-m..k-1 of z
+times the x rows of R^m, one matmul per block, with
+[P_2m | Q_2m] = P_m [P_m | Q_m] + [0 | Q_m G_m], 6 n^3 flops. The block
+doubles while a squaring costs less than the matmul calls it saves
+(``MATMUL_CALL_FLOPS``); where none pays, each step is one matvec with the
+row block. Last, each row is converted in place to y: x_hat = x - x_tilde,
+w_hat = w_tilde + w. This route needs numpy only. Besides the trajectory
+that ``MAX_TRAJECTORY_SAMPLES`` budgets, forming the step holds a few
+3n x (n + 2) arrays (Horner's operand, its image and their temporaries),
+and the march the row block and its square (2 x 3n^2 values) and
+temporaries of at most ``ERROR_BLOCK_VALUES`` values; no 3n x 3n array.
+The peak was 7.4 MB at ``MAX_MAP_NODES`` by ``tracemalloc``. Any other run
+builds A in CSR form (``_closed_loop``, the one place ``scipy.sparse`` is
+imported) and applies the polynomial to A y + b at every step, four
+sparse matvecs: a short run does not repay forming the map, and above
+``MAX_MAP_NODES`` the dense matvec costs more per step than the four
+sparse ones.
 """
 
 from __future__ import annotations
@@ -93,26 +114,31 @@ DEFAULT_DT = 0.001
 #: has 1.8 M samples (p2, dt = 1e-4, 30 s).
 MAX_TRAJECTORY_SAMPLES = 100_000_000
 
-#: Largest state dimension 3n at which ``simulate`` integrates with the
-#: dense RK4 map P, so P takes at most 1.6 MB. On a Xeon with 2 MB of L2
-#: cache per core and single-threaded OpenBLAS, one step with a P of 480^2
-#: or more took longer than the four sparse RK4 stages it replaces.
-MAX_MAP_DIM = 450
+#: Largest node count at which ``simulate`` integrates with the map in
+#: error coordinates, whose x-row block takes 3n^2 values, 1.6 MB here. On
+#: a Xeon with 2 MB of L2 cache per core and single-threaded OpenBLAS, at
+#: n = 300 and 1000 steps the map took 106 ms against 109 ms for the four
+#: sparse stages on a random graph, and 99 against 69 ms on a path.
+MAX_MAP_NODES = 256
 
-#: Break-even of the dense map against the sparse stages: the map path
-#: needs steps >= 2 + (3n)^3 / MAP_BREAK_EVEN. Fitted to the measured runs
-#: (forming P included) on which the map first beat the stages: 2-3 steps
-#: up to 3n = 60, 12 at 3n = 150, 64-128 at 300 and 256-384 at 360.
-MAP_BREAK_EVEN = 2**18
+#: Break-even of the map against the sparse stages: the map path needs
+#: steps >= n^4 / MAP_BREAK_EVEN. Fitted to the measured runs (forming the
+#: map and building the CSR operator included) on which the map first beat
+#: the stages: 1 step up to n = 130, 1-32 at n = 150, 48-192 at n = 200
+#: and 192-768 at n = 250.
+MAP_BREAK_EVEN = 2**23
 
-#: Overhead of one numpy matmul call on a block of rows, in flops of a
-#: squaring of P: about 3 us, at the 14 GFlop/s a 30 x 30 squaring reaches
-#: on a Xeon with single-threaded OpenBLAS. ``_rk4_map`` squares P^m into
-#: P^2m (about 2 (3n)^3 flops) only while that costs less than the
-#: steps / 2m calls it saves: 4 m (3n)^3 < MATMUL_CALL_FLOPS * steps.
-#: From 3n = 90 up a squaring runs at about 50 GFlop/s, so the rule
-#: squares no more than pays there either.
+#: Cost of one numpy matmul call on a block of rows, in flops of a squaring
+#: of the x-row block: about 3 us of overhead, at the 14 GFlop/s a small
+#: squaring reaches on a Xeon with single-threaded OpenBLAS, plus reading
+#: the 3n x n block once, counted as two flops per value (6 n^2). A
+#: squaring (6 n^3 flops) pays while it costs less than the calls it saves
+#: on the rows left: 12 m n^3 < (MATMUL_CALL_FLOPS + 6 n^2) * rows left.
 MATMUL_CALL_FLOPS = 40_000
+
+#: Largest block of error rows, in rows times n, that ``_march_error_rows``
+#: advances in one go: its temporaries hold at most this many values.
+ERROR_BLOCK_VALUES = 2**16
 
 
 def read_scalar(raw, name: str, positive: bool = False) -> float:
@@ -128,6 +154,8 @@ def read_scalar(raw, name: str, positive: bool = False) -> float:
         value = float(raw)
     except ValueError:
         raise ScenarioError(f"{name} must be a number, got {raw!r}") from None
+    except OverflowError:  # an int beyond the float range
+        value = math.inf
     if not math.isfinite(value):
         raise ScenarioError(f"{name} must be finite, got {raw!r}")
     if positive and not value > 0:
@@ -245,9 +273,9 @@ def emulator_derivative(g: Graph, x: np.ndarray, x_hat: np.ndarray) -> np.ndarra
 def _closed_loop(g: Graph, cfg: SimConfig, w: np.ndarray) -> tuple[sparse.csr_matrix, np.ndarray]:
     """The closed loop y' = A y + b of the configured protocol, A in CSR form.
 
-    ``scipy.sparse`` is imported here, not at module level: only
-    ``simulate`` needs it, so ``verify`` and ``analyze`` run without
-    importing scipy.
+    ``scipy.sparse`` is imported here, not at module level: only the
+    stage route of ``simulate`` needs it, so ``verify``, ``analyze`` and
+    every run on the map route run without importing scipy.
     """
     from scipy import sparse
 
@@ -293,17 +321,13 @@ def closed_form_spectrum(g: Graph, alpha: float) -> Spectrum:
 
 def _rk4_increment(mul, v, dt: float):
     """dt phi(dt X) v, phi(z) = 1 + z/2 + z^2/6 + z^3/24, by Horner's rule,
-    with ``mul(t)`` returning X t. A scalar v stands for v times the
-    identity; where X t is a matrix it is added on the diagonal in place,
-    so forming T = dt phi(dt A) holds no dense identity alive."""
+    with ``mul(t)`` returning X t as a new array; v is a scalar, a vector
+    or a block of columns."""
     t = v
     for c in (4.0, 3.0, 2.0):
         t = mul(t)
         t *= dt / c
-        if t.ndim == 2:
-            t.flat[:: len(t) + 1] += v
-        else:
-            t += v
+        t += v
     t *= dt
     return t
 
@@ -355,49 +379,117 @@ def _rk4_stages(a: sparse.csr_matrix, b: np.ndarray, dt: float, out: np.ndarray)
         out[k + 1] = y + _rk4_increment(a.__matmul__, a @ y + b, dt)
 
 
-def _rk4_affine_map(
-    a: sparse.csr_matrix, b: np.ndarray, dt: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """(P, q) with one RK4 step of y' = A y + b equal to y <- P y + q:
-    P = I + A T and q = T b, T = dt phi(dt A), with the sparse A times a
-    dense matrix (O(nnz(A) 3n) each)."""
-    t = _rk4_increment(lambda t: a @ (np.eye(len(b)) if np.isscalar(t) else t), 1.0, dt)
-    p = a @ t
-    p.flat[:: len(p) + 1] += 1.0
-    return p, t @ b
+def _rk4_row_map(g: Graph, alpha: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """One RK4 step z <- R z, R = R(dt B), of the loop z' = B z in error
+    coordinates (module docstring), as the two parts of R that are not zero:
+    the x rows [P_xx | Q] of R, returned transposed as a 3n x n array
+    ``cols``, and the per-agent 2 x 2 maps G_i = R(dt E_i) of
+    (x_tilde_i, w_tilde_i), as ``gains[r, c, i]`` = G_i[r, c].
+
+    Both come from one Horner evaluation on B^T applied to n + 2 columns:
+    the x unit vectors, whose images are the x rows of R, and the sums of
+    all x_tilde and of all w_tilde unit vectors, whose images hold the G_i
+    side by side, since agent i's error rows of R meet only agent i's
+    error columns. With alpha = 0 this is the nominal loop: the w_tilde
+    rows of R are the identity, and the x rows take no x_tilde.
+    """
+    n = g.n
+    lap = laplacian(g)
+    deg = g.degrees[:, None]
+
+    def mul(t):  # B^T t, B^T = [[-L, 0, 0], [0, -Delta, alpha I], [-I, -I, 0]]
+        tx, te, tw = t[:n], t[n : 2 * n], t[2 * n :]
+        return np.concatenate([-(lap @ tx), alpha * tw - deg * te, -tx - te])
+
+    v = np.zeros((3 * n, n + 2))
+    np.fill_diagonal(v[:n], 1.0)
+    v[n : 2 * n, n] = 1.0
+    v[2 * n :, n + 1] = 1.0
+    r = v + mul(_rk4_increment(mul, v, dt))
+    gains = np.array([[r[n : 2 * n, n], r[2 * n :, n]], [r[n : 2 * n, n + 1], r[2 * n :, n + 1]]])
+    return np.ascontiguousarray(r[:, :n]), gains
 
 
-def _rk4_map(a: sparse.csr_matrix, b: np.ndarray, dt: float, out: np.ndarray) -> None:
-    """The steps of ``_rk4_stages`` as the affine map y <- P y + q of
-    ``_rk4_affine_map``, marched in blocks of m rows by repeated squaring:
-    out[k:k+m] = out[k-m:k] (P^m)^T + q_m, with P^2m = P^m P^m and
-    q_2m = P^m q_m + q_m.
+def _square_gains(gains: np.ndarray) -> np.ndarray:
+    """G_i^2 for every agent, in the layout of ``_rk4_row_map``."""
+    return np.einsum("ijn,jkn->ikn", gains, gains)
 
-    While one more squaring pays (``MATMUL_CALL_FLOPS``) and saves at least
-    one block, rows [m, 2m) are filled from rows [0, m) and m doubles;
-    then one matmul per block of m rows fills the rest, the last block
-    possibly partial. With m = 1 (no squaring pays, or fewer than four
-    rows) each step is one matvec. Extra memory: P^m and its square, two
-    3n x 3n arrays."""
-    p, q = _rk4_affine_map(a, b, dt)
-    rows, dim = out.shape
-    m = 1  # out[:m] is filled; p, q advance a row by m steps
-    while 3 * m < rows and 4 * m * dim**3 < MATMUL_CALL_FLOPS * (rows - 1):
-        np.matmul(out[:m], p.T, out=out[m : 2 * m])
-        out[m : 2 * m] += q
-        q = p @ q + q
-        p = p @ p
-        m *= 2
-    if m == 1:  # no squaring pays: one matvec per row, without block views
-        for k in range(1, rows):
-            row = out[k]
-            np.matmul(p, out[k - 1], out=row)
-            row += q
-        return
-    for k in range(m, rows, m):
+
+def _march_error_rows(gains: np.ndarray, xt: np.ndarray, wt: np.ndarray) -> None:
+    """Fill rows 1.. of the x_tilde and w_tilde columns from row 0 with
+    the per-agent maps G_i, elementwise: rows [k, k + m) are rows
+    [k - m, k) advanced by G^m. The block m doubles, with G^2m = G^m G^m,
+    while it holds fewer than ``ERROR_BLOCK_VALUES`` values per column
+    group, which bounds the temporaries."""
+    rows, n = xt.shape
+    k = m = 1
+    while k < rows:
         end = min(k + m, rows)
-        np.matmul(out[k - m : end - m], p.T, out=out[k:end])
-        out[k:end] += q
+        src = slice(k - m, end - m)
+        (g00, g01), (g10, g11) = gains
+        np.multiply(xt[src], g00, out=xt[k:end])
+        xt[k:end] += wt[src] * g01
+        np.multiply(wt[src], g11, out=wt[k:end])
+        wt[k:end] += xt[src] * g10
+        k = end
+        if k == 2 * m and m * n < ERROR_BLOCK_VALUES:
+            gains = _square_gains(gains)
+            m *= 2
+
+
+def _march_x_rows(cols: np.ndarray, gains: np.ndarray, out: np.ndarray) -> None:
+    """Fill the x columns of rows 1.. of z = (x, x_tilde, w_tilde) from
+    row 0, with the error columns already filled: rows [k, k + m) of x are
+    rows [k - m, k) of z times the x rows of R^m, one matmul per block.
+    After the block [m, 2m) the block doubles, by the squaring
+    [P_2m | Q_2m] = P_m [P_m | Q_m] + [0 | Q_m G_m] (6 n^3 flops), while
+    that costs less than the matmul calls it saves:
+    12 m n^3 < (``MATMUL_CALL_FLOPS`` + 6 n^2) * (rows left)."""
+    rows, n = len(out), cols.shape[1]
+    k = m = 1
+    while k < rows:
+        end = min(k + m, rows)
+        np.matmul(out[k - m : end - m], cols, out=out[k:end, :n])
+        k = end
+        left = rows - k
+        if k == 2 * m and left > m and 12 * m * n**3 < (MATMUL_CALL_FLOPS + 6 * n * n) * left:
+            (g00, g01), (g10, g11) = gains[..., None]
+            qx, qw = cols[n : 2 * n], cols[2 * n :]
+            squared = cols @ cols[:n]
+            squared[n : 2 * n] += g00 * qx + g10 * qw
+            squared[2 * n :] += g01 * qx + g11 * qw
+            cols, gains = squared, _square_gains(gains)
+            m *= 2
+
+
+def _rk4_map(g: Graph, cfg: SimConfig, w: np.ndarray, out: np.ndarray) -> None:
+    """The steps of ``_rk4_stages``, filled into out[1:] from out[0], in
+    error coordinates z = (x, x_tilde, w_tilde): ``_rk4_row_map`` forms
+    the step, ``_march_error_rows`` fills every error row, then
+    ``_march_x_rows`` the x rows, and each row is converted in place to
+    y = (x, x - x_tilde, w_tilde + w). Row 0 keeps the initial state as
+    given. The nominal loop has alpha = 0 and w_tilde = -w throughout, and
+    its x_hat and w_hat columns keep their initial values (zero from
+    ``SimConfig``), as its A leaves them."""
+    n = g.n
+    y0 = out[0].copy()
+    xt, wt = out[:, n : 2 * n], out[:, 2 * n :]
+    adaptive = cfg.protocol == ADAPTIVE
+    cols, gains = _rk4_row_map(g, cfg.alpha if adaptive else 0.0, cfg.dt)
+    if adaptive:
+        np.subtract(y0[:n], y0[n : 2 * n], out=xt[0])
+        np.subtract(y0[2 * n :], w, out=wt[0])
+        _march_error_rows(gains, xt, wt)
+    else:
+        xt[:] = 0.0
+        wt[:] = -w
+    _march_x_rows(cols, gains, out)
+    if adaptive:
+        np.subtract(out[:, :n], xt, out=xt)
+        wt += w
+    else:
+        out[:, n:] = y0[n:]
+    out[0] = y0
 
 
 def simulate(g: Graph, cfg: SimConfig, w: np.ndarray) -> Trajectory:
@@ -405,10 +497,10 @@ def simulate(g: Graph, cfg: SimConfig, w: np.ndarray) -> Trajectory:
 
     The run-size budget and ``_check_rk4_step`` run first, so a run that is
     too large or an unstable step size is rejected before any state is
-    allocated. A run with 3n <= ``MAX_MAP_DIM`` and at least
-    2 + (3n)^3 / ``MAP_BREAK_EVEN`` steps takes the dense affine map,
-    marched in blocks by repeated squaring (``_rk4_map``), any other the
-    sparse stages (``_rk4_stages``); see the module docstring. Both
+    allocated. A run with n <= ``MAX_MAP_NODES`` and at least
+    n^4 / ``MAP_BREAK_EVEN`` steps takes the map in error coordinates
+    (``_rk4_map``), any other the sparse stages of the closed loop
+    y' = A y + b (``_rk4_stages``); see the module docstring. Both
     evaluate the one polynomial of ``_rk4_increment``. Either way a
     non-finite value raises ``NumericalBlowupError`` naming the time of
     the first non-finite sample, and no numpy floating-point warning is
@@ -418,14 +510,16 @@ def simulate(g: Graph, cfg: SimConfig, w: np.ndarray) -> Trajectory:
         raise DisconnectedGraphError("simulation requires a connected graph")
     steps = _step_count(g, cfg)
     _check_rk4_step(g, cfg)
-    a, b = _closed_loop(g, cfg, w)
-    dim = len(b)
-    out = np.empty((steps + 1, dim))
+    w = np.asarray(w, dtype=float)
+    _check_lengths(g, cfg.x0, w)
+    out = np.empty((steps + 1, 3 * g.n))
     out[0] = cfg.y0
-    takes_map = dim <= MAX_MAP_DIM and steps >= 2 + dim**3 / MAP_BREAK_EVEN
-    integrate = _rk4_map if takes_map else _rk4_stages
     with np.errstate(over="ignore", invalid="ignore"):
-        integrate(a, b, cfg.dt, out)
+        if g.n <= MAX_MAP_NODES and steps >= g.n**4 / MAP_BREAK_EVEN:
+            _rk4_map(g, cfg, w, out)
+        else:
+            a, b = _closed_loop(g, cfg, w)
+            _rk4_stages(a, b, cfg.dt, out)
     blown = ~np.isfinite(out).all(axis=1)
     if blown.any():
         raise NumericalBlowupError(int(np.argmax(blown)) * cfg.dt)

@@ -129,6 +129,8 @@ def read_scenario(path) -> dict:
             raise ScenarioError(
                 f"cannot read scenario {path}: not UTF-8 text ({exc.reason})"
             ) from None
+        except ValueError as exc:  # an int over Python's digit limit
+            raise ScenarioError(f"cannot parse scenario {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ScenarioError("scenario file must be a mapping")
     if raw.get("graph") is not None:
@@ -211,6 +213,7 @@ def stability_report_dict(report) -> dict:
         "spectral_abscissa": report.spectral_abscissa,
         "theorem_verdict": report.theorem_verdict,
         "decomposition_residual": report.decomposition_residual,
+        "decomposition_residual_tol": report.decomposition_residual_tol,
         "quadratic_inertia_predicted": [predicted.n_plus, predicted.n_zero, predicted.n_minus],
         "quadratic_inertia_observed": (
             None if observed is None else [observed.n_plus, observed.n_zero, observed.n_minus]

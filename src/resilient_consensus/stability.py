@@ -107,6 +107,7 @@ class StabilityReport:
     quadratic_inertia_predicted: Inertia
     quadratic_inertia_observed: Inertia | None
     tol: float
+    decomposition_residual_tol: float | None = None
 
 
 def build_transform(n: int) -> AgreementTransform:
@@ -182,16 +183,26 @@ def verify_theorem(g: Graph, alpha: float) -> StabilityReport:
 
     The decomposition residual is the error of the dense solve, since the
     closed form is exact. Where M has a Jordan chain of length j the dense
-    eigenvalue is off by about (eps ||M||)^(1/j), so the residual can
-    exceed 1e-7 on a valid input: at alpha = d^2/4 a root of E is double,
-    and an agreement mode lambda_k = d/2 equal to it makes j = 3.
+    eigenvalue is off by about (eps ||M||_inf)^(1/j), so the residual can
+    exceed 1e-7 on a valid input: at alpha = d^2/4 a root of E is double
+    (j = 2), and an agreement mode lambda_k = d/2 equal to it makes j = 3.
+    ``decomposition_residual_tol`` is max(1e-7, 10 (eps ||M||_inf)^(1/j))
+    with j read off the closed form, so the report says whether the
+    residual is within what the dense solve can resolve.
     """
     alpha = read_scalar(alpha, "alpha", positive=True)
     agreement, error_roots = _closed_form_modes(g, alpha)
     closed = np.concatenate([agreement, error_roots])
     spectrum = Spectrum(closed)
-    dense = eigenvalues(build_m(g, alpha).m_matrix).eigenvalues
+    m = build_m(g, alpha).m_matrix
+    dense = eigenvalues(m).eigenvalues
     pairs, residual = spectrum_matching(dense, closed, split=len(agreement))
+    d = g.degrees
+    chain = 1 + bool(np.any(d * d == 4 * alpha))
+    roots = np.fromiter(set(error_roots.tolist()), complex)  # one pair per degree
+    chain += bool(np.any(np.abs(agreement[:, None] - roots) <= 1e-9))
+    scale = np.finfo(float).eps * np.max(np.sum(np.abs(m), axis=1))
+    residual_tol = max(1e-7, 10.0 * float(scale) ** (1.0 / chain))
     # lam^2 I + lam Delta + alpha I has exact diagonal coefficients (ones,
     # degrees >= 1, alpha > 0), so the prediction needs no tolerance. The
     # dense roots are counted against the dense solve's own error, about
@@ -210,6 +221,7 @@ def verify_theorem(g: Graph, alpha: float) -> StabilityReport:
         quadratic_inertia_predicted=inertia_identities(ones, g.degrees, alpha * ones, 0.0),
         quadratic_inertia_observed=observed,
         tol=DEFAULT_SPECTRAL_TOL,
+        decomposition_residual_tol=residual_tol,
     )
 
 

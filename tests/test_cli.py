@@ -1,13 +1,17 @@
+import io
 import os
 import subprocess
 import sys
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import resilient_consensus
 from resilient_consensus import scenario as scenario_module
@@ -21,12 +25,13 @@ from resilient_consensus.scenario import (
     read_scenario,
     stability_report_dict,
 )
-from resilient_consensus.errors import ScenarioError
+from resilient_consensus.errors import ConsensusToolkitError, ScenarioError
 from resilient_consensus.graph import (
     complete_graph,
     from_edge_list,
     format_edge_list,
     load_edge_list,
+    parse_edge_list,
     path_graph,
 )
 
@@ -225,6 +230,23 @@ class TestScalarValidation:
         assert main(["simulate", "--graph", p2_file, "--scenario", scenario, "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "x0, message",
+        [
+            # beyond the float range: read as inf
+            ("[1" + "0" * 400 + ", 0]", "x0[0] must be finite"),
+            # over Python's 4300-digit limit for int(str), in the YAML reader
+            ("[" + "1" * 5000 + ", 0]", "cannot parse scenario"),
+        ],
+    )
+    def test_huge_integer(self, tmp_path, p2_file, capsys, x0, message):
+        path = tmp_path / "big.yaml"
+        path.write_text(f"schema: 1\nprotocol: nominal\ndt: 0.1\nt_final: 1.0\nx0: {x0}\n")
+        out = str(tmp_path / "t.csv")
+        assert main(["simulate", "--graph", p2_file, "--scenario", str(path), "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
     def test_numeric_string_accepted(self, p2):
         # PyYAML reads 1e-2 (no dot) as a string
@@ -693,8 +715,9 @@ class TestAnalyzeCommand:
 
 
 class TestNoScipyOnCertificatePath:
-    """verify and analyze run on numpy and PyYAML: a fresh interpreter
-    running either one imports no scipy module."""
+    """verify and analyze run on numpy and PyYAML, and so do simulate and
+    sweep on runs that take the map in error coordinates: a fresh
+    interpreter running any of them on the demo imports no scipy module."""
 
     def test_verify(self):
         proc = run_fresh("-c", MAIN_THEN_SCIPY_MODULES, "verify", "--graph", DEMO_GRAPH, "--alpha", "1.0")
@@ -712,6 +735,23 @@ class TestNoScipyOnCertificatePath:
         assert proc.stderr == "[]\n"
         report = proc.stdout.split(")\n", 1)[1]
         assert report == simulated.split(")\n", 1)[1].split("trajectory written")[0]
+
+    def test_simulate(self, tmp_path):
+        traj = tmp_path / "traj.csv"
+        args = ["--graph", DEMO_GRAPH, "--scenario", DEMO_SCENARIO, "--out", str(traj)]
+        proc = run_fresh("-c", MAIN_THEN_SCIPY_MODULES, "simulate", *args)
+        assert proc.returncode == 0
+        assert proc.stderr == "[]\n"
+        assert "stability_verdict: true" in proc.stdout
+        assert traj.read_text().startswith("t,x_0,x_1,")
+
+    def test_sweep(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        args = ["--graph", DEMO_GRAPH, "--scenario", DEMO_SCENARIO, "--alpha", "1", "4", "--out", str(out)]
+        proc = run_fresh("-c", MAIN_THEN_SCIPY_MODULES, "sweep", *args)
+        assert proc.returncode == 0
+        assert proc.stderr == "[]\n"
+        assert len(out.read_text().splitlines()) == 3
 
 
 needs_libyaml = pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
@@ -770,3 +810,113 @@ class TestLibyaml:
             fallback = run_fresh("-c", no_libyaml, *argv)
             assert default.returncode == fallback.returncode == 0
             assert fallback.stdout == default.stdout
+
+
+def _floats(lo, hi):
+    return st.floats(min_value=lo, max_value=hi) | st.floats(min_value=-hi, max_value=-lo)
+
+
+#: Scenario scalars: floats from 1e-320 to 1e308 of either sign, zero,
+#: numeric strings, text that is not a finite number, huge integers and
+#: other YAML scalars.
+FUZZ_SCALARS = st.one_of(
+    _floats(1e-320, 1e308),
+    st.just(0.0),
+    _floats(1e-320, 1e308).map(repr),
+    st.sampled_from(["nan", "NaN", ".nan", "-inf", "1e400", "abc", "", "1_0", "0x10", " 1.0 "]),
+    st.integers(-(10**400), 10**400),
+    st.booleans(),
+    st.none(),
+)
+FUZZ_VALUES = FUZZ_SCALARS | st.lists(FUZZ_SCALARS, max_size=3)
+#: Real entries of a two-agent vector: moderate, tiny or huge.
+REALS = st.floats(-1e3, 1e3) | _floats(1e-320, 1e308) | st.just(0.0)
+
+
+def _finite_numbers(value) -> bool:
+    """Every number in a loaded report (nested lists included) is finite."""
+    if isinstance(value, list):
+        return all(_finite_numbers(v) for v in value)
+    return not isinstance(value, float) or np.isfinite(value)
+
+
+class TestFuzzedInputs:
+    """Properties over arbitrary inputs, with warnings turned into errors:
+    the readers raise only typed errors, and ``simulate`` exits with a
+    documented code, prints no traceback or warning, and reports only
+    finite values when it succeeds."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=st.text(max_size=200) | st.binary(max_size=200))
+    def test_edge_list_raises_only_typed_errors(self, tmp_path_factory, raw):
+        path = tmp_path_factory.getbasetemp() / "fuzzed.txt"
+        path.write_bytes(raw.encode() if isinstance(raw, str) else raw)
+        reads = [lambda: load_edge_list(path)]
+        if isinstance(raw, str):
+            reads.append(lambda: parse_edge_list(raw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for read in reads:
+                try:
+                    read()
+                except ConsensusToolkitError:
+                    pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        raw=st.one_of(
+            st.text(max_size=200),
+            st.binary(max_size=200),
+            st.dictionaries(
+                st.sampled_from(["schema", "protocol", "alpha", "dt", "t_final", "x0", "w", "x_hat0", "w_hat0"]),
+                FUZZ_VALUES,
+            ).map(lambda doc: yaml.safe_dump({"schema": 1, **doc})),
+        )
+    )
+    def test_scenario_raises_only_typed_errors(self, tmp_path_factory, raw):
+        path = tmp_path_factory.getbasetemp() / "fuzzed.yaml"
+        path.write_bytes(raw.encode() if isinstance(raw, str) else raw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for g in (None, path_graph(2)):
+                try:
+                    load_scenario(path, g)
+                except ConsensusToolkitError:
+                    pass
+            try:
+                parse_scenario(raw)
+            except ConsensusToolkitError:
+                pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        alpha=st.floats(1e-3, 10.0) | st.floats(1e-320, 1e308),
+        x0=st.lists(REALS, min_size=2, max_size=2),
+        w=st.lists(REALS, min_size=2, max_size=2),
+        fuzzed=st.sampled_from([None, "alpha", "x0", "w"]),
+        value=FUZZ_VALUES,
+        dt=st.sampled_from([0.01, 0.1]),
+        t_final=st.sampled_from([0.1, 1.0, 10.0]),
+    )
+    def test_simulate_exit_codes(self, tmp_path_factory, alpha, x0, w, fuzzed, value, dt, t_final):
+        # real gains and vectors, with at most one of the three replaced by a
+        # fuzzed value; at most 1000 steps on p2, so no example allocates a
+        # large trajectory
+        base = tmp_path_factory.getbasetemp()
+        graph = base / "p2.txt"
+        graph.write_text(P2_EDGES)
+        scenario = base / "fuzzed_run.yaml"
+        doc = {"schema": 1, "protocol": "adaptive", "dt": dt, "t_final": t_final, "alpha": alpha, "x0": x0, "w": w}
+        if fuzzed:
+            doc[fuzzed] = value
+        scenario.write_text(yaml.safe_dump(doc))
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["simulate", "--graph", str(graph), "--scenario", str(scenario), "--out", str(base / "fuzzed.csv")]
+        with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(argv)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+        if code == 0:
+            report = yaml.safe_load(out.getvalue().split("\ntrajectory written")[0])
+            assert all(_finite_numbers(v) for v in report.values())

@@ -241,9 +241,9 @@ class TestSimulate:
 
 
 class TestIntegrationPaths:
-    """``simulate`` integrates with the dense RK4 map, marched in blocks by
-    repeated squaring, when 3n <= MAX_MAP_DIM and
-    steps >= 2 + (3n)^3 / MAP_BREAK_EVEN, else with the four sparse stages."""
+    """``simulate`` integrates with the map in error coordinates, marched
+    in blocks by repeated squaring, when n <= MAX_MAP_NODES and
+    steps >= n^4 / MAP_BREAK_EVEN, else with the four sparse stages."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -260,13 +260,13 @@ class TestIntegrationPaths:
         # |mu| <= max(2 d_max, sqrt(alpha)) for every mode of A, and RK4 is
         # stable on the left half of the disc |z| <= 2.5
         dt = frac * 2.5 / max(2.0 * np.max(g.degrees), np.sqrt(alpha))
-        cfg = adaptive_cfg(n, alpha=alpha) if protocol == ADAPTIVE else nominal_cfg(n)
+        cfg = adaptive_cfg(n, alpha=alpha, dt=dt) if protocol == ADAPTIVE else nominal_cfg(n, dt=dt)
         a, b = dynamics._closed_loop(g, cfg, w)
         stages = np.empty((101, 3 * n))
         stages[0] = np.concatenate([x0, x0, np.zeros(n)])
         mapped = stages.copy()
         dynamics._rk4_stages(a, b, dt, stages)
-        dynamics._rk4_map(a, b, dt, mapped)
+        dynamics._rk4_map(g, cfg, w, mapped)
         scale = np.maximum(1.0, np.max(np.abs(stages), axis=1))
         assert np.all(np.max(np.abs(mapped - stages), axis=1) <= 1e-12 * scale)
 
@@ -293,29 +293,34 @@ class TestIntegrationPaths:
         rng = np.random.default_rng(n)
         g = random_connected_graph(n, rng)
         x0, w = rng.normal(size=(2, n))
-        cfg = adaptive_cfg(n, alpha=2.0)
-        dt = 1.0 / max(2.0 * np.max(g.degrees), np.sqrt(cfg.alpha))
+        dt = 1.0 / max(2.0 * np.max(g.degrees), np.sqrt(2.0))
+        cfg = adaptive_cfg(n, alpha=2.0, dt=dt)
         a, b = dynamics._closed_loop(g, cfg, w)
         stages = np.empty((steps + 1, 3 * n))
         stages[0] = np.concatenate([x0, x0, np.zeros(n)])
         mapped = stages.copy()
         dynamics._rk4_stages(a, b, dt, stages)
-        dynamics._rk4_map(a, b, dt, mapped)
+        dynamics._rk4_map(g, cfg, w, mapped)
         scale = np.maximum(1.0, np.max(np.abs(stages), axis=1))
         assert np.all(np.max(np.abs(mapped - stages), axis=1) <= 1e-12 * scale)
 
     @pytest.mark.parametrize(
         "n, steps, path",
         [
-            # the break-even 2 + (3n)^3 / MAP_BREAK_EVEN: 2.0008 steps at
-            # n = 2, 14.9 at n = 50
-            (2, 2, "stages"),
+            # the break-even n^4 / MAP_BREAK_EVEN: below one step up to
+            # n = 53, 1.5 steps at n = 60, 11.9 at n = 100, 60.3 at n = 150,
+            # 512 at n = MAX_MAP_NODES = 256
             (2, 3, "map"),
-            (50, 14, "stages"),
             (50, 15, "map"),
-            # 3n just above and at MAX_MAP_DIM, with steps = 3n
-            (dynamics.MAX_MAP_DIM // 3 + 1, 3 * (dynamics.MAX_MAP_DIM // 3 + 1), "stages"),
-            (dynamics.MAX_MAP_DIM // 3, 3 * (dynamics.MAX_MAP_DIM // 3), "map"),
+            (60, 1, "stages"),
+            (60, 2, "map"),
+            (100, 11, "stages"),
+            (100, 12, "map"),
+            (150, 450, "map"),
+            (dynamics.MAX_MAP_NODES, 511, "stages"),
+            (dynamics.MAX_MAP_NODES, 512, "map"),
+            # n just above MAX_MAP_NODES, with twice the break-even steps
+            (dynamics.MAX_MAP_NODES + 1, 1024, "stages"),
         ],
     )
     def test_rule_picks_path(self, monkeypatch, n, steps, path):
@@ -342,8 +347,8 @@ class TestIntegrationPaths:
     @pytest.mark.parametrize(
         "x0, steps, t",
         [
-            (1.7e308, 2, 0.1),  # stages: the first step overflows
-            (1.7e308, 20, 0.1),  # map
+            (1.7e308, 2, 0.1),  # map: the first step overflows
+            (1.7e308, 20, 0.1),  # map: the same sample
             (1.0e308, 5, 0.5),  # map: x grows by about w dt per step
             (1.0e308, 20, 0.5),  # map: the same sample
         ],
@@ -358,20 +363,24 @@ class TestIntegrationPaths:
 
     @pytest.mark.parametrize("graph", ["p2", "path4", "random"])
     def test_preflight_and_map_share_one_polynomial(self, graph, request):
-        # the eigenvalues of P = R(dt A) are R(dt mu) over spec(A) = {0} U spec(M)
+        # the eigenvalues of one step R(dt B) are those of its diagonal
+        # blocks: R(-dt lambda_k) of P_xx, over every Laplacian eigenvalue,
+        # and R(dt mu) of the G_i, over the roots of E; the preflight's
+        # gains are |R(dt mu)| over spec(M), which lacks only lambda_1 = 0
         if graph == "random":
             g = random_connected_graph(7, np.random.default_rng(3))
         else:
             g = request.getfixturevalue(graph)
         cfg = adaptive_cfg(g.n, alpha=2.0, dt=0.05)
         gain = np.append(1.0, dynamics._check_rk4_step(g, cfg))
-        a, b = dynamics._closed_loop(g, cfg, np.zeros(g.n))
-        p, _ = dynamics._rk4_affine_map(a, b, cfg.dt)
-        assert np.abs(np.sort(np.abs(np.linalg.eigvals(p))) - np.sort(gain)).max() <= 1e-10
+        cols, gains = dynamics._rk4_row_map(g, cfg.alpha, cfg.dt)
+        blocks = [np.linalg.eigvals(cols[: g.n].T)]
+        blocks += [np.linalg.eigvals(gains[:, :, i]) for i in range(g.n)]
+        assert np.abs(np.sort(np.abs(np.concatenate(blocks))) - np.sort(gain)).max() <= 1e-10
 
     def test_stage_path_blowup_time(self, p2, monkeypatch):
         # 5 steps on p2 take the map; without it the stages name the same sample
-        monkeypatch.setattr(dynamics, "MAX_MAP_DIM", 0)
+        monkeypatch.setattr(dynamics, "MAX_MAP_NODES", 0)
         cfg = adaptive_cfg(2, dt=0.1, t_final=0.5, x0=[1.0e308, 1.0e308])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -379,25 +388,38 @@ class TestIntegrationPaths:
                 simulate(p2, cfg, np.array([1.7e308, 1.7e308]))
         assert err.value.t == 0.5
 
+    @pytest.mark.parametrize("max_nodes", [dynamics.MAX_MAP_NODES, 0])
+    def test_overflowing_initial_error_reported_at_first_step(self, p2, monkeypatch, max_nodes):
+        # x0 - x_hat0 overflows, but row 0 is the given, finite state on
+        # either route (the map, and the stages forced by max_nodes = 0)
+        monkeypatch.setattr(dynamics, "MAX_MAP_NODES", max_nodes)
+        cfg = adaptive_cfg(2, dt=0.1, t_final=1.0, x0=[1.7e308, 0.0], x_hat0=np.array([-1.7e308, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalBlowupError) as err:
+                simulate(p2, cfg, np.zeros(2))
+        assert err.value.t == 0.1
+
     @pytest.mark.parametrize("dt, steps", [(0.001, 2000), (0.0002, 3000)])
     def test_blowup_inside_a_block_matches_per_step_map(self, p2, dt, steps):
         # the blocked map names the first non-finite row of the per-step map,
-        # y <- P y + q one step at a time; that row is odd, so it lies inside
-        # a block of m >= 2 rows (blocks start at 1, 2, 4, .., m, then at
-        # multiples of m): in the doubling block [256, 512) at 2000 steps, in
-        # the marched block [2048, 3001) at 3000
+        # z <- R z one step at a time in error coordinates, converted to y;
+        # that row is odd, so it lies inside a block of m >= 2 rows (blocks
+        # start at 1, 2, 4, .., m, then at multiples of m)
+        row = {2000: 487, 3000: 2431}[steps]
         cfg = adaptive_cfg(2, dt=dt, t_final=dt * steps, x0=[1.0e308, 1.0e308])
         w = np.array([1.7e308, 1.7e308])
-        a, b = dynamics._closed_loop(p2, cfg, w)
-        p, q = dynamics._rk4_affine_map(a, b, dt)
-        ref = np.empty((steps + 1, 6))
-        ref[0] = cfg.y0
+        cols, gains = dynamics._rk4_row_map(p2, cfg.alpha, dt)
+        z = np.empty((steps + 1, 6))
+        z[0] = np.concatenate([cfg.x0, cfg.x0 - cfg.x_hat0, cfg.w_hat0 - w])
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(steps):
-                ref[k + 1] = p @ ref[k] + q
+                z[k + 1, :2] = z[k] @ cols
+                z[k + 1, 2:4] = gains[0, 0] * z[k, 2:4] + gains[0, 1] * z[k, 4:]
+                z[k + 1, 4:] = gains[1, 0] * z[k, 2:4] + gains[1, 1] * z[k, 4:]
+            ref = np.concatenate([z[:, :2], z[:, :2] - z[:, 2:4], z[:, 4:] + w], axis=1)
         blown = ~np.isfinite(ref).all(axis=1)
-        row = int(np.argmax(blown))
-        assert blown.any() and row % 2 == 1
+        assert int(np.argmax(blown)) == row and row % 2 == 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalBlowupError) as err:

@@ -394,6 +394,31 @@ class TestVerifyTheorem:
         build_run_report(traj, w)
         assert shapes == []
 
+    @pytest.mark.parametrize(
+        "n, edges",
+        [
+            # path 0-1-2: lambda_2 = 1 = d_1 / 2
+            (3, [(0, 1), (1, 2)]),
+            # lambda_k = 1 = d / 2 for the degree-2 agents; the dense solve
+            # misses the chain's eigenvalue by 8.7e-6 with OpenBLAS on x86-64
+            (7, [(0, 5), (1, 5), (2, 3), (2, 4), (2, 5), (4, 6), (5, 6)]),
+        ],
+    )
+    def test_residual_within_printed_tolerance_at_jordan_chain(self, n, edges):
+        # at alpha = d^2 / 4 with an agreement mode lambda_k = d / 2, M has a
+        # Jordan chain of length 3: the printed tolerance is the one the
+        # closed form gives (``dense_tolerance``), above criterion 4's 1e-7,
+        # and the residual is within it
+        g = from_edge_list(n, edges)
+        rep = verify_theorem(g, 1.0)
+        assert rep.decomposition_residual_tol == dense_tolerance(g, 1.0, build_m(g, 1.0).m_matrix)
+        assert rep.decomposition_residual_tol > 1e-7
+        assert rep.decomposition_residual <= rep.decomposition_residual_tol
+
+    def test_residual_tolerance_off_chains(self, p2, k3):
+        assert verify_theorem(p2, 1.0).decomposition_residual_tol == 1e-7
+        assert verify_theorem(k3, 10.0).decomposition_residual_tol == 1e-7
+
     def test_cross_check_observes_the_dense_solve(self, k3, monkeypatch):
         # a dense solve shifted right by 10 shows in the residual and the
         # observed inertia, while the closed-form verdict stands
