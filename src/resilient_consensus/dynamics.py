@@ -3,19 +3,9 @@
 Agents are scalar integrators dx/dt = u + w with a constant disturbance
 vector w. The nominal protocol is u = -L x (disturbances uncorrected); the
 adaptive one is u = -L x - w_hat, where each agent runs a state emulator
-x_hat and integrates the emulator mismatch, with gain alpha > 0, into a
-disturbance estimate w_hat. In the stacked state y = (x, x_hat, w_hat) the
-closed loop is the linear time-invariant system
-
-    y' = A y + b,   b = (w, 0, 0),
-
-    A = [[-L,       0,        -I],      (adaptive; the nominal A keeps
-         [Adj,      -Delta,    0],       only the -L block)
-         [alpha I,  -alpha I,  0]]
-
-with Adj the adjacency and Delta the degree matrix, L = Delta - Adj.
-``_closed_loop`` builds (A, b) for the stage route below; a ``Trajectory``
-is the (steps + 1) x 3n array of stacked states that RK4 fills.
+x_hat' = -Delta x_hat + Adj x and integrates the emulator mismatch, with
+gain alpha > 0, into a disturbance estimate w_hat' = alpha (x - x_hat);
+Adj is the adjacency and Delta the degree matrix, L = Delta - Adj.
 
 Error conventions used throughout: x_tilde = x - x_hat and
 w_tilde = w_hat - w, so the closed-loop error dynamics are
@@ -23,7 +13,8 @@ w_tilde = w_hat - w, so the closed-loop error dynamics are
     d(w_tilde)/dt = alpha x_tilde.
 
 In the error coordinates z = (x, x_tilde, w_tilde) the adaptive loop is
-homogeneous, since x' = -L x - w_hat + w = -L x - w_tilde:
+homogeneous, since x' = -L x - w_hat + w = -L x - w_tilde, and this is
+the closed loop that ``simulate`` integrates:
 
     z' = B z,   B = [[-L,  0,        -I],
                      [0,   -Delta,   -I],
@@ -32,46 +23,46 @@ homogeneous, since x' = -L x - w_hat + w = -L x - w_tilde:
 Only x sees the graph; each agent's error (x_tilde_i, w_tilde_i) evolves
 on its own, by the 2 x 2 block E_i = [[-d_i, -1], [alpha, 0]]. The
 nominal loop is the same system with alpha = 0 and w_tilde held at -w
-(x_hat = w_hat = 0).
+(x_hat = w_hat = 0). A ``Trajectory`` stores each sample as the stacked
+y = (x, x_hat, w_hat), the CSV's layout too.
 
-Integration is classical fixed-step 4th-order Runge-Kutta. On a linear
-loop one step of size h is exactly
+Integration is classical fixed-step 4th-order Runge-Kutta. On the linear
+loop one step of size h is exactly z <- z + h phi(hB) B z, with
+phi(s) = 1 + s/2 + s^2/6 + s^3/24, which ``_rk4_increment`` forms by
+Horner's rule, the one place the polynomial is written. The step
+multiplies each mode mu of B by R(h mu) = 1 + s phi(s), s = h mu, and
+``simulate`` rejects a step size with |R(h mu)| > 1 before it
+integrates. The adaptive spec(B) is {0} U spec(M), with M the
+agreement-coordinate matrix of ``stability``; ``closed_form_spectrum``
+gives spec(M) in closed form from the Laplacian spectrum and the degrees.
 
-    y <- y + h phi(hA)(A y + b),   phi(z) = 1 + z/2 + z^2/6 + z^3/24,
-
-which ``_rk4_increment`` forms by Horner's rule, the one place the
-polynomial is written. The step multiplies each mode mu of A by
-R(h mu) = 1 + z phi(z), z = h mu, and ``simulate`` rejects a step size
-with |R(h mu)| > 1 before it integrates. The adaptive spec(A) is
-{0} U spec(M), with M the agreement-coordinate matrix of ``stability``;
-``closed_form_spectrum`` gives spec(M) in closed form from the Laplacian
-spectrum and the node degrees.
-
-``simulate`` takes one of two routes to the same steps, chosen by the run
-size alone. A run with n <= ``MAX_MAP_NODES`` and
-steps >= n^4 / ``MAP_BREAK_EVEN`` takes the map in error coordinates.
 One step R(hB) is block upper triangular: its error block is the n
-per-agent 2 x 2 maps G_i = R(h E_i), and its x rows form the n x 3n block
-[P_xx | Q], both formed by one Horner evaluation with the dense Laplacian
-(``_rk4_row_map``). Every error row is filled first, agent by agent, by
-doubling G (O(steps n) elementwise work). Then the x columns are marched
-in blocks by repeated squaring: rows k..k+m-1 of x are rows k-m..k-1 of z
-times the x rows of R^m, one matmul per block, with
+per-agent maps G_i = R(h E_i) (``_rk4_error_gains``), and its x rows form
+the n x 3n block [P_xx | Q]. One driver, ``_rk4_steps``, fills every
+error row from row 0 by doubling G (``_march_error_rows``, O(steps n)
+elementwise work), marches the x columns by one of two routes, chosen by
+the run size alone, and converts each row in place to y.
+
+A run with n <= ``MAX_MAP_NODES`` and steps >= n^3 / ``MAP_BREAK_EVEN``
+takes the map, which needs numpy only. ``_rk4_row_map`` forms [P_xx | Q]
+with the dense Laplacian, and the x columns are marched in blocks by
+repeated squaring: rows k..k+m-1 of x are rows k-m..k-1 of z times the x
+rows of R^m, one matmul per block, with
 [P_2m | Q_2m] = P_m [P_m | Q_m] + [0 | Q_m G_m], 6 n^3 flops. The block
 doubles while a squaring costs less than the matmul calls it saves
-(``MATMUL_CALL_FLOPS``); where none pays, each step is one matvec with the
-row block. Last, each row is converted in place to y: x_hat = x - x_tilde,
-w_hat = w_tilde + w. This route needs numpy only. Besides the trajectory
-that ``MAX_TRAJECTORY_SAMPLES`` budgets, forming the step holds a few
-3n x (n + 2) arrays (Horner's operand, its image and their temporaries),
-and the march the row block and its square (2 x 3n^2 values) and
-temporaries of at most ``ERROR_BLOCK_VALUES`` values; no 3n x 3n array.
-The peak was 7.4 MB at ``MAX_MAP_NODES`` by ``tracemalloc``. Any other run
-builds A in CSR form (``_closed_loop``, the one place ``scipy.sparse`` is
-imported) and applies the polynomial to A y + b at every step, four
-sparse matvecs: a short run does not repay forming the map, and above
-``MAX_MAP_NODES`` the dense matvec costs more per step than the four
-sparse ones.
+(``MATMUL_CALL_FLOPS``); where none pays, each step is one matvec.
+
+Any other run takes the stages, x_{k+1} = x_k + [h phi(hB) B z_k]_x one
+step at a time. The x part of B t is -L t_x - t_w, and the w_tilde parts
+of the Horner operands are elementwise in the error rows, so they are
+formed first; each step then makes four sparse matvecs with -L in CSR
+form (``_neg_laplacian``, the one place ``scipy.sparse`` is imported). A
+short run does not repay forming the map, and above ``MAX_MAP_NODES`` the
+dense matvec costs more per step than the four sparse ones.
+
+Besides the trajectory that ``MAX_TRAJECTORY_SAMPLES`` budgets, the map
+holds a few 3n x n arrays, and the error rows a few blocks of
+``ERROR_BLOCK_VALUES`` values.
 """
 
 from __future__ import annotations
@@ -81,7 +72,6 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -101,9 +91,6 @@ from .graph import (
 )
 from .spectral import Spectrum
 
-if TYPE_CHECKING:
-    from scipy import sparse
-
 NOMINAL = "nominal"
 ADAPTIVE = "adaptive"
 
@@ -116,17 +103,18 @@ MAX_TRAJECTORY_SAMPLES = 100_000_000
 
 #: Largest node count at which ``simulate`` integrates with the map in
 #: error coordinates, whose x-row block takes 3n^2 values, 1.6 MB here. On
-#: a Xeon with 2 MB of L2 cache per core and single-threaded OpenBLAS, at
-#: n = 300 and 1000 steps the map took 106 ms against 109 ms for the four
-#: sparse stages on a random graph, and 99 against 69 ms on a path.
+#: a Xeon with 2 MB of L2 cache per core and single-threaded OpenBLAS, 1000
+#: steps took 42 ms on the map against 76 ms on the stages on a random
+#: graph at n = 256, but 92 against 101 ms at n = 300 (95 against 82 on a path).
 MAX_MAP_NODES = 256
 
 #: Break-even of the map against the sparse stages: the map path needs
-#: steps >= n^4 / MAP_BREAK_EVEN. Fitted to the measured runs (forming the
-#: map and building the CSR operator included) on which the map first beat
-#: the stages: 1 step up to n = 130, 1-32 at n = 150, 48-192 at n = 200
-#: and 192-768 at n = 250.
-MAP_BREAK_EVEN = 2**23
+#: steps >= n^3 / MAP_BREAK_EVEN. Forming the map takes about 8 n^3 flops,
+#: against a stage step of about 40 us, mostly call overhead, at these n.
+#: The map first beat the stages (forming the map and building -L
+#: included) at 1 step at n = 60, 24-28 at n = 100, 80-112 at n = 150,
+#: 160-192 at n = 200 and 320-640 at n = 250.
+MAP_BREAK_EVEN = 2**15
 
 #: Cost of one numpy matmul call on a block of rows, in flops of a squaring
 #: of the x-row block: about 3 us of overhead, at the 14 GFlop/s a small
@@ -137,7 +125,8 @@ MAP_BREAK_EVEN = 2**23
 MATMUL_CALL_FLOPS = 40_000
 
 #: Largest block of error rows, in rows times n, that ``_march_error_rows``
-#: advances in one go: its temporaries hold at most this many values.
+#: advances in one go, and for which ``_march_x_stages`` forms the Horner
+#: shifts of the x march: their temporaries stay a few times this size.
 ERROR_BLOCK_VALUES = 2**16
 
 
@@ -270,30 +259,17 @@ def emulator_derivative(g: Graph, x: np.ndarray, x_hat: np.ndarray) -> np.ndarra
     return -degree_matrix(g) @ x_hat + adjacency_matrix(g) @ x
 
 
-def _closed_loop(g: Graph, cfg: SimConfig, w: np.ndarray) -> tuple[sparse.csr_matrix, np.ndarray]:
-    """The closed loop y' = A y + b of the configured protocol, A in CSR form.
-
-    ``scipy.sparse`` is imported here, not at module level: only the
-    stage route of ``simulate`` needs it, so ``verify``, ``analyze`` and
-    every run on the map route run without importing scipy.
-    """
+def _neg_laplacian(g: Graph):
+    """-L = Adj - Delta in CSR form. ``scipy.sparse`` is imported here, not
+    at module level: only the stage route of ``simulate`` needs it, so
+    ``verify``, ``analyze`` and every run on the map route run without it."""
     from scipy import sparse
 
-    _check_lengths(g, cfg.x0, w)
-    n = g.n
-    adj = sparse.csr_matrix(adjacency_matrix(g))
-    deg = sparse.diags(g.degrees.astype(float))
-    neg_lap = adj - deg
-    if cfg.protocol == ADAPTIVE:
-        eye = sparse.identity(n)
-        a = sparse.bmat(
-            [[neg_lap, None, -eye], [adj, -deg, None], [cfg.alpha * eye, -cfg.alpha * eye, None]],
-            format="csr",
-        )
-    else:
-        a = sparse.block_diag([neg_lap, sparse.csr_matrix((2 * n, 2 * n))], format="csr")
-    b = np.concatenate([np.asarray(w, dtype=float), np.zeros(2 * n)])
-    return a, b
+    rows, cols = np.nonzero(g.adjacency)
+    diag = np.arange(g.n)
+    data = np.concatenate([np.ones(len(rows)), -g.degrees.astype(float)])
+    ij = (np.concatenate([rows, diag]), np.concatenate([cols, diag]))
+    return sparse.csr_matrix((data, ij), shape=(g.n, g.n))
 
 
 def _closed_form_modes(g: Graph, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -371,28 +347,12 @@ def _step_count(g: Graph, cfg: SimConfig) -> int:
     return int(round(steps))
 
 
-def _rk4_stages(a: sparse.csr_matrix, b: np.ndarray, dt: float, out: np.ndarray) -> None:
-    """Fill out[1:] with RK4 steps y <- y + dt phi(dt A)(A y + b) of
-    y' = A y + b from out[0]: four sparse matvecs per step."""
-    for k in range(len(out) - 1):
-        y = out[k]
-        out[k + 1] = y + _rk4_increment(a.__matmul__, a @ y + b, dt)
-
-
-def _rk4_row_map(g: Graph, alpha: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """One RK4 step z <- R z, R = R(dt B), of the loop z' = B z in error
-    coordinates (module docstring), as the two parts of R that are not zero:
-    the x rows [P_xx | Q] of R, returned transposed as a 3n x n array
-    ``cols``, and the per-agent 2 x 2 maps G_i = R(dt E_i) of
-    (x_tilde_i, w_tilde_i), as ``gains[r, c, i]`` = G_i[r, c].
-
-    Both come from one Horner evaluation on B^T applied to n + 2 columns:
-    the x unit vectors, whose images are the x rows of R, and the sums of
-    all x_tilde and of all w_tilde unit vectors, whose images hold the G_i
-    side by side, since agent i's error rows of R meet only agent i's
-    error columns. With alpha = 0 this is the nominal loop: the w_tilde
-    rows of R are the identity, and the x rows take no x_tilde.
-    """
+def _rk4_row_map(g: Graph, alpha: float, dt: float) -> np.ndarray:
+    """The x rows [P_xx | Q] of one RK4 step R = R(dt B) of the loop
+    z' = B z (module docstring), returned transposed as a 3n x n array
+    ``cols``: one Horner evaluation on B^T applied to the x unit vectors,
+    whose images are the x rows of R. With alpha = 0 this is the nominal
+    loop, whose x rows take no x_tilde."""
     n = g.n
     lap = laplacian(g)
     deg = g.degrees[:, None]
@@ -401,17 +361,27 @@ def _rk4_row_map(g: Graph, alpha: float, dt: float) -> tuple[np.ndarray, np.ndar
         tx, te, tw = t[:n], t[n : 2 * n], t[2 * n :]
         return np.concatenate([-(lap @ tx), alpha * tw - deg * te, -tx - te])
 
-    v = np.zeros((3 * n, n + 2))
+    v = np.zeros((3 * n, n))
     np.fill_diagonal(v[:n], 1.0)
-    v[n : 2 * n, n] = 1.0
-    v[2 * n :, n + 1] = 1.0
-    r = v + mul(_rk4_increment(mul, v, dt))
-    gains = np.array([[r[n : 2 * n, n], r[2 * n :, n]], [r[n : 2 * n, n + 1], r[2 * n :, n + 1]]])
-    return np.ascontiguousarray(r[:, :n]), gains
+    return v + mul(_rk4_increment(mul, v, dt))
+
+
+def _rk4_error_gains(g: Graph, alpha: float, dt: float) -> np.ndarray:
+    """The per-agent 2 x 2 maps G_i = R(dt E_i) of (x_tilde_i, w_tilde_i),
+    as ``gains[r, c, i]`` = G_i[r, c], by one elementwise Horner pass: row
+    r of G_i is R(dt E_i^T) e_r, since R(dt E)^T = R(dt E^T)."""
+    deg = g.degrees
+
+    def mul(t):  # E_i^T t per agent, E_i^T = [[-d_i, alpha], [-1, 0]]
+        return np.array([alpha * t[1] - deg * t[0], -t[0]])
+
+    v = np.broadcast_to(np.eye(2)[:, :, None], (2, 2, g.n))
+    rows = v + mul(_rk4_increment(mul, v, dt))
+    return np.ascontiguousarray(rows.transpose(1, 0, 2))
 
 
 def _square_gains(gains: np.ndarray) -> np.ndarray:
-    """G_i^2 for every agent, in the layout of ``_rk4_row_map``."""
+    """G_i^2 for every agent, in the layout of ``_rk4_error_gains``."""
     return np.einsum("ijn,jkn->ikn", gains, gains)
 
 
@@ -462,34 +432,72 @@ def _march_x_rows(cols: np.ndarray, gains: np.ndarray, out: np.ndarray) -> None:
             m *= 2
 
 
-def _rk4_map(g: Graph, cfg: SimConfig, w: np.ndarray, out: np.ndarray) -> None:
-    """The steps of ``_rk4_stages``, filled into out[1:] from out[0], in
-    error coordinates z = (x, x_tilde, w_tilde): ``_rk4_row_map`` forms
-    the step, ``_march_error_rows`` fills every error row, then
-    ``_march_x_rows`` the x rows, and each row is converted in place to
-    y = (x, x - x_tilde, w_tilde + w). Row 0 keeps the initial state as
-    given. The nominal loop has alpha = 0 and w_tilde = -w throughout, and
-    its x_hat and w_hat columns keep their initial values (zero from
-    ``SimConfig``), as its A leaves them."""
+def _march_x_stages(g: Graph, alpha: float, dt: float, out: np.ndarray) -> None:
+    """Fill the x columns of rows 1.. of z from row 0, with the error
+    columns filled, one RK4 step at a time. The w_tilde parts t_w of the
+    three Horner operands are, per agent, fixed combinations of x_tilde_k
+    and w_tilde_k, read off one Horner pass on E_i, and are formed for
+    blocks of at most ``ERROR_BLOCK_VALUES`` values."""
+    n, deg = g.n, g.degrees
+    neg_lap = _neg_laplacian(g)
+    x, xt, wt = out[:, :n], out[:, n : 2 * n], out[:, 2 * n :]
+    operands = []
+
+    def error_mul(t):  # E_i t per agent, recording the w_tilde part of eye, then of each operand
+        operands.append(t[1])
+        return np.array([-deg * t[0] - t[1], alpha * t[0]])
+
+    _rk4_increment(error_mul, error_mul(np.broadcast_to(np.eye(2)[:, :, None], (2, 2, n))), dt)
+    coef = -np.array(operands[1:])[:, :, None]  # -t_w = coef[j, 0] x_tilde + coef[j, 1] w_tilde
+
+    def x_mul(t):  # the x part of B t: -L t_x, plus -t_w from the current step's shifts
+        r = neg_lap @ t
+        r += next(shift)
+        return r
+
+    steps = len(out) - 1
+    block = max(1, ERROR_BLOCK_VALUES // n)
+    buffer = np.empty((3, min(block, steps), n))
+    for k0 in range(0, steps, block):
+        k1 = min(k0 + block, steps)
+        shifts = np.multiply(coef[:, 0], xt[k0:k1], out=buffer[:, : k1 - k0])
+        shifts += coef[:, 1] * wt[k0:k1]
+        for k in range(k0, k1):
+            shift = iter(shifts[:, k - k0])
+            v = neg_lap @ x[k]
+            v -= wt[k]
+            np.add(x[k], _rk4_increment(x_mul, v, dt), out=x[k + 1])
+
+
+def _rk4_steps(g: Graph, cfg: SimConfig, w: np.ndarray, out: np.ndarray) -> None:
+    """Fill out with the RK4 steps of z' = B z from the initial state of
+    cfg and store each row as y (module docstring); row 0 is the initial
+    state as given. The nominal loop has alpha = 0 and its error rows held
+    at (0, -w), and its x_hat and w_hat columns keep their initial zeros."""
     n = g.n
-    y0 = out[0].copy()
+    steps = len(out) - 1
     xt, wt = out[:, n : 2 * n], out[:, 2 * n :]
     adaptive = cfg.protocol == ADAPTIVE
-    cols, gains = _rk4_row_map(g, cfg.alpha if adaptive else 0.0, cfg.dt)
+    alpha = cfg.alpha if adaptive else 0.0
+    gains = _rk4_error_gains(g, alpha, cfg.dt)
+    out[0, :n] = cfg.x0
     if adaptive:
-        np.subtract(y0[:n], y0[n : 2 * n], out=xt[0])
-        np.subtract(y0[2 * n :], w, out=wt[0])
+        np.subtract(cfg.x0, cfg.x_hat0, out=xt[0])
+        np.subtract(cfg.w_hat0, w, out=wt[0])
         _march_error_rows(gains, xt, wt)
     else:
         xt[:] = 0.0
         wt[:] = -w
-    _march_x_rows(cols, gains, out)
+    if n <= MAX_MAP_NODES and steps >= n**3 / MAP_BREAK_EVEN:
+        _march_x_rows(_rk4_row_map(g, alpha, cfg.dt), gains, out)
+    else:
+        _march_x_stages(g, alpha, cfg.dt, out)
     if adaptive:
         np.subtract(out[:, :n], xt, out=xt)
         wt += w
     else:
-        out[:, n:] = y0[n:]
-    out[0] = y0
+        out[:, n:] = 0.0
+    out[0] = cfg.y0
 
 
 def simulate(g: Graph, cfg: SimConfig, w: np.ndarray) -> Trajectory:
@@ -497,11 +505,9 @@ def simulate(g: Graph, cfg: SimConfig, w: np.ndarray) -> Trajectory:
 
     The run-size budget and ``_check_rk4_step`` run first, so a run that is
     too large or an unstable step size is rejected before any state is
-    allocated. A run with n <= ``MAX_MAP_NODES`` and at least
-    n^4 / ``MAP_BREAK_EVEN`` steps takes the map in error coordinates
-    (``_rk4_map``), any other the sparse stages of the closed loop
-    y' = A y + b (``_rk4_stages``); see the module docstring. Both
-    evaluate the one polynomial of ``_rk4_increment``. Either way a
+    allocated. ``_rk4_steps`` then integrates z' = B z in error
+    coordinates, marching x by the map or by the sparse stages (module
+    docstring), and stores each row as y = (x, x_hat, w_hat). Either way a
     non-finite value raises ``NumericalBlowupError`` naming the time of
     the first non-finite sample, and no numpy floating-point warning is
     printed.
@@ -513,13 +519,8 @@ def simulate(g: Graph, cfg: SimConfig, w: np.ndarray) -> Trajectory:
     w = np.asarray(w, dtype=float)
     _check_lengths(g, cfg.x0, w)
     out = np.empty((steps + 1, 3 * g.n))
-    out[0] = cfg.y0
     with np.errstate(over="ignore", invalid="ignore"):
-        if g.n <= MAX_MAP_NODES and steps >= g.n**4 / MAP_BREAK_EVEN:
-            _rk4_map(g, cfg, w, out)
-        else:
-            a, b = _closed_loop(g, cfg, w)
-            _rk4_stages(a, b, cfg.dt, out)
+        _rk4_steps(g, cfg, w, out)
     blown = ~np.isfinite(out).all(axis=1)
     if blown.any():
         raise NumericalBlowupError(int(np.argmax(blown)) * cfg.dt)

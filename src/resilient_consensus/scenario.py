@@ -35,7 +35,6 @@ from .dynamics import (
     Trajectory,
     consensus_error,
     default_t_final,
-    error_series,
     read_scalar,
 )
 from .errors import NumericalBlowupError, ScenarioError
@@ -173,8 +172,7 @@ def _run_report(traj: Trajectory, w: np.ndarray) -> dict:
         "consensus_error_final": consensus_error(traj.x[-1]),
         "final_agreement": float(np.mean(traj.x[-1])),
     }
-    x_t, w_t = error_series(traj, w)
-    report["what_error_inf_final"] = float(np.max(np.abs(w_t[-1])))
+    report["what_error_inf_final"] = float(np.max(np.abs(traj.w_hat[-1] - w)))
     if cfg.protocol == ADAPTIVE:
         alpha = cfg.alpha
         sup, bound, assumption_ok = check_perturbation_bound(traj, w, alpha)

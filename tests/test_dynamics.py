@@ -1,4 +1,6 @@
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -106,9 +108,62 @@ class TestEmulator:
         assert np.allclose(lhs, rhs)
 
 
+def closed_loop(g, cfg, w):
+    """The closed loop y' = A y + b of the configured protocol in the
+    stacked state y = (x, x_hat, w_hat), as dense arrays: the reference
+    that ``simulate``'s routes in error coordinates are checked against.
+
+        A = [[-L,       0,        -I],      (adaptive; the nominal A keeps
+             [Adj,      -Delta,    0],       only the -L block)
+             [alpha I,  -alpha I,  0]],   b = (w, 0, 0)
+    """
+    n = g.n
+    adj = adjacency_matrix(g)
+    deg = np.diag(g.degrees.astype(float))
+    a = np.zeros((3 * n, 3 * n))
+    a[:n, :n] = adj - deg
+    if cfg.protocol == ADAPTIVE:
+        eye = np.eye(n)
+        a[:n, 2 * n :] = -eye
+        a[n : 2 * n, :n] = adj
+        a[n : 2 * n, n : 2 * n] = -deg
+        a[2 * n :, :n] = cfg.alpha * eye
+        a[2 * n :, n : 2 * n] = -cfg.alpha * eye
+    return a, np.concatenate([np.asarray(w, dtype=float), np.zeros(2 * n)])
+
+
+def rk4_reference(g, cfg, w, steps):
+    """Classical RK4, stage by stage, on the dense y' = A y + b from cfg.y0:
+    a (steps + 1) x 3n array of stacked states."""
+    a, b = closed_loop(g, cfg, w)
+    h = cfg.dt
+    y = np.empty((steps + 1, 3 * g.n))
+    y[0] = cfg.y0
+    for k in range(steps):
+        k1 = a @ y[k] + b
+        k2 = a @ (y[k] + h / 2 * k1) + b
+        k3 = a @ (y[k] + h / 2 * k2) + b
+        k4 = a @ (y[k] + h * k3) + b
+        y[k + 1] = y[k] + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return y
+
+
+def assert_routes_match_reference(g, cfg, w):
+    """Both routes of ``simulate``, the map and the stages (forced by
+    MAX_MAP_NODES = 0), stay within 1e-12 of each row's max-norm (at
+    least 1) of ``rk4_reference``."""
+    steps = round(cfg.t_final / cfg.dt)
+    ref = rk4_reference(g, cfg, w, steps)
+    scale = np.maximum(1.0, np.max(np.abs(ref), axis=1))
+    for max_nodes in (dynamics.MAX_MAP_NODES, 0):
+        with mock.patch.object(dynamics, "MAX_MAP_NODES", max_nodes):
+            states = simulate(g, cfg, w).states
+        assert np.all(np.max(np.abs(states - ref), axis=1) <= 1e-12 * scale)
+
+
 def closed_loop_derivative(g, cfg, w, x, x_hat, w_hat):
     """(x', x_hat', w_hat') from the one closed-loop operator y' = A y + b."""
-    a, b = dynamics._closed_loop(g, cfg, w)
+    a, b = closed_loop(g, cfg, w)
     dy = a @ np.concatenate([x, x_hat, w_hat]) + b
     return np.split(dy, 3)
 
@@ -243,7 +298,7 @@ class TestSimulate:
 class TestIntegrationPaths:
     """``simulate`` integrates with the map in error coordinates, marched
     in blocks by repeated squaring, when n <= MAX_MAP_NODES and
-    steps >= n^4 / MAP_BREAK_EVEN, else with the four sparse stages."""
+    steps >= n^3 / MAP_BREAK_EVEN, else with the four sparse stages."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -260,15 +315,11 @@ class TestIntegrationPaths:
         # |mu| <= max(2 d_max, sqrt(alpha)) for every mode of A, and RK4 is
         # stable on the left half of the disc |z| <= 2.5
         dt = frac * 2.5 / max(2.0 * np.max(g.degrees), np.sqrt(alpha))
-        cfg = adaptive_cfg(n, alpha=alpha, dt=dt) if protocol == ADAPTIVE else nominal_cfg(n, dt=dt)
-        a, b = dynamics._closed_loop(g, cfg, w)
-        stages = np.empty((101, 3 * n))
-        stages[0] = np.concatenate([x0, x0, np.zeros(n)])
-        mapped = stages.copy()
-        dynamics._rk4_stages(a, b, dt, stages)
-        dynamics._rk4_map(g, cfg, w, mapped)
-        scale = np.maximum(1.0, np.max(np.abs(stages), axis=1))
-        assert np.all(np.max(np.abs(mapped - stages), axis=1) <= 1e-12 * scale)
+        if protocol == ADAPTIVE:
+            cfg = adaptive_cfg(n, alpha=alpha, dt=dt, t_final=100 * dt, x0=x0)
+        else:
+            cfg = nominal_cfg(n, dt=dt, t_final=100 * dt, x0=x0)
+        assert_routes_match_reference(g, cfg, w)
 
     @pytest.mark.parametrize(
         "n, steps",
@@ -294,28 +345,22 @@ class TestIntegrationPaths:
         g = random_connected_graph(n, rng)
         x0, w = rng.normal(size=(2, n))
         dt = 1.0 / max(2.0 * np.max(g.degrees), np.sqrt(2.0))
-        cfg = adaptive_cfg(n, alpha=2.0, dt=dt)
-        a, b = dynamics._closed_loop(g, cfg, w)
-        stages = np.empty((steps + 1, 3 * n))
-        stages[0] = np.concatenate([x0, x0, np.zeros(n)])
-        mapped = stages.copy()
-        dynamics._rk4_stages(a, b, dt, stages)
-        dynamics._rk4_map(g, cfg, w, mapped)
-        scale = np.maximum(1.0, np.max(np.abs(stages), axis=1))
-        assert np.all(np.max(np.abs(mapped - stages), axis=1) <= 1e-12 * scale)
+        assert_routes_match_reference(g, adaptive_cfg(n, alpha=2.0, dt=dt, t_final=steps * dt, x0=x0), w)
 
     @pytest.mark.parametrize(
         "n, steps, path",
         [
-            # the break-even n^4 / MAP_BREAK_EVEN: below one step up to
-            # n = 53, 1.5 steps at n = 60, 11.9 at n = 100, 60.3 at n = 150,
+            # the break-even n^3 / MAP_BREAK_EVEN: below one step up to
+            # n = 32, 6.6 steps at n = 60, 30.5 at n = 100, 103 at n = 150,
             # 512 at n = MAX_MAP_NODES = 256
             (2, 3, "map"),
             (50, 15, "map"),
             (60, 1, "stages"),
-            (60, 2, "map"),
+            (60, 6, "stages"),
+            (60, 7, "map"),
             (100, 11, "stages"),
-            (100, 12, "map"),
+            (100, 30, "stages"),
+            (100, 31, "map"),
             (150, 450, "map"),
             (dynamics.MAX_MAP_NODES, 511, "stages"),
             (dynamics.MAX_MAP_NODES, 512, "map"),
@@ -333,16 +378,39 @@ class TestIntegrationPaths:
                     matvecs.append(1)
                 return super().__matmul__(other)
 
-        build = dynamics._closed_loop
-
-        def counting_closed_loop(*args):
-            a, b = build(*args)
-            return CountingCsr(a), b
-
-        monkeypatch.setattr(dynamics, "_closed_loop", counting_closed_loop)
+        build = dynamics._neg_laplacian
+        monkeypatch.setattr(dynamics, "_neg_laplacian", lambda g: CountingCsr(build(g)))
         g = path_graph(n)
         simulate(g, nominal_cfg(n, dt=0.01, t_final=0.01 * steps, x0=np.arange(n)), np.ones(n))
         assert len(matvecs) == (4 * steps if path == "stages" else 0)
+
+    @pytest.mark.parametrize("route", ["map", "stages"])
+    def test_working_memory(self, route):
+        # tracemalloc's peak during simulate, beyond the trajectory, after a
+        # first run has warmed the graph's cached arrays and the imports
+        n, steps = (dynamics.MAX_MAP_NODES, 512) if route == "map" else (1000, 2000)
+        g = path_graph(n)
+        cfg = adaptive_cfg(n, t_final=0.001 * steps, x0=np.linspace(-1.0, 1.0, n))
+        w = np.ones(n)
+        simulate(g, cfg, w)
+        tracemalloc.start()
+        try:
+            traj = simulate(g, cfg, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.states.shape == (steps + 1, 3 * n)
+        if route == "map":
+            bound = 8e6
+        else:
+            # the non-finite scan's byte per value, the stage march's Horner
+            # shifts and their temporary (2 x 3 blocks of ERROR_BLOCK_VALUES
+            # values), and -L in CSR form with what builds it (8 words per
+            # nonzero); a temporary of steps x n values does not fit
+            nnz = n + 2 * (n - 1)
+            bound = traj.states.nbytes / 8 + 8 * 6 * dynamics.ERROR_BLOCK_VALUES + 64 * nnz
+            assert bound < 8 * steps * n
+        assert peak - traj.states.nbytes < bound
 
     @pytest.mark.parametrize(
         "x0, steps, t",
@@ -373,7 +441,8 @@ class TestIntegrationPaths:
             g = request.getfixturevalue(graph)
         cfg = adaptive_cfg(g.n, alpha=2.0, dt=0.05)
         gain = np.append(1.0, dynamics._check_rk4_step(g, cfg))
-        cols, gains = dynamics._rk4_row_map(g, cfg.alpha, cfg.dt)
+        cols = dynamics._rk4_row_map(g, cfg.alpha, cfg.dt)
+        gains = dynamics._rk4_error_gains(g, cfg.alpha, cfg.dt)
         blocks = [np.linalg.eigvals(cols[: g.n].T)]
         blocks += [np.linalg.eigvals(gains[:, :, i]) for i in range(g.n)]
         assert np.abs(np.sort(np.abs(np.concatenate(blocks))) - np.sort(gain)).max() <= 1e-10
@@ -409,7 +478,8 @@ class TestIntegrationPaths:
         row = {2000: 487, 3000: 2431}[steps]
         cfg = adaptive_cfg(2, dt=dt, t_final=dt * steps, x0=[1.0e308, 1.0e308])
         w = np.array([1.7e308, 1.7e308])
-        cols, gains = dynamics._rk4_row_map(p2, cfg.alpha, dt)
+        cols = dynamics._rk4_row_map(p2, cfg.alpha, dt)
+        gains = dynamics._rk4_error_gains(p2, cfg.alpha, dt)
         z = np.empty((steps + 1, 6))
         z[0] = np.concatenate([cfg.x0, cfg.x0 - cfg.x_hat0, cfg.w_hat0 - w])
         with np.errstate(over="ignore", invalid="ignore"):
