@@ -61,8 +61,8 @@ short run does not repay forming the map, and above ``MAX_MAP_NODES`` the
 dense matvec costs more per step than the four sparse ones.
 
 Besides the trajectory that ``MAX_TRAJECTORY_SAMPLES`` budgets, the map
-holds a few 3n x n arrays, and the error rows a few blocks of
-``ERROR_BLOCK_VALUES`` values.
+holds a few 3n x n arrays, and the error rows, the stage shifts and the
+non-finite scan a few blocks of ``ERROR_BLOCK_VALUES`` values.
 """
 
 from __future__ import annotations
@@ -126,7 +126,8 @@ MATMUL_CALL_FLOPS = 40_000
 
 #: Largest block of error rows, in rows times n, that ``_march_error_rows``
 #: advances in one go, and for which ``_march_x_stages`` forms the Horner
-#: shifts of the x march: their temporaries stay a few times this size.
+#: shifts of the x march: their temporaries stay a few times this size. The
+#: non-finite scan of ``simulate`` reads blocks of this many values too.
 ERROR_BLOCK_VALUES = 2**16
 
 
@@ -461,7 +462,8 @@ def _march_x_stages(g: Graph, alpha: float, dt: float, out: np.ndarray) -> None:
     for k0 in range(0, steps, block):
         k1 = min(k0 + block, steps)
         shifts = np.multiply(coef[:, 0], xt[k0:k1], out=buffer[:, : k1 - k0])
-        shifts += coef[:, 1] * wt[k0:k1]
+        for shift_j, coef_j in zip(shifts, coef[:, 1]):  # one block-sized temporary
+            shift_j += coef_j * wt[k0:k1]
         for k in range(k0, k1):
             shift = iter(shifts[:, k - k0])
             v = neg_lap @ x[k]
@@ -509,8 +511,8 @@ def simulate(g: Graph, cfg: SimConfig, w: np.ndarray) -> Trajectory:
     coordinates, marching x by the map or by the sparse stages (module
     docstring), and stores each row as y = (x, x_hat, w_hat). Either way a
     non-finite value raises ``NumericalBlowupError`` naming the time of
-    the first non-finite sample, and no numpy floating-point warning is
-    printed.
+    the first non-finite sample, found by a scan in row blocks, and no
+    numpy floating-point warning is printed.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("simulation requires a connected graph")
@@ -521,10 +523,24 @@ def simulate(g: Graph, cfg: SimConfig, w: np.ndarray) -> Trajectory:
     out = np.empty((steps + 1, 3 * g.n))
     with np.errstate(over="ignore", invalid="ignore"):
         _rk4_steps(g, cfg, w, out)
-    blown = ~np.isfinite(out).all(axis=1)
-    if blown.any():
-        raise NumericalBlowupError(int(np.argmax(blown)) * cfg.dt)
+    bad = _first_non_finite_row(out)
+    if bad is not None:
+        raise NumericalBlowupError(bad * cfg.dt)
     return Trajectory(out, g, cfg)
+
+
+def _first_non_finite_row(out: np.ndarray) -> int | None:
+    """Index of the first row of out holding a non-finite value, or None.
+    Rows are scanned in blocks of at most ``ERROR_BLOCK_VALUES`` values
+    through one reused boolean buffer, up to the first bad block."""
+    block = max(1, ERROR_BLOCK_VALUES // out.shape[1])
+    buf = np.empty((block, out.shape[1]), dtype=bool)
+    for k in range(0, len(out), block):
+        rows = out[k : k + block]
+        finite = np.isfinite(rows, out=buf[: len(rows)])
+        if not finite.all():
+            return k + int(np.argmin(finite.all(axis=1)))
+    return None
 
 
 def error_series(traj: Trajectory, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -41,11 +41,13 @@ from .errors import NumericalBlowupError, ScenarioError
 from .graph import Graph
 from .stability import (
     DEFAULT_SPECTRAL_TOL,
-    centroid_analysis,
-    check_energy_decay,
-    check_perturbation_bound,
+    _centroid_drift,
+    _decay_rate,
+    _energy,
+    _max_increase,
+    _perturbation_bound,
     closed_form_spectrum,
-    fit_decay_rate,
+    error_sums,
 )
 
 SCHEMA_VERSION = 1
@@ -150,6 +152,11 @@ def build_run_report(traj: Trajectory, w: np.ndarray) -> dict:
     is too short to fit. A finite trajectory whose errors, energies or
     norms overflow raises ``NumericalBlowupError`` naming the non-finite
     values, and prints no numpy floating-point warning.
+
+    An adaptive run's checks read one pass over the trajectory
+    (``stability.error_sums``): the working memory above the trajectory is
+    one (steps + 1) x (3n - 1) array of the agreement coordinates xi, plus
+    a few arrays of steps + 1 values.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         report = _run_report(traj, w)
@@ -175,12 +182,13 @@ def _run_report(traj: Trajectory, w: np.ndarray) -> dict:
     report["what_error_inf_final"] = float(np.max(np.abs(traj.w_hat[-1] - w)))
     if cfg.protocol == ADAPTIVE:
         alpha = cfg.alpha
-        sup, bound, assumption_ok = check_perturbation_bound(traj, w, alpha)
-        max_inc, _ = check_energy_decay(traj, w, alpha)
-        cen = centroid_analysis(traj, w)
+        sums = error_sums(traj, w)
+        sup, bound, assumption_ok = _perturbation_bound(sums, alpha)
+        max_inc = _max_increase(_energy(sums, alpha))
+        drift, gap = _centroid_drift(traj, sums.centroid)
         abscissa = closed_form_spectrum(g, alpha).abscissa
         try:
-            rate = fit_decay_rate(traj, w)
+            rate = _decay_rate(traj, sums.xi_norm)
         except ScenarioError:
             rate = None
         report.update(
@@ -192,8 +200,8 @@ def _run_report(traj: Trajectory, w: np.ndarray) -> dict:
                 "perturbation_assumption_ok": assumption_ok,
                 "energy_max_increase": max_inc,
                 "energy_nonincreasing": bool(max_inc <= 1e-9),
-                "centroid_drift": cen.tail_drift,
-                "centroid_agreement_gap": cen.final_agreement_gap,
+                "centroid_drift": drift,
+                "centroid_agreement_gap": gap,
                 "decay_rate_fit": rate,
                 "spectral_abscissa": abscissa,
                 "stability_verdict": bool(abscissa < -DEFAULT_SPECTRAL_TOL),

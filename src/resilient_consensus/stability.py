@@ -43,8 +43,18 @@ eigenvalues, ``scipy.optimize.linear_sum_assignment`` solves it. So
 Trajectory-side checks cover the energy function
 E = 0.5 x_tilde'x_tilde + w_tilde'w_tilde/(2 alpha) (nonincreasing, with
 dE/dt = -x_tilde' Delta x_tilde), the transient bound
-||x_tilde||_2 <= ||w_tilde(0)||_2 / sqrt(alpha), and the boundedness of the
-emulator centroid.
+||x_tilde||_2 <= ||w_tilde(0)||_2 / sqrt(alpha), the boundedness of the
+emulator centroid and the decay rate of ||xi||. They read one pass over
+the trajectory, ``error_sums``: xi is formed once, its row-0 values read,
+and it is squared in place for the per-sample sums every check needs. A
+run report calls it once and passes the sums to the per-check code
+(``_perturbation_bound``, ``_energy``, ``_centroid_drift``,
+``_decay_rate``). The public checks (``check_perturbation_bound``,
+``check_energy_decay``, ``energy_series``, ``centroid_analysis``,
+``transformed_error_norms``, ``fit_decay_rate``) call the same two
+layers, so no reported value has a second code path; only the residuals
+that no report prints, of dE/dt and of the centroid's rate, read
+``error_series`` for the tests.
 """
 
 from __future__ import annotations
@@ -57,6 +67,7 @@ from .errors import DisconnectedGraphError, MatrixShapeError, ScenarioError
 from .dynamics import (
     ADAPTIVE,
     Trajectory,
+    _check_lengths,
     _closed_form_modes,
     closed_form_spectrum,  # noqa: F401 - defined beside the closed loop, exported here
     error_series,
@@ -233,9 +244,59 @@ def energy(x_tilde: np.ndarray, w_tilde: np.ndarray, alpha: float) -> float:
     return float(0.5 * x_tilde @ x_tilde + (w_tilde @ w_tilde) / (2.0 * alpha))
 
 
+@dataclass(frozen=True)
+class ErrorSums:
+    """What the trajectory checks read of a run, from ``error_sums``: per
+    sample, ||x_tilde||^2, ||w_tilde||^2, ||xi|| and the emulator centroid
+    c_hat = sum_i x_hat_i, plus ||w_tilde(0)|| and whether x_tilde(0) is zero
+    (to 1e-12)."""
+
+    x_tilde_sq: np.ndarray
+    w_tilde_sq: np.ndarray
+    xi_norm: np.ndarray
+    centroid: np.ndarray
+    w_tilde0_norm: float
+    x_tilde0_zero: bool
+
+
+def error_sums(traj: Trajectory, w: np.ndarray) -> ErrorSums:
+    """The agreement coordinates xi = (z, x_tilde, w_tilde) of every sample,
+    formed once in one (steps + 1) x (3n - 1) array and squared in place
+    after the row-0 values are read; each sum is one row reduction of it.
+    The numpy operations are those of ``np.linalg.norm`` and of sums over
+    ``error_series``, so every value has the same bits."""
+    w = np.asarray(w, dtype=float)
+    n = traj.graph.n
+    _check_lengths(traj.graph, w)
+    x_hat = traj.x_hat
+    xi = np.empty((len(traj.states), 3 * n - 1))
+    z, x_t, w_t = xi[:, : n - 1], xi[:, n - 1 : 2 * n - 1], xi[:, 2 * n - 1 :]
+    np.subtract(x_hat[:, :1], x_hat[:, 1:], out=z)
+    np.subtract(traj.x, x_hat, out=x_t)
+    np.subtract(traj.w_hat, w, out=w_t)
+    w_tilde0_norm = float(np.linalg.norm(w_t[0]))
+    x_tilde0_zero = bool(np.allclose(x_t[0], 0.0, atol=1e-12))
+    np.square(xi, out=xi)
+    return ErrorSums(
+        x_tilde_sq=np.add.reduce(x_t, axis=1),
+        w_tilde_sq=np.add.reduce(w_t, axis=1),
+        xi_norm=np.sqrt(np.add.reduce(xi, axis=1)),
+        centroid=np.sum(x_hat, axis=1),
+        w_tilde0_norm=w_tilde0_norm,
+        x_tilde0_zero=x_tilde0_zero,
+    )
+
+
 def energy_series(traj: Trajectory, w: np.ndarray, alpha: float) -> np.ndarray:
-    x_t, w_t = error_series(traj, w)
-    return 0.5 * np.sum(x_t * x_t, axis=1) + np.sum(w_t * w_t, axis=1) / (2.0 * alpha)
+    return _energy(error_sums(traj, w), alpha)
+
+
+def _energy(s: ErrorSums, alpha: float) -> np.ndarray:
+    return 0.5 * s.x_tilde_sq + s.w_tilde_sq / (2.0 * alpha)
+
+
+def _max_increase(e: np.ndarray) -> float:
+    return float(np.max(np.diff(e))) if len(e) > 1 else 0.0
 
 
 def check_energy_decay(
@@ -249,15 +310,12 @@ def check_energy_decay(
     (trapezoid-averaged across the step, so the residual is O(dt^2)).
     """
     e = energy_series(traj, w, alpha)
-    dt = traj.config.dt
-    max_increase = float(np.max(np.diff(e))) if len(e) > 1 else 0.0
     x_t, _ = error_series(traj, w)
     deg = traj.graph.degrees.astype(float)
     rate = -np.sum(deg[None, :] * x_t * x_t, axis=1)
-    forward = np.diff(e) / dt
+    forward = np.diff(e) / traj.config.dt
     midpoint_rate = 0.5 * (rate[:-1] + rate[1:])
-    residual = np.abs(forward - midpoint_rate)
-    return max_increase, residual
+    return _max_increase(e), np.abs(forward - midpoint_rate)
 
 
 def check_perturbation_bound(
@@ -269,11 +327,14 @@ def check_perturbation_bound(
     run starts with a nonzero emulator mismatch, which the bound's
     derivation excludes. Flagged, not failed.
     """
-    x_t, w_t = error_series(traj, w)
-    sup = float(np.max(np.linalg.norm(x_t, axis=1)))
-    bound = float(np.linalg.norm(w_t[0]) / np.sqrt(alpha))
-    assumption_ok = bool(np.allclose(x_t[0], 0.0, atol=1e-12))
-    return sup, bound, assumption_ok
+    return _perturbation_bound(error_sums(traj, w), alpha)
+
+
+def _perturbation_bound(s: ErrorSums, alpha: float) -> tuple[float, float, bool]:
+    # sqrt is monotone and correctly rounded: the sqrt of the largest sum is
+    # the largest of the per-sample norms
+    sup = float(np.sqrt(np.max(s.x_tilde_sq)))
+    return sup, float(s.w_tilde0_norm / np.sqrt(alpha)), s.x_tilde0_zero
 
 
 @dataclass(frozen=True)
@@ -292,18 +353,14 @@ def centroid_analysis(traj: Trajectory, w: np.ndarray) -> CentroidAnalysis:
     exponentially, c_hat converges and the agreement value equals its
     limit divided by n.
     """
-    c = np.sum(traj.x_hat, axis=1)
-    dt = traj.config.dt
+    c = error_sums(traj, w).centroid
     x_t, _ = error_series(traj, w)
     deg = traj.graph.degrees.astype(float)
     rate = np.sum(deg[None, :] * x_t, axis=1)
-    forward = np.diff(c) / dt
+    forward = np.diff(c) / traj.config.dt
     midpoint = 0.5 * (rate[:-1] + rate[1:])
     deriv_residual = float(np.max(np.abs(forward - midpoint))) if len(c) > 1 else 0.0
-    half = len(c) // 2
-    tail_drift = abs(float(c[-1] - c[half]))
-    final_agreement = float(np.mean(traj.x[-1]))
-    gap = abs(final_agreement - float(c[-1]) / traj.graph.n)
+    tail_drift, gap = _centroid_drift(traj, c)
     return CentroidAnalysis(
         c_series=c,
         sup_abs=float(np.max(np.abs(c))),
@@ -313,13 +370,18 @@ def centroid_analysis(traj: Trajectory, w: np.ndarray) -> CentroidAnalysis:
     )
 
 
+def _centroid_drift(traj: Trajectory, c: np.ndarray) -> tuple[float, float]:
+    """|c_hat(t_final) - c_hat(t_final / 2)| and the gap between the final
+    agreement value and c_hat(t_final) / n."""
+    tail_drift = abs(float(c[-1] - c[len(c) // 2]))
+    final_agreement = float(np.mean(traj.x[-1]))
+    return tail_drift, abs(final_agreement - float(c[-1]) / traj.graph.n)
+
+
 def transformed_error_norms(traj: Trajectory, w: np.ndarray) -> np.ndarray:
     """Norm of xi = (z1, x_tilde, w_tilde) per sample, the coordinates in
     which the closed loop is dxi/dt = M xi."""
-    z = traj.x_hat[:, :1] - traj.x_hat[:, 1:]
-    x_t, w_t = error_series(traj, w)
-    xi = np.hstack([z, x_t, w_t])
-    return np.linalg.norm(xi, axis=1)
+    return error_sums(traj, w).xi_norm
 
 
 def fit_decay_rate(traj: Trajectory, w: np.ndarray) -> float:
@@ -327,7 +389,10 @@ def fit_decay_rate(traj: Trajectory, w: np.ndarray) -> float:
     ``DECAY_WINDOW``."""
     if traj.config.protocol != ADAPTIVE:
         raise ScenarioError("decay-rate fit applies to adaptive runs")
-    norms = transformed_error_norms(traj, w)
+    return _decay_rate(traj, error_sums(traj, w).xi_norm)
+
+
+def _decay_rate(traj: Trajectory, norms: np.ndarray) -> float:
     n0 = norms[0]
     if n0 == 0.0:
         raise ScenarioError("initial transformed error is zero; nothing to fit")

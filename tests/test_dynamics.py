@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -16,6 +17,8 @@ from resilient_consensus import (
     Trajectory,
     adaptive_control,
     adjacency_matrix,
+    build_run_report,
+    closed_form_spectrum,
     consensus_error,
     default_t_final,
     emulator_derivative,
@@ -35,6 +38,7 @@ from resilient_consensus.errors import (
     ScenarioError,
 )
 from resilient_consensus.graph import from_edge_list, path_graph
+from resilient_consensus.stability import DECAY_WINDOW, energy_series, transformed_error_norms
 
 
 def adaptive_cfg(n, alpha=1.0, dt=0.001, t_final=10.0, x0=None, **kw):
@@ -166,6 +170,61 @@ def closed_loop_derivative(g, cfg, w, x, x_hat, w_hat):
     a, b = closed_loop(g, cfg, w)
     dy = a @ np.concatenate([x, x_hat, w_hat]) + b
     return np.split(dy, 3)
+
+
+def reference_run_report(traj, w):
+    """The run report from the per-check formulas: x_tilde and w_tilde from
+    ``error_series`` for each check, xi as the ``hstack`` of
+    (z, x_tilde, w_tilde) and ``np.linalg.norm`` per row; the reference that
+    ``build_run_report``'s one pass over xi is checked against. Returns the
+    report and, for an adaptive run, its energy and ||xi|| series (else
+    None), which the printed values can round away."""
+    cfg, g = traj.config, traj.graph
+    report = {
+        "protocol": cfg.protocol,
+        "n": g.n,
+        "dt": cfg.dt,
+        "t_final": float(traj.times[-1]),
+        "consensus_error_final": consensus_error(traj.x[-1]),
+        "final_agreement": float(np.mean(traj.x[-1])),
+        "what_error_inf_final": float(np.max(np.abs(traj.w_hat[-1] - w))),
+    }
+    if cfg.protocol != ADAPTIVE:
+        return report, None
+    alpha = cfg.alpha
+    x_t, w_t = error_series(traj, w)
+    sup = float(np.max(np.linalg.norm(x_t, axis=1)))
+    bound = float(np.linalg.norm(w_t[0]) / np.sqrt(alpha))
+    x_t, w_t = error_series(traj, w)
+    energy = 0.5 * np.sum(x_t * x_t, axis=1) + np.sum(w_t * w_t, axis=1) / (2.0 * alpha)
+    max_inc = float(np.max(np.diff(energy))) if len(energy) > 1 else 0.0
+    c = np.sum(traj.x_hat, axis=1)
+    x_t, w_t = error_series(traj, w)
+    z = traj.x_hat[:, :1] - traj.x_hat[:, 1:]
+    norms = np.linalg.norm(np.hstack([z, x_t, w_t]), axis=1)
+    lo, hi = DECAY_WINDOW[0] * norms[0], DECAY_WINDOW[1] * norms[0]
+    mask = (norms >= lo) & (norms <= hi)
+    rate = None
+    if norms[0] != 0.0 and np.sum(mask) >= 2:
+        rate = float(np.polyfit(traj.times[mask], np.log(norms[mask]), 1)[0])
+    abscissa = closed_form_spectrum(g, alpha).abscissa
+    report.update(
+        {
+            "alpha": alpha,
+            "sup_xtilde": sup,
+            "perturbation_bound": bound,
+            "perturbation_bound_holds": bool(sup <= bound + 1e-9),
+            "perturbation_assumption_ok": bool(np.allclose(x_t[0], 0.0, atol=1e-12)),
+            "energy_max_increase": max_inc,
+            "energy_nonincreasing": bool(max_inc <= 1e-9),
+            "centroid_drift": abs(float(c[-1] - c[len(c) // 2])),
+            "centroid_agreement_gap": abs(float(np.mean(traj.x[-1])) - float(c[-1]) / g.n),
+            "decay_rate_fit": rate,
+            "spectral_abscissa": abscissa,
+            "stability_verdict": bool(abscissa < -1e-8),
+        }
+    )
+    return report, {"energy": energy, "xi_norm": norms}
 
 
 class TestSystemDerivative:
@@ -403,14 +462,25 @@ class TestIntegrationPaths:
         if route == "map":
             bound = 8e6
         else:
-            # the non-finite scan's byte per value, the stage march's Horner
-            # shifts and their temporary (2 x 3 blocks of ERROR_BLOCK_VALUES
-            # values), and -L in CSR form with what builds it (8 words per
-            # nonzero); a temporary of steps x n values does not fit
+            # the stage march's Horner shifts and their temporary (2 x 3
+            # blocks of ERROR_BLOCK_VALUES values), and -L in CSR form with
+            # what builds it (8 words per nonzero); the non-finite scan's
+            # buffer is one block of bytes, and a temporary of steps x n
+            # values does not fit
             nnz = n + 2 * (n - 1)
-            bound = traj.states.nbytes / 8 + 8 * 6 * dynamics.ERROR_BLOCK_VALUES + 64 * nnz
+            bound = 8 * 6 * dynamics.ERROR_BLOCK_VALUES + 64 * nnz
             assert bound < 8 * steps * n
         assert peak - traj.states.nbytes < bound
+
+    @pytest.mark.parametrize("row", [0, 5, 30_000, 49_999, None])
+    def test_non_finite_scan_finds_first_bad_row(self, row):
+        # 3 columns: the scan's blocks hold 21845 rows, so rows 30000 and
+        # 49999 lie in the second and in the last, partial, block
+        out = np.ones((50_000, 3))
+        if row is not None:
+            out[row, 1] = np.nan
+            out[row + 1 :: 7, 2] = np.inf
+        assert dynamics._first_non_finite_row(out) == row
 
     @pytest.mark.parametrize(
         "x0, steps, t",
@@ -514,6 +584,67 @@ class TestErrorSeries:
         central = (x_t[2:] - x_t[:-2]) / (2.0 * dt)
         analytic = -deg[None, :] * x_t[1:-1] - w_t[1:-1]
         assert np.max(np.abs(central - analytic)) < 10.0 * dt**2
+
+
+class TestRunReport:
+    @pytest.mark.parametrize(
+        "case",
+        ["nominal", "adaptive", "mismatch", "too_short", "zero_xi", "two_rows", "random"],
+    )
+    def test_one_pass_matches_per_check_formulas(self, path4, rng, case):
+        n, w = 4, rng.normal(size=4)
+        cfg = adaptive_cfg(n, alpha=2.5, dt=0.01, t_final=40.0, x0=rng.normal(size=n))
+        runs = [(path4, cfg, w)]
+        if case == "nominal":
+            runs = [(path4, nominal_cfg(n, dt=0.01, x0=cfg.x0), w)]
+        elif case == "mismatch":  # perturbation_assumption_ok is false
+            runs = [(path4, replace(cfg, x_hat0=rng.normal(size=n), w_hat0=rng.normal(size=n)), w)]
+        elif case == "too_short":  # decay_rate_fit is None
+            runs = [(path4, replace(cfg, t_final=1.0), w)]
+        elif case == "zero_xi":  # ||xi(0)|| = 0: nothing to fit
+            runs = [(path4, replace(cfg, x0=np.ones(n), x_hat0=None), np.zeros(n))]
+        elif case == "two_rows":
+            runs = [(path4, replace(cfg, t_final=cfg.dt), w)]
+        elif case == "random":
+            runs = []
+            for _ in range(4):
+                g = random_connected_graph(int(rng.integers(2, 12)), rng)
+                run_cfg = adaptive_cfg(g.n, alpha=rng.uniform(0.3, 5.0), dt=0.01, t_final=30.0,
+                                       x0=rng.normal(size=g.n), w_hat0=rng.normal(size=g.n))
+                runs.append((g, run_cfg, rng.normal(size=g.n)))
+        for g, run_cfg, w_run in runs:
+            traj = simulate(g, run_cfg, w_run)
+            report = build_run_report(traj, w_run)
+            ref, series = reference_run_report(traj, w_run)
+            assert report == ref
+            assert {k: type(v) for k, v in report.items()} == {k: type(v) for k, v in ref.items()}
+            if series is not None:  # the shared one pass, through the public checks
+                alpha = run_cfg.alpha
+                assert np.array_equal(energy_series(traj, w_run, alpha), series["energy"])
+                assert np.array_equal(transformed_error_norms(traj, w_run), series["xi_norm"])
+            if case == "mismatch":
+                assert report["perturbation_assumption_ok"] is False
+            if case in ("too_short", "zero_xi", "two_rows"):
+                assert report["decay_rate_fit"] is None
+            elif case in ("adaptive", "mismatch"):
+                assert report["decay_rate_fit"] is not None
+
+    def test_working_memory(self):
+        # tracemalloc's peak during the report: one (steps + 1) x (3n - 1)
+        # array of xi above the trajectory; a steps x n copy of the error
+        # series for each check does not fit
+        n, steps = 100, 20_000
+        g = path_graph(n)
+        w = np.ones(n)
+        traj = simulate(g, adaptive_cfg(n, t_final=0.001 * steps, x0=np.linspace(-1.0, 1.0, n)), w)
+        build_run_report(traj, w)
+        tracemalloc.start()
+        try:
+            build_run_report(traj, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * traj.states.nbytes
 
 
 class TestConsensusError:
