@@ -9,11 +9,16 @@ Subcommands:
 Exit codes: 0 success, 1 input error (including a command-line usage
 error), 2 verification failure, 3 numerical failure. All output is
 deterministic for identical inputs.
+
+The argument parser is built once per process and reused by every
+``main`` call: parsing reads it and never changes it, and each call gets a
+fresh namespace, so in-process callers pay its construction once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 
@@ -144,6 +149,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="resilient-consensus",

@@ -14,8 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import resilient_consensus
-from resilient_consensus import scenario as scenario_module
-from resilient_consensus import simulate, verify_theorem, write_trajectory_csv
+from resilient_consensus import ADAPTIVE, NOMINAL, SimConfig, simulate, verify_theorem, write_trajectory_csv
 from resilient_consensus.cli import main
 from resilient_consensus.scenario import (
     build_run_report,
@@ -33,6 +32,7 @@ from resilient_consensus.graph import (
     load_edge_list,
     parse_edge_list,
     path_graph,
+    random_connected_graph,
 )
 
 P2_EDGES = "2 1\n0 1\n"
@@ -48,15 +48,19 @@ def run_fresh(*args):
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
 
 
-#: For ``python -c``: run ``cli.main`` on the arguments, then print to
-#: stderr the scipy modules the run imported.
-MAIN_THEN_SCIPY_MODULES = """
+def main_then_modules(*packages):
+    """For ``python -c``: run ``cli.main`` on the arguments, then print to
+    stderr the modules of the named top-level packages the run imported."""
+    return f"""
 import sys
 from resilient_consensus.cli import main
 code = main(sys.argv[1:])
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"), file=sys.stderr)
+print(sorted(m for m in sys.modules if m.split(".")[0] in {packages!r}), file=sys.stderr)
 sys.exit(code)
 """
+
+
+MAIN_THEN_SCIPY_MODULES = main_then_modules("scipy")
 
 
 @pytest.fixture
@@ -715,12 +719,14 @@ class TestAnalyzeCommand:
 
 
 class TestNoScipyOnCertificatePath:
-    """verify and analyze run on numpy and PyYAML, and so do simulate and
-    sweep on runs that take the map in error coordinates: a fresh
-    interpreter running any of them on the demo imports no scipy module."""
+    """verify runs on numpy alone; analyze runs on numpy and PyYAML, and so
+    do simulate and sweep on runs that take the map in error coordinates: a
+    fresh interpreter running any of them on the demo imports no scipy
+    module, and verify, which reads no scenario, imports no PyYAML module."""
 
     def test_verify(self):
-        proc = run_fresh("-c", MAIN_THEN_SCIPY_MODULES, "verify", "--graph", DEMO_GRAPH, "--alpha", "1.0")
+        no_scipy_or_yaml = main_then_modules("scipy", "yaml", "_yaml")
+        proc = run_fresh("-c", no_scipy_or_yaml, "verify", "--graph", DEMO_GRAPH, "--alpha", "1.0")
         assert proc.returncode == 0
         assert proc.stderr == "[]\n"
         assert proc.stdout.endswith("VERDICT: exponentially stable\n")
@@ -758,8 +764,9 @@ needs_libyaml = pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML bui
 
 
 class TestLibyaml:
-    """Scenarios load and reports dump through libyaml when PyYAML has it,
-    with the same mappings and bytes as the pure-Python classes."""
+    """Scenarios load through libyaml when PyYAML has it, with the same
+    mappings as the pure-Python loader; reports are written by
+    ``dump_report`` with the bytes of both PyYAML dumpers."""
 
     @staticmethod
     def demo_reports():
@@ -771,9 +778,14 @@ class TestLibyaml:
         ]
 
     @needs_libyaml
-    def test_libyaml_classes_chosen(self):
-        assert scenario_module._LOADER is yaml.CSafeLoader
-        assert scenario_module._DUMPER is yaml.CSafeDumper
+    def test_libyaml_classes_chosen(self, monkeypatch):
+        loaders = []
+        load = yaml.load
+        monkeypatch.setattr(
+            yaml, "load", lambda stream, Loader: loaders.append(Loader) or load(stream, Loader=Loader)
+        )
+        read_scenario(DEMO_SCENARIO)
+        assert loaders == [yaml.CSafeLoader]
 
     @needs_libyaml
     def test_dumpers_write_same_bytes(self):
@@ -791,25 +803,171 @@ class TestLibyaml:
         assert yaml.load(text, Loader=yaml.CSafeLoader) == raw == read_scenario(DEMO_SCENARIO)
 
     def test_without_libyaml(self, tmp_path):
-        # a PyYAML without libyaml: the pure-Python classes, the same output
+        # a PyYAML without libyaml: the pure-Python loader, the same output;
+        # each scenario read prints its loader's name to stderr
         no_libyaml = (
-            "import yaml\n"
+            "import sys, yaml\n"
             "yaml.__with_libyaml__ = False\n"
-            "from resilient_consensus import scenario\n"
-            "assert scenario._LOADER is yaml.SafeLoader and scenario._DUMPER is yaml.SafeDumper\n"
+            "def load(stream, Loader, _load=yaml.load):\n"
+            "    print(Loader.__name__, file=sys.stderr)\n"
+            "    return _load(stream, Loader=Loader)\n"
+            "yaml.load = load\n"
             + MAIN_THEN_SCIPY_MODULES
         )
         traj = str(tmp_path / "traj.csv")
         args = ["--graph", DEMO_GRAPH, "--scenario", DEMO_SCENARIO]
-        for argv in (
-            ["verify", "--graph", DEMO_GRAPH, "--alpha", "1.0"],
-            ["simulate", *args, "--out", traj],
-            ["analyze", "--trajectory", traj, *args],
+        for argv, loaders in (
+            (["verify", "--graph", DEMO_GRAPH, "--alpha", "1.0"], ""),
+            (["simulate", *args, "--out", traj], "SafeLoader\n"),
+            (["analyze", "--trajectory", traj, *args], "SafeLoader\n"),
         ):
             default = run_fresh("-m", "resilient_consensus.cli", *argv)
             fallback = run_fresh("-c", no_libyaml, *argv)
             assert default.returncode == fallback.returncode == 0
+            assert fallback.stderr == loaders + "[]\n"
             assert fallback.stdout == default.stdout
+
+
+def _safe_dumps(report):
+    """The report as PyYAML's SafeDumper writes it, and CSafeDumper when
+    PyYAML has libyaml: the reference ``dump_report`` must match."""
+    dumpers = (yaml.SafeDumper, yaml.CSafeDumper) if yaml.__with_libyaml__ else (yaml.SafeDumper,)
+    return {yaml.dump(report, Dumper=d, sort_keys=True, default_flow_style=False) for d in dumpers}
+
+
+#: Report keys: lower-case names, which both dumpers write plain.
+REPORT_KEYS = st.from_regex(r"[a-z][a-z0-9_]{0,15}", fullmatch=True).filter(
+    lambda k: k not in {"yes", "no", "on", "off", "true", "false", "null"}
+)
+#: Report values: every scalar type a report holds, in nested lists.
+REPORT_VALUES = st.recursive(
+    st.floats() | st.integers() | st.booleans() | st.none() | st.sampled_from(["adaptive", "nominal"]),
+    lambda children: st.lists(children, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestReportEmitter:
+    """``dump_report`` writes the bytes of PyYAML's safe dumpers for every
+    report, and raises on any value outside the subset it writes."""
+
+    @pytest.mark.parametrize(
+        "report",
+        [
+            {"neg_zero": -0.0, "subnormal": 5e-324, "small": 1e-05, "e16": 1e16, "e22": 1e22,
+             "max": 1.7976931348623157e308, "neg": -2.5e-300, "nan": float("nan"),
+             "inf": float("inf"), "minus_inf": float("-inf"), "one": 1.0},
+            {"neg_int": -7, "big_int": 10**40, "zero": 0, "yes_": True, "no_": False,
+             "none": None, "protocol": "adaptive", "other": "nominal"},
+            {"empty": [], "nested": [[1.0, -2.0], [], [[3, [True, None]], []]], "flat": [1, 2.5]},
+        ],
+        ids=["floats", "scalars", "lists"],
+    )
+    def test_fixed_cases(self, report):
+        assert _safe_dumps(report) == {dump_report(report)}
+
+    @pytest.mark.parametrize(
+        "n, p, dt, steps",
+        [(10, 0.3, 0.016, 2500), (120, 0.05, 0.001, 500), (200, 0.05, 0.001, 100)],
+        ids=["small-long", "mid-wide", "large-cert"],
+    )
+    def test_workload_reports(self, n, p, dt, steps):
+        # graphs and runs of the benchmark workloads' sizes
+        rng = np.random.default_rng(n)
+        g = random_connected_graph(n, rng, extra_edge_prob=p)
+        w = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 1.5, n)
+        cfg = SimConfig(ADAPTIVE, dt, steps * dt, rng.uniform(-1.0, 1.0, n), alpha=1.0)
+        for report in (
+            stability_report_dict(verify_theorem(g, 1.0)),
+            build_run_report(simulate(g, cfg, w), w),
+        ):
+            assert _safe_dumps(report) == {dump_report(report)}
+
+    def test_demo_reports(self):
+        # the demo's verify and adaptive run reports, and a nominal run's
+        g = load_edge_list(DEMO_GRAPH)
+        sc = load_scenario(DEMO_SCENARIO, g)
+        nominal = build_run_report(simulate(g, SimConfig(NOMINAL, 0.01, 5.0, sc.config.x0), sc.w), sc.w)
+        for report in [*TestLibyaml.demo_reports(), nominal]:
+            assert _safe_dumps(report) == {dump_report(report)}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(REPORT_KEYS, REPORT_VALUES, min_size=1, max_size=6))
+    def test_matches_safe_dumper(self, report):
+        assert _safe_dumps(report) == {dump_report(report)}
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.dictionaries(
+            REPORT_KEYS | st.text(max_size=6),
+            REPORT_VALUES | st.text(max_size=6) | st.tuples(st.floats()),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_other_input_raises_or_matches(self, report):
+        # no input outside the subset is written with bytes SafeDumper would not write
+        try:
+            text = dump_report(report)
+        except (TypeError, ValueError):
+            return
+        assert _safe_dumps(report) == {text}
+
+    @pytest.mark.parametrize(
+        "report",
+        [
+            {"a": np.float64(1.0)},
+            {"a": np.int64(1)},
+            {"a": np.bool_(True)},
+            {"a": [1.0, np.float64(2.0)]},
+            {"a": "text"},
+            {"a": "true"},
+            {"a": (1.0, 2.0)},
+            {"a": {"b": 1}},
+            {},
+        ],
+        ids=["float64", "int64", "bool_", "float64-in-list", "string", "yaml-word", "tuple",
+             "mapping", "empty"],
+    )
+    def test_value_outside_subset_raises(self, report):
+        with pytest.raises(TypeError):
+            dump_report(report)
+
+    @pytest.mark.parametrize(
+        "report",
+        [{"on": 1}, {"Alpha": 1}, {"a b": 1}, {1: 1}, {"k" * 65: 1}, {"a": [[1.0]] * 2}],
+        ids=["yaml-word", "upper-case", "space", "int-key", "long-key", "shared-list"],
+    )
+    def test_key_or_alias_outside_subset_raises(self, report):
+        with pytest.raises(ValueError):
+            dump_report(report)
+
+
+class TestParserReuse:
+    """One parser serves every ``main`` call in a process; no call leaves
+    state behind for the next."""
+
+    def test_override_does_not_leak(self, tmp_path, capsys):
+        args = ["sweep", "--graph", DEMO_GRAPH, "--scenario", DEMO_SCENARIO, "--alpha", "1", "4"]
+        assert main([*args, "--dt", "0.02", "--t-final", "40", "--out", str(tmp_path / "dt.csv")]) == 0
+        assert main([*args, "--out", str(tmp_path / "reused.csv")]) == 0
+        reused = capsys.readouterr().out.splitlines()[1]
+        fresh = run_fresh("-m", "resilient_consensus.cli", *args, "--out", str(tmp_path / "fresh.csv"))
+        assert fresh.returncode == 0
+        assert fresh.stdout == reused.replace("reused.csv", "fresh.csv") + "\n"
+        expected = (tmp_path / "fresh.csv").read_bytes()
+        assert (tmp_path / "reused.csv").read_bytes() == expected
+        assert (tmp_path / "dt.csv").read_bytes() != expected  # the overrides did take effect
+
+    def test_usage_error_after_success(self, capsys):
+        assert main(["verify", "--graph", DEMO_GRAPH, "--alpha", "1.0"]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--graph", DEMO_GRAPH, "--alpha", "abc"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: resilient-consensus verify [-h] --graph GRAPH --alpha ALPHA\n")
+        assert err.endswith("error: argument --alpha: invalid float value: 'abc'\n")
 
 
 def _floats(lo, hi):
