@@ -56,20 +56,27 @@ Any other run takes the stages, x_{k+1} = x_k + [h phi(hB) B z_k]_x one
 step at a time. The x part of B t is -L t_x - t_w, and the w_tilde parts
 of the Horner operands are elementwise in the error rows, so they are
 formed first; each step then makes four sparse matvecs with -L in CSR
-form (``_neg_laplacian``, the one place ``scipy.sparse`` is imported). A
+form, whose arrays each graph builds once from its edge set
+(``_neg_laplacian``, the one place ``scipy.sparse`` is imported). A
 short run does not repay forming the map, and above ``MAX_MAP_NODES`` the
 dense matvec costs more per step than the four sparse ones.
 
 Besides the trajectory that ``MAX_TRAJECTORY_SAMPLES`` budgets, the map
 holds a few 3n x n arrays, and the error rows, the stage shifts and the
-non-finite scan a few blocks of ``ERROR_BLOCK_VALUES`` values.
+non-finite scan a few blocks of ``ERROR_BLOCK_VALUES`` values. The CSV
+writer formats chunks of ``CSV_CHUNK_VALUES`` values, alternate chunks in
+a forked helper where a second CPU is usable (``CSV_PROCESSES``), and each
+process holds at most one chunk of text at a time; the file's bytes do not
+depend on the CPU count.
 """
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import numbers
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -129,6 +136,22 @@ MATMUL_CALL_FLOPS = 40_000
 #: shifts of the x march: their temporaries stay a few times this size. The
 #: non-finite scan of ``simulate`` reads blocks of this many values too.
 ERROR_BLOCK_VALUES = 2**16
+
+#: Values per chunk of rows that ``write_trajectory_csv`` formats in one
+#: piece, in the parent or in a forked helper: about 0.2 MB of CSV text.
+#: On the benchmark's three trajectory shapes, with two CPUs, medians of
+#: 20 writes were 2-6 % lower with 2^13 than with 2^14: smaller chunks
+#: split the shorter files more evenly between the processes.
+CSV_CHUNK_VALUES = 2**13
+
+#: Most processes that format one trajectory CSV: the parent and one
+#: helper. The writer was measured on a host with two usable CPUs, one run
+#: at a time and two at once; how more helpers fare with more CPUs, or
+#: under a CPU quota that the affinity mask does not show, was not. The
+#: helper costs CPU time (13-27 % more per ``simulate`` there): it pays
+#: off only while a second CPU is idle, and with every CPU busy the write
+#: is slower than in one process.
+CSV_PROCESSES = 2
 
 
 def read_scalar(raw, name: str, positive: bool = False) -> float:
@@ -261,16 +284,14 @@ def emulator_derivative(g: Graph, x: np.ndarray, x_hat: np.ndarray) -> np.ndarra
 
 
 def _neg_laplacian(g: Graph):
-    """-L = Adj - Delta in CSR form. ``scipy.sparse`` is imported here, not
-    at module level: only the stage route of ``simulate`` needs it, so
-    ``verify``, ``analyze`` and every run on the map route run without it."""
+    """-L = Adj - Delta as a scipy CSR matrix over the graph's cached CSR
+    arrays (``Graph.neg_laplacian_csr``). ``scipy.sparse`` is imported
+    here, not at module level: only the stage route of ``simulate`` needs
+    it, so ``verify``, ``analyze`` and every run on the map route run
+    without it."""
     from scipy import sparse
 
-    rows, cols = np.nonzero(g.adjacency)
-    diag = np.arange(g.n)
-    data = np.concatenate([np.ones(len(rows)), -g.degrees.astype(float)])
-    ij = (np.concatenate([rows, diag]), np.concatenate([cols, diag]))
-    return sparse.csr_matrix((data, ij), shape=(g.n, g.n))
+    return sparse.csr_matrix(g.neg_laplacian_csr, shape=(g.n, g.n))
 
 
 def _closed_form_modes(g: Graph, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -560,14 +581,159 @@ def _csv_columns(n: int) -> list[str]:
     return ["t"] + [f"{name}_{i}" for name in ("x", "xhat", "what") for i in range(n)]
 
 
+def _usable_cpus() -> list:
+    """The CPUs the calling thread may run on, ascending; [None] where the
+    platform cannot say, which counts as one CPU."""
+    if not hasattr(os, "sched_getaffinity"):
+        return [None]
+    return sorted(os.sched_getaffinity(0))
+
+
+def _pin(cpus) -> None:
+    """Let the calling thread run on the given CPUs only, where the
+    platform allows it. Processes that hand frames over pipes are pinned
+    to one CPU each: a pipe wakeup is synchronous, and the scheduler puts
+    the woken process on the CPU of the one that woke it, so an unpinned
+    helper and parent often shared one CPU and the write took as long as
+    on one CPU."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
+
+
+def _csv_lines(traj: Trajectory, start: int, stop: int):
+    """The CSV lines of rows [start, stop), one at a time: each value is
+    the ``repr`` of its float, and t_k = k dt as in ``Trajectory.times``."""
+    times = np.arange(start, stop) * traj.config.dt
+    for t, y in zip(times.tolist(), traj.states[start:stop]):
+        yield f"{t!r},{','.join(map(repr, y.tolist()))}\n"
+
+
+def _send_frame(pipe, data: bytes) -> None:
+    """One length-prefixed frame of a helper's output."""
+    pipe.write(len(data).to_bytes(8, "little"))
+    pipe.write(data)
+
+
+def _read_frame(pipe) -> bytes | None:
+    """The next frame from a helper's pipe, or None if the pipe ends first."""
+    head = pipe.read(8)
+    if len(head) == 8:
+        size = int.from_bytes(head, "little")
+        data = pipe.read(size)
+        if len(data) == size:
+            return data
+    return None
+
+
+def _fork_helper(traj: Trajectory, chunks, cpu) -> tuple[int, object]:
+    """Fork a process, pinned to ``cpu``, that formats the given
+    (start, stop) row chunks and sends each as one frame; return its pid
+    and the read end of its pipe."""
+    r, w = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns when forking a multi-threaded process;
+            # the helper is safe there (see write_trajectory_csv)
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            gc.disable()  # no finalizer of the parent's garbage runs here
+            os.close(r)
+            _pin({cpu})
+            with open(w, "wb") as pipe:
+                for start, stop in chunks:
+                    _send_frame(pipe, "".join(_csv_lines(traj, start, stop)).encode())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Trajectory CSV: header t,x_0..,xhat_0..,what_0..; each value is the
-    ``repr`` of its float. Rows are converted one at a time, so the writer
-    holds one row of Python floats, not a copy of the trajectory."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(_csv_columns(traj.graph.n)) + "\n")
-        for t, y in zip(traj.times.tolist(), traj.states):
-            fh.write(f"{t!r},{','.join(map(repr, y.tolist()))}\n")
+    ``repr`` of its float.
+
+    The rows are cut into chunks of about ``CSV_CHUNK_VALUES`` values, and
+    chunk c is formatted by process c mod p, p = min(usable CPUs, chunks,
+    ``CSV_PROCESSES``). The p - 1 helpers are forked before the file is
+    opened; each sends its chunks, in order, as length-prefixed frames over
+    its own pipe. The parent formats its own chunks a row at a time and
+    writes every chunk in row order, so the bytes do not depend on p. A
+    helper holds one chunk of text and the parent one frame, never a copy
+    of the trajectory. If a helper's pipe ends early, the parent formats
+    that helper's chunks itself. Every helper is reaped before the call
+    returns or raises: closing the read ends makes a helper blocked on its
+    pipe exit.
+
+    Side effects when p > 1: the call forks, and while it writes, the
+    calling thread and each helper are pinned to one CPU each (``_pin``).
+    The p CPUs follow each other in the usable set from an offset set by
+    the process id, so that runs at the same time on a larger host are
+    spread over its CPUs. On return or failure the calling thread gets
+    back the CPU set it had on entry, unless its affinity was changed
+    meanwhile (by the caller, ``taskset -p`` or a cpuset update): that
+    change is kept.
+
+    A helper reads the trajectory it shares with the parent, formats with
+    the same ``_csv_lines`` as the parent, writes only to its pipe and
+    leaves through ``os._exit``: it makes no BLAS call, imports nothing,
+    runs no garbage collection, and neither flushes nor closes the
+    parent's files or stdout. On Python >= 3.12 ``os.fork`` warns when the
+    process is multi-threaded, for example with an unpinned OpenBLAS pool,
+    because a lock held by another thread stays held in the child. The
+    helper takes no such lock (the allocator's are reset at fork), so the
+    warning is silenced around the fork.
+    """
+    rows = len(traj.states)
+    per_chunk = max(1, CSV_CHUNK_VALUES // (1 + traj.states.shape[1]))
+    chunks = [(k, min(k + per_chunk, rows)) for k in range(0, rows, per_chunk)]
+    cpus = _usable_cpus()
+    procs = min(len(cpus), len(chunks), CSV_PROCESSES)
+    first = os.getpid() % len(cpus)
+    mine = [cpus[(first + i) % len(cpus)] for i in range(procs)]
+    pids, pipes = [], [None] * procs  # pipes[i]: helper i's read end, None for the parent
+    try:
+        if procs > 1:
+            _pin({mine[0]})
+        for i in range(1, procs):
+            try:
+                pid, pipes[i] = _fork_helper(traj, chunks[i::procs], mine[i])
+            except OSError:  # no pipe or process to spare: the parent formats the rest
+                break
+            pids.append(pid)
+        with open(path, "wb") as fh:
+            fh.write((",".join(_csv_columns(traj.graph.n)) + "\n").encode())
+            for c, (start, stop) in enumerate(chunks):
+                pipe = pipes[c % procs]
+                data = None if pipe is None else _read_frame(pipe)
+                if data is not None:
+                    fh.write(data)
+                    continue
+                if pipe is not None:  # the helper failed: its chunks are formatted here
+                    pipe.close()
+                    pipes[c % procs] = None
+                for line in _csv_lines(traj, start, stop):
+                    fh.write(line.encode())
+    finally:
+        if procs > 1 and os.sched_getaffinity(0) == {mine[0]}:
+            _pin(cpus)
+        for pipe in pipes:
+            if pipe is not None:
+                pipe.close()
+        for pid in pids:
+            try:
+                os.waitpid(pid, 0)
+            except ChildProcessError:  # already reaped, as under SIGCHLD = SIG_IGN
+                pass
 
 
 def _scan_csv_rows(lines, n: int) -> np.ndarray:

@@ -54,6 +54,24 @@ class Graph:
         return _read_only(a)
 
     @cached_property
+    def neg_laplacian_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """-L = Adj - Delta in CSR form, as (data, indices, indptr), built
+        once per graph from the edge set; the arrays are read-only. Each
+        row holds its off-diagonal ones and its diagonal -d_i in ascending
+        column order, the order of scipy's canonical CSR form."""
+        ends = np.fromiter(
+            (v for e in self.edges for v in e), dtype=np.int32, count=2 * len(self.edges)
+        ).reshape(-1, 2)
+        diag = np.arange(self.n, dtype=np.int32)
+        rows = np.concatenate([ends[:, 0], ends[:, 1], diag])
+        cols = np.concatenate([ends[:, 1], ends[:, 0], diag])
+        data = np.concatenate([np.ones(2 * len(ends)), -self.degrees.astype(float)])
+        order = np.lexsort((cols, rows))
+        indptr = np.zeros(self.n + 1, dtype=np.int32)
+        np.cumsum(self.degrees + 1, out=indptr[1:])
+        return _read_only(data[order]), _read_only(cols[order]), _read_only(indptr)
+
+    @cached_property
     def connected(self) -> bool:
         """Reachability of every node from node 0, searched once per graph.
 

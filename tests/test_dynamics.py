@@ -1,3 +1,6 @@
+import faulthandler
+import os
+import signal
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -443,6 +446,15 @@ class TestIntegrationPaths:
         simulate(g, nominal_cfg(n, dt=0.01, t_final=0.01 * steps, x0=np.arange(n)), np.ones(n))
         assert len(matvecs) == (4 * steps if path == "stages" else 0)
 
+    def test_stage_csr_built_once_per_graph(self, count_builds):
+        # -L's CSR arrays come from the graph's cache: one build for two runs
+        calls = count_builds("neg_laplacian_csr")
+        n = dynamics.MAX_MAP_NODES + 1
+        g = path_graph(n)
+        for _ in range(2):
+            simulate(g, nominal_cfg(n, dt=0.01, t_final=0.02, x0=np.arange(n)), np.ones(n))
+        assert calls == [n]
+
     @pytest.mark.parametrize("route", ["map", "stages"])
     def test_working_memory(self, route):
         # tracemalloc's peak during simulate, beyond the trajectory, after a
@@ -777,3 +789,203 @@ class TestTrajectoryCsv:
         write_trajectory_csv(traj, path)
         with pytest.raises(ScenarioError):
             read_trajectory_csv(path, k3, traj.config)
+
+
+class TestParallelCsvWriter:
+    """The writer's helpers: forked processes that format alternate chunks."""
+
+    SPECIAL = [-0.0, 5e-324, 1e16, 1e-5, 0.1 + 0.2, -1.7e308]
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        # a writer that deadlocks ends the run with a traceback, not a hang
+        faulthandler.dump_traceback_later(120, exit=True)
+        yield
+        faulthandler.cancel_dump_traceback_later()
+
+    @pytest.fixture
+    def traj(self, p2):
+        # seven chunks and a part, holding the special values of
+        # test_repr_bytes_and_bit_exact_read in the first, middle and last rows
+        rows = 7 * (dynamics.CSV_CHUNK_VALUES // 7) + 100
+        states = np.random.default_rng(7).standard_normal((rows, 6)) * 1e3
+        states[0], states[-1], states[rows // 2] = self.SPECIAL, self.SPECIAL[::-1], self.SPECIAL
+        return Trajectory(states, p2, adaptive_cfg(2, dt=0.1, t_final=0.1 * (rows - 1)))
+
+    @staticmethod
+    def expected(traj):
+        # the one-row-at-a-time writer: every field is repr(float(v))
+        lines = [",".join(["t"] + [f"{c}_{i}" for c in ("x", "xhat", "what") for i in range(2)])]
+        lines += [",".join(map(repr, [float(t), *y])) for t, y in zip(traj.times, traj.states.tolist())]
+        return ("\n".join(lines) + "\n").encode()
+
+    @staticmethod
+    def set_cpus(monkeypatch, cpus):
+        """Make the writer see `cpus` usable CPUs (None: no affinity call);
+        return the CPU sets the calling process pins itself to, which
+        leave its real affinity as it is."""
+        pins = []
+        if cpus is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        else:
+            monkeypatch.setattr(
+                os, "sched_getaffinity", lambda pid: pins[-1] if pins else set(range(cpus)), raising=False
+            )
+            monkeypatch.setattr(os, "sched_setaffinity", lambda pid, s: pins.append(set(s)), raising=False)
+        return pins
+
+    @staticmethod
+    def count_parent_chunks(monkeypatch):
+        # chunks the calling process formats; a helper's calls land in its
+        # own copy of the list
+        calls = []
+        fmt = dynamics._csv_lines
+
+        def counting(traj, start, stop):
+            calls.append(start)
+            return fmt(traj, start, stop)
+
+        monkeypatch.setattr(dynamics, "_csv_lines", counting)
+        return calls
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("cpus, most, procs", [(None, 2, 1), (1, 2, 1), (2, 2, 2), (3, 2, 2), (3, 3, 3)])
+    def test_bytes_independent_of_cpu_count(self, monkeypatch, tmp_path, traj, cpus, most, procs):
+        monkeypatch.setattr(dynamics, "CSV_PROCESSES", most)
+        pins = self.set_cpus(monkeypatch, cpus)
+        calls = self.count_parent_chunks(monkeypatch)
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, path)
+        assert path.read_bytes() == self.expected(traj)
+        # chunk c is formatted by process c mod p, p = min(CPUs, most); the
+        # parent is process 0, pinned while helpers run to the CPU its pid
+        # picks, then given all back
+        assert len(calls) == len(range(0, 8, procs))
+        assert pins == ([{os.getpid() % cpus}, set(range(cpus))] if procs > 1 else [])
+        self.assert_no_child_left()
+        back = read_trajectory_csv(path, traj.graph, traj.config)
+        assert back.states.tobytes() == traj.states.tobytes()
+
+    @pytest.mark.parametrize("frame", [0, 1])
+    def test_helper_dying_mid_frame(self, monkeypatch, tmp_path, traj, frame):
+        # each helper sends the head and half the body of its frame number
+        # `frame`, then exits: the parent formats the rest of its chunks
+        monkeypatch.setattr(dynamics, "CSV_PROCESSES", 3)
+        self.set_cpus(monkeypatch, 3)
+        calls = self.count_parent_chunks(monkeypatch)
+        sent = []
+        send = dynamics._send_frame
+
+        def dying(pipe, data):
+            if len(sent) == frame:
+                pipe.write(len(data).to_bytes(8, "little") + data[: len(data) // 2])
+                pipe.flush()
+                os._exit(1)
+            sent.append(data)
+            send(pipe, data)
+
+        monkeypatch.setattr(dynamics, "_send_frame", dying)
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, path)
+        assert path.read_bytes() == self.expected(traj)
+        assert len(calls) == 8 - 2 * frame  # chunks 0, 3, 6, then each helper's from `frame` on
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("failure", ["no directory", "device full", "interrupt"])
+    def test_helpers_reaped_on_failure(self, monkeypatch, tmp_path, traj, failure):
+        monkeypatch.setattr(dynamics, "CSV_PROCESSES", 3)
+        self.set_cpus(monkeypatch, 3)
+        path = tmp_path / "missing" / "traj.csv"
+        error = OSError
+        if failure == "device full":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full")
+            path = "/dev/full"
+        elif failure == "interrupt":
+            path, error = tmp_path / "traj.csv", KeyboardInterrupt
+            calls = self.count_parent_chunks(monkeypatch)
+            fmt = dynamics._csv_lines
+
+            def interrupted(traj, start, stop):
+                if len(calls) == 2:
+                    raise KeyboardInterrupt
+                return fmt(traj, start, stop)
+
+            monkeypatch.setattr(dynamics, "_csv_lines", interrupted)
+        with pytest.raises(error):
+            write_trajectory_csv(traj, path)
+        self.assert_no_child_left()
+
+    def test_helpers_reaped_by_the_system(self, monkeypatch, tmp_path, traj):
+        # with SIGCHLD ignored the kernel reaps the helpers, and waitpid
+        # finds none left: the write still succeeds
+        self.set_cpus(monkeypatch, 2)
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            write_trajectory_csv(traj, tmp_path / "traj.csv")
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert (tmp_path / "traj.csv").read_bytes() == self.expected(traj)
+
+    @pytest.mark.skipif(
+        len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2, reason="one usable CPU"
+    )
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_real_affinity_restored(self, monkeypatch, tmp_path, traj, fails):
+        # on the real CPU set: helpers run, and the parent, pinned while
+        # they do, gets its CPU set back whether the write succeeds or fails
+        before = os.sched_getaffinity(0)
+        calls = self.count_parent_chunks(monkeypatch)
+        path = tmp_path / ("missing/traj.csv" if fails else "traj.csv")
+        try:
+            write_trajectory_csv(traj, path)
+        except FileNotFoundError:
+            assert fails
+        else:
+            assert path.read_bytes() == self.expected(traj)
+            assert len(calls) == len(range(0, 8, min(len(before), dynamics.CSV_PROCESSES)))
+        assert os.sched_getaffinity(0) == before
+        self.assert_no_child_left()
+
+    def test_affinity_changed_during_write_is_kept(self, monkeypatch, tmp_path, traj):
+        # a CPU set given to the caller while it writes (as by taskset -p)
+        # is not overwritten by the one it had on entry
+        pins = self.set_cpus(monkeypatch, 4)
+        calls = self.count_parent_chunks(monkeypatch)
+        fmt = dynamics._csv_lines
+
+        def moved(traj, start, stop):
+            if len(calls) == 2:
+                os.sched_setaffinity(0, {2, 3})
+            return fmt(traj, start, stop)
+
+        monkeypatch.setattr(dynamics, "_csv_lines", moved)
+        write_trajectory_csv(traj, tmp_path / "traj.csv")
+        assert pins == [{os.getpid() % 4}, {2, 3}]
+        assert (tmp_path / "traj.csv").read_bytes() == self.expected(traj)
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_working_memory(self, monkeypatch, tmp_path, p2, cpus):
+        # tracemalloc's peak in the parent while it writes 64 chunks: it
+        # holds one row of floats and text, or one helper's frame, at a
+        # time, under two chunks of CSV text; the times of all rows as
+        # floats (0.5 MB here) do not fit
+        self.set_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(dynamics, "CSV_CHUNK_VALUES", 7 * 2**8)
+        rows = 64 * 2**8
+        states = np.random.default_rng(3).standard_normal((rows, 6))
+        traj = Trajectory(states, p2, adaptive_cfg(2, dt=0.1, t_final=0.1 * (rows - 1)))
+        path = tmp_path / "traj.csv"
+        tracemalloc.start()
+        try:
+            write_trajectory_csv(traj, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * path.stat().st_size / 64

@@ -126,6 +126,25 @@ class TestMatrices:
         assert np.array_equal(lap, lap.T)
         assert np.array_equal(lap @ np.ones(g.n), np.zeros(g.n))
 
+    @settings(max_examples=50, deadline=None)
+    @given(random_graphs())
+    def test_neg_laplacian_csr_is_scipys_canonical_form(self, g):
+        # the arrays built from the edge set are, entry order included, the
+        # CSR of -L that scipy builds from the dense adjacency's nonzeros
+        from scipy import sparse
+
+        rows, cols = np.nonzero(adjacency_matrix(g))
+        diag = np.arange(g.n)
+        ij = (np.concatenate([rows, diag]), np.concatenate([cols, diag]))
+        data = np.concatenate([np.ones(len(rows)), -g.degrees.astype(float)])
+        ref = sparse.csr_matrix((data, ij), shape=(g.n, g.n))
+        got = g.neg_laplacian_csr
+        assert got is g.neg_laplacian_csr
+        for a, b in zip(got, (ref.data, ref.indices, ref.indptr)):
+            assert a.tobytes() == b.astype(a.dtype).tobytes()
+            with pytest.raises(ValueError):
+                a[0] = 1
+
     @pytest.mark.parametrize("build", [laplacian, degree_matrix])
     def test_one_dense_array_per_call(self, build):
         # one float n x n array per call, with the cached adjacency built
