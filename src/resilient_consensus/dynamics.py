@@ -63,11 +63,11 @@ dense matvec costs more per step than the four sparse ones.
 
 Besides the trajectory that ``MAX_TRAJECTORY_SAMPLES`` budgets, the map
 holds a few 3n x n arrays, and the error rows, the stage shifts and the
-non-finite scan a few blocks of ``ERROR_BLOCK_VALUES`` values. The CSV
-writer formats chunks of ``CSV_CHUNK_VALUES`` values, alternate chunks in
-a forked helper where a second CPU is usable (``CSV_PROCESSES``), and each
-process holds at most one chunk of text at a time; the file's bytes do not
-depend on the CPU count.
+non-finite scan a few blocks of ``ERROR_BLOCK_VALUES`` values. With two
+usable CPUs the CSV writer forks two self-pinned helpers that write half
+the rows each to an unnamed temporary file, which the caller appends:
+less wall time for more CPU time. A process formats one row, and forms
+the times of one chunk of ``CSV_CHUNK_VALUES`` values, at a time.
 """
 
 from __future__ import annotations
@@ -77,6 +77,7 @@ import itertools
 import math
 import numbers
 import os
+import tempfile
 import warnings
 from dataclasses import dataclass
 
@@ -104,7 +105,9 @@ ADAPTIVE = "adaptive"
 DEFAULT_DT = 0.001
 
 #: Largest trajectory ``simulate`` allocates, in samples: (steps + 1) * 3n
-#: float64 values, 800 MB. The largest run in the tests and the benchmark
+#: float64 values, 800 MB. The run report adds its (steps + 1) x (3n - 1)
+#: array of xi, so ``simulate`` and ``analyze`` peak at about twice that,
+#: 1.6 GB, at the budget. The largest run in the tests and the benchmark
 #: has 1.8 M samples (p2, dt = 1e-4, 30 s).
 MAX_TRAJECTORY_SAMPLES = 100_000_000
 
@@ -137,21 +140,11 @@ MATMUL_CALL_FLOPS = 40_000
 #: non-finite scan of ``simulate`` reads blocks of this many values too.
 ERROR_BLOCK_VALUES = 2**16
 
-#: Values per chunk of rows that ``write_trajectory_csv`` formats in one
-#: piece, in the parent or in a forked helper: about 0.2 MB of CSV text.
-#: On the benchmark's three trajectory shapes, with two CPUs, medians of
-#: 20 writes were 2-6 % lower with 2^13 than with 2^14: smaller chunks
-#: split the shorter files more evenly between the processes.
+#: Values per chunk of rows for which ``write_trajectory_csv`` forms the
+#: times in one piece; a trajectory of more than one chunk is split between
+#: two helpers where two CPUs are usable, and the caller copies a helper's
+#: file in pieces of at most one chunk of text (about 0.2 MB).
 CSV_CHUNK_VALUES = 2**13
-
-#: Most processes that format one trajectory CSV: the parent and one
-#: helper. The writer was measured on a host with two usable CPUs, one run
-#: at a time and two at once; how more helpers fare with more CPUs, or
-#: under a CPU quota that the affinity mask does not show, was not. The
-#: helper costs CPU time (13-27 % more per ``simulate`` there): it pays
-#: off only while a second CPU is idle, and with every CPU busy the write
-#: is slower than in one process.
-CSV_PROCESSES = 2
 
 
 def read_scalar(raw, name: str, positive: bool = False) -> float:
@@ -581,159 +574,123 @@ def _csv_columns(n: int) -> list[str]:
     return ["t"] + [f"{name}_{i}" for name in ("x", "xhat", "what") for i in range(n)]
 
 
-def _usable_cpus() -> list:
-    """The CPUs the calling thread may run on, ascending; [None] where the
-    platform cannot say, which counts as one CPU."""
-    if not hasattr(os, "sched_getaffinity"):
-        return [None]
-    return sorted(os.sched_getaffinity(0))
-
-
-def _pin(cpus) -> None:
-    """Let the calling thread run on the given CPUs only, where the
-    platform allows it. Processes that hand frames over pipes are pinned
-    to one CPU each: a pipe wakeup is synchronous, and the scheduler puts
-    the woken process on the CPU of the one that woke it, so an unpinned
-    helper and parent often shared one CPU and the write took as long as
-    on one CPU."""
+def _cpu_after_caller(cpus: list) -> int:
+    """Index in cpus, modulo len(cpus), of the CPU after the caller's
+    (``/proc/self/stat``), else the process id. The first CSV helper pins
+    itself there: by the process id alone it took the caller's CPU in some
+    runs, slowing the second fork (large-cert ``simulate`` 87-98 ms against
+    77-93 ms, perfbench, three runs each)."""
     try:
-        os.sched_setaffinity(0, cpus)
-    except OSError:
-        pass
+        with open("/proc/self/stat") as fh:
+            return 1 + cpus.index(int(fh.read().rsplit(")", 1)[1].split()[36]))
+    except (OSError, ValueError, IndexError):
+        return os.getpid()
 
 
-def _csv_lines(traj: Trajectory, start: int, stop: int):
-    """The CSV lines of rows [start, stop), one at a time: each value is
-    the ``repr`` of its float, and t_k = k dt as in ``Trajectory.times``."""
-    times = np.arange(start, stop) * traj.config.dt
-    for t, y in zip(times.tolist(), traj.states[start:stop]):
-        yield f"{t!r},{','.join(map(repr, y.tolist()))}\n"
+def _write_csv_rows(traj: Trajectory, start: int, stop: int, fh) -> None:
+    """Write rows [start, stop) to fh as CSV lines, one at a time: each value
+    is the ``repr`` of its float, and t_k = k dt as in ``Trajectory.times``,
+    formed a chunk of about ``CSV_CHUNK_VALUES`` values at a time."""
+    per_chunk = max(1, CSV_CHUNK_VALUES // (1 + traj.states.shape[1]))
+    for k in range(start, stop, per_chunk):
+        end = min(k + per_chunk, stop)
+        times = np.arange(k, end) * traj.config.dt
+        for t, y in zip(times.tolist(), traj.states[k:end]):
+            fh.write(f"{t!r},{','.join(map(repr, y.tolist()))}\n".encode())
 
 
-def _send_frame(pipe, data: bytes) -> None:
-    """One length-prefixed frame of a helper's output."""
-    pipe.write(len(data).to_bytes(8, "little"))
-    pipe.write(data)
-
-
-def _read_frame(pipe) -> bytes | None:
-    """The next frame from a helper's pipe, or None if the pipe ends first."""
-    head = pipe.read(8)
-    if len(head) == 8:
-        size = int.from_bytes(head, "little")
-        data = pipe.read(size)
-        if len(data) == size:
-            return data
-    return None
-
-
-def _fork_helper(traj: Trajectory, chunks, cpu) -> tuple[int, object]:
-    """Fork a process, pinned to ``cpu``, that formats the given
-    (start, stop) row chunks and sends each as one frame; return its pid
-    and the read end of its pipe."""
-    r, w = os.pipe()
-    try:
-        with warnings.catch_warnings():
-            # Python >= 3.12 warns when forking a multi-threaded process;
-            # the helper is safe there (see write_trajectory_csv)
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-    except BaseException:
-        os.close(r)
-        os.close(w)
-        raise
+def _fork_helper(traj: Trajectory, start: int, stop: int, tmp, cpu) -> int:
+    """Fork a process that pins itself to ``cpu``, writes the CSV lines of
+    rows [start, stop) to the file ``tmp`` and exits with code 0 only if
+    it wrote them all; return its pid."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # see write_trajectory_csv
+        pid = os.fork()
     if pid == 0:
         code = 1
         try:
             gc.disable()  # no finalizer of the parent's garbage runs here
-            os.close(r)
-            _pin({cpu})
-            with open(w, "wb") as pipe:
-                for start, stop in chunks:
-                    _send_frame(pipe, "".join(_csv_lines(traj, start, stop)).encode())
+            try:  # see write_trajectory_csv
+                os.sched_setaffinity(0, {cpu})
+            except OSError:
+                pass
+            _write_csv_rows(traj, start, stop, tmp)
+            tmp.flush()
             code = 0
         finally:
             os._exit(code)
-    os.close(w)
-    return pid, open(r, "rb")
+    return pid
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Trajectory CSV: header t,x_0..,xhat_0..,what_0..; each value is the
-    ``repr`` of its float.
+    ``repr`` of its float, and the bytes do not depend on the CPU count.
 
-    The rows are cut into chunks of about ``CSV_CHUNK_VALUES`` values, and
-    chunk c is formatted by process c mod p, p = min(usable CPUs, chunks,
-    ``CSV_PROCESSES``). The p - 1 helpers are forked before the file is
-    opened; each sends its chunks, in order, as length-prefixed frames over
-    its own pipe. The parent formats its own chunks a row at a time and
-    writes every chunk in row order, so the bytes do not depend on p. A
-    helper holds one chunk of text and the parent one frame, never a copy
-    of the trajectory. If a helper's pipe ends early, the parent formats
-    that helper's chunks itself. Every helper is reaped before the call
-    returns or raises: closing the read ends makes a helper blocked on its
-    pipe exit.
+    Where two CPUs are usable and the rows make more than one chunk of
+    ``CSV_CHUNK_VALUES`` values, one helper per half of the rows is forked
+    before the file is opened. Helper i pins itself to the usable CPU i + 1
+    places after the caller's (``_cpu_after_caller``) and writes its half
+    to its own unnamed temporary file. Unpinned, two helpers often shared
+    one CPU: small-long ``simulate`` took 115 ms against 70-80 ms pinned.
+    The caller writes the header, then for each half in row order waits
+    for its helper and appends its file in pieces of at most one chunk of
+    text. A half whose helper did not exit with code 0 (it failed, was
+    killed, or was reaped by the system under ``SIGCHLD = SIG_IGN``) the
+    caller formats itself, as it does every row where the rows are not
+    split. If the call fails, each helper not yet reaped is killed and
+    reaped.
 
-    Side effects when p > 1: the call forks, and while it writes, the
-    calling thread and each helper are pinned to one CPU each (``_pin``).
-    The p CPUs follow each other in the usable set from an offset set by
-    the process id, so that runs at the same time on a larger host are
-    spread over its CPUs. On return or failure the calling thread gets
-    back the CPU set it had on entry, unless its affinity was changed
-    meanwhile (by the caller, ``taskset -p`` or a cpuset update): that
-    change is kept.
+    Side effects where the rows are split: the call forks two helpers and
+    creates two unnamed temporary files (``tempfile.TemporaryFile``), all
+    gone when it returns or raises. It never changes the caller's CPU set.
 
-    A helper reads the trajectory it shares with the parent, formats with
-    the same ``_csv_lines`` as the parent, writes only to its pipe and
-    leaves through ``os._exit``: it makes no BLAS call, imports nothing,
-    runs no garbage collection, and neither flushes nor closes the
-    parent's files or stdout. On Python >= 3.12 ``os.fork`` warns when the
-    process is multi-threaded, for example with an unpinned OpenBLAS pool,
-    because a lock held by another thread stays held in the child. The
-    helper takes no such lock (the allocator's are reset at fork), so the
-    warning is silenced around the fork.
+    A helper shares the trajectory with the caller, writes only to its
+    file and leaves through ``os._exit``: no BLAS call, no import, no
+    garbage collection, no flush or close of the caller's files. Python
+    >= 3.12 warns about a fork of a multi-threaded process (an unpinned
+    OpenBLAS pool, say); the helper takes no lock another thread could
+    hold (the allocator's are reset at fork), so the warning is silenced.
     """
-    rows = len(traj.states)
-    per_chunk = max(1, CSV_CHUNK_VALUES // (1 + traj.states.shape[1]))
-    chunks = [(k, min(k + per_chunk, rows)) for k in range(0, rows, per_chunk)]
-    cpus = _usable_cpus()
-    procs = min(len(cpus), len(chunks), CSV_PROCESSES)
-    first = os.getpid() % len(cpus)
-    mine = [cpus[(first + i) % len(cpus)] for i in range(procs)]
-    pids, pipes = [], [None] * procs  # pipes[i]: helper i's read end, None for the parent
+    rows, width = len(traj.states), 1 + traj.states.shape[1]
+    per_chunk = max(1, CSV_CHUNK_VALUES // width)
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    halves = [(0, rows // 2), (rows // 2, rows)] if len(cpus) > 1 and rows > per_chunk else [(0, rows)]
+    piece = memoryview(bytearray(4 * per_chunk * width))  # a value takes 4 bytes or more ("0.0,")
+    pids, files = {}, {}  # by half; a pid leaves pids once reaped
     try:
-        if procs > 1:
-            _pin({mine[0]})
-        for i in range(1, procs):
-            try:
-                pid, pipes[i] = _fork_helper(traj, chunks[i::procs], mine[i])
-            except OSError:  # no pipe or process to spare: the parent formats the rest
-                break
-            pids.append(pid)
+        if len(halves) > 1:
+            first = _cpu_after_caller(cpus)
+            for i, (start, stop) in enumerate(halves):
+                try:
+                    files[i] = tempfile.TemporaryFile()
+                    pids[i] = _fork_helper(traj, start, stop, files[i], cpus[(first + i) % len(cpus)])
+                except OSError:  # no file or process to spare: the caller formats this half
+                    pass
         with open(path, "wb") as fh:
             fh.write((",".join(_csv_columns(traj.graph.n)) + "\n").encode())
-            for c, (start, stop) in enumerate(chunks):
-                pipe = pipes[c % procs]
-                data = None if pipe is None else _read_frame(pipe)
-                if data is not None:
-                    fh.write(data)
-                    continue
-                if pipe is not None:  # the helper failed: its chunks are formatted here
-                    pipe.close()
-                    pipes[c % procs] = None
-                for line in _csv_lines(traj, start, stop):
-                    fh.write(line.encode())
+            for i, (start, stop) in enumerate(halves):
+                try:
+                    status = os.waitpid(pids[i], 0)[1] if i in pids else 1
+                except ChildProcessError:  # reaped by the system, as under SIGCHLD = SIG_IGN
+                    status = 1
+                pids.pop(i, None)
+                if status == 0:  # the helper exited with code 0
+                    files[i].seek(0)
+                    while size := files[i].readinto(piece):
+                        fh.write(piece[:size])
+                else:
+                    _write_csv_rows(traj, start, stop, fh)
     finally:
-        if procs > 1 and os.sched_getaffinity(0) == {mine[0]}:
-            _pin(cpus)
-        for pipe in pipes:
-            if pipe is not None:
-                pipe.close()
-        for pid in pids:
+        for pid in pids.values():
             try:
-                os.waitpid(pid, 0)
-            except ChildProcessError:  # already reaped, as under SIGCHLD = SIG_IGN
+                if os.waitpid(pid, os.WNOHANG)[0] == 0:  # still running: stop it
+                    import signal  # here, not at module level: its import takes about 1 ms
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+            except ChildProcessError:  # reaped by the system
                 pass
+        for tmp in files.values():
+            tmp.close()
 
 
 def _scan_csv_rows(lines, n: int) -> np.ndarray:
@@ -761,8 +718,12 @@ def read_trajectory_csv(path, g: Graph, cfg: SimConfig) -> Trajectory:
     It skips empty lines, so a body in which it skipped a line, which it
     rejects, or which it reads into the wrong width is read again by
     ``_scan_csv_rows``: that names the first bad row, or accepts what
-    ``float`` accepts."""
+    ``float`` accepts. Both stop one row past the grid's last, so a file
+    that is too long costs one row more than the grid to reject."""
     n = g.n
+    steps = cfg.t_final / cfg.dt
+    samples = round(steps) + 1 if math.isfinite(steps) else None
+    limit = None if samples is None else samples + 1
     with open(path, "r", encoding="utf-8") as fh:
         try:
             header = fh.readline().strip().split(",")
@@ -774,26 +735,23 @@ def read_trajectory_csv(path, g: Graph, cfg: SimConfig) -> Trajectory:
                 # a body with no data lines warns; the scan rejects it below
                 warnings.simplefilter("ignore", UserWarning)
                 try:
-                    data = np.loadtxt(
-                        (line for line, _ in zip(fh, lines)), delimiter=",", comments=None, ndmin=2
-                    )
+                    body = (line for line, _ in zip(itertools.islice(fh, limit), lines))
+                    data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
                 except ValueError:
                     data = None
             if data is None or data.shape != (next(lines), 1 + 3 * n):
                 fh.seek(start)
-                data = _scan_csv_rows(fh, n)
+                data = _scan_csv_rows(itertools.islice(fh, limit), n)
         except UnicodeDecodeError as exc:
             raise ScenarioError(f"trajectory CSV is not UTF-8 text ({exc.reason})") from None
     if not len(data):
         raise ScenarioError("trajectory CSV has no samples")
     traj = Trajectory(data[:, 1:], g, cfg)
     times = data[:, 0]
-    steps = cfg.t_final / cfg.dt
-    if not (
-        math.isfinite(steps) and len(times) - 1 == round(steps) and np.array_equal(times, traj.times)
-    ):
+    if not (len(times) == samples and np.array_equal(times, traj.times)):
+        count = f"more than {samples}" if len(times) == limit else len(times)
         raise ScenarioError(
-            f"trajectory CSV time grid ({len(times)} samples, t from {float(times[0])!r} to "
+            f"trajectory CSV time grid ({count} samples, t from {float(times[0])!r} to "
             f"{float(times[-1])!r}) is not the scenario's: t_k = k * {cfg.dt!r} for "
             f"k = 0..round({cfg.t_final!r} / {cfg.dt!r})"
         )

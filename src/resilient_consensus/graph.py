@@ -26,7 +26,8 @@ from .errors import (
 #: connected. The largest dense matrix any command builds is verify's
 #: (3n-1) x (3n-1) certificate matrix M: at n = 3333 it holds
 #: 9998^2 < 10^8 float64 values (800 MB), the budget that
-#: ``dynamics.MAX_TRAJECTORY_SAMPLES`` sets for a trajectory.
+#: ``dynamics.MAX_TRAJECTORY_SAMPLES`` sets for a trajectory, whose run
+#: report doubles it (1.6 GB) in ``simulate`` and ``analyze``.
 MAX_NODES = 3333
 
 

@@ -2,6 +2,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
@@ -686,6 +687,32 @@ class TestAnalyzeCommand:
         out.write_text("".join(lines[:60]))
         assert self.analyze(out, p2_file, scenario) == 1
         assert "59 samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["0.0", "1_0"])
+    def test_over_long_file_rejected_after_one_extra_row(self, tmp_path, capsys, field):
+        # a 10-step scenario against a 20 001-row CSV of a 100-node run: the
+        # reader stops one row past the grid, so it neither parses nor
+        # holds the rest (a whole read peaks at over 48 MB here). A field
+        # numpy rejects and float() accepts in that row sends the body to
+        # the line scan, which stops there too
+        n, dt = 100, 0.01
+        graph = tmp_path / "path100.txt"
+        graph.write_text(format_edge_list(path_graph(n)))
+        scenario = write_scenario(tmp_path, dt=dt, t_final=10 * dt, x0=[0.0] * n, w=[0.0] * n)
+        out = tmp_path / "traj.csv"
+        zeros = ",0.0" * (3 * n)
+        with open(out, "w") as fh:
+            fh.write(",".join(["t"] + [f"{c}_{i}" for c in ("x", "xhat", "what") for i in range(n)]) + "\n")
+            fh.writelines(f"{k * dt!r}{zeros if k != 11 else zeros[:-3] + field}\n" for k in range(20_001))
+        tracemalloc.start()
+        try:
+            code = self.analyze(out, str(graph), scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert "(more than 11 samples, t from 0.0 to 0.11)" in capsys.readouterr().err
+        assert peak < 1_000_000
 
     def test_non_numeric_field_rejected(self, tmp_path, p2_file, capsys):
         scenario = write_scenario(tmp_path, t_final=0.01)

@@ -1,6 +1,8 @@
 import faulthandler
 import os
 import signal
+import tempfile
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -792,7 +794,8 @@ class TestTrajectoryCsv:
 
 
 class TestParallelCsvWriter:
-    """The writer's helpers: forked processes that format alternate chunks."""
+    """The writer's helpers: two forked processes that write one half of
+    the rows each to a temporary file, which the caller appends."""
 
     SPECIAL = [-0.0, 5e-324, 1e16, 1e-5, 0.1 + 0.2, -1.7e308]
 
@@ -812,6 +815,15 @@ class TestParallelCsvWriter:
         states[0], states[-1], states[rows // 2] = self.SPECIAL, self.SPECIAL[::-1], self.SPECIAL
         return Trajectory(states, p2, adaptive_cfg(2, dt=0.1, t_final=0.1 * (rows - 1)))
 
+    @pytest.fixture
+    def temporary_files(self, monkeypatch, tmp_path):
+        """The temporary files the writer creates, in an empty TMPDIR."""
+        files, make = [], tempfile.TemporaryFile
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmpdir"))
+        (tmp_path / "tmpdir").mkdir()
+        monkeypatch.setattr(tempfile, "TemporaryFile", lambda: files.append(make()) or files[-1])
+        return files
+
     @staticmethod
     def expected(traj):
         # the one-row-at-a-time writer: every field is repr(float(v))
@@ -820,127 +832,189 @@ class TestParallelCsvWriter:
         return ("\n".join(lines) + "\n").encode()
 
     @staticmethod
-    def set_cpus(monkeypatch, cpus):
-        """Make the writer see `cpus` usable CPUs (None: no affinity call);
-        return the CPU sets the calling process pins itself to, which
-        leave its real affinity as it is."""
-        pins = []
+    def set_cpus(monkeypatch, cpus, log=None):
+        """Make the writer see `cpus` usable CPUs (None: no affinity call).
+        Every affinity call is appended to `log` as "pid cpus", and none
+        changes a real CPU set."""
         if cpus is None:
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
             monkeypatch.delattr(os, "sched_setaffinity", raising=False)
-        else:
-            monkeypatch.setattr(
-                os, "sched_getaffinity", lambda pid: pins[-1] if pins else set(range(cpus)), raising=False
-            )
-            monkeypatch.setattr(os, "sched_setaffinity", lambda pid, s: pins.append(set(s)), raising=False)
-        return pins
+            return
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+        def pin(pid, cpus):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {sorted(cpus)}\n")
+
+        monkeypatch.setattr(os, "sched_setaffinity", pin, raising=False)
 
     @staticmethod
-    def count_parent_chunks(monkeypatch):
-        # chunks the calling process formats; a helper's calls land in its
-        # own copy of the list
-        calls = []
-        fmt = dynamics._csv_lines
+    def caller_rows(monkeypatch, fail=None):
+        """The (start, stop) row ranges the calling process formats; a
+        helper's calls land in its own copy of the list. With fail =
+        (half, how), the helper of that half writes part of its rows and
+        then exits with code 1 ("exit") or is killed ("kill")."""
+        calls, caller, write = [], os.getpid(), dynamics._write_csv_rows
 
-        def counting(traj, start, stop):
-            calls.append(start)
-            return fmt(traj, start, stop)
+        def recording(traj, start, stop, fh):
+            if os.getpid() == caller:
+                calls.append((start, stop))
+            elif fail is not None and (start > 0) == fail[0]:
+                write(traj, start, (start + stop) // 2, fh)
+                fh.flush()
+                if fail[1] == "kill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                os._exit(1)
+            write(traj, start, stop, fh)
 
-        monkeypatch.setattr(dynamics, "_csv_lines", counting)
+        monkeypatch.setattr(dynamics, "_write_csv_rows", recording)
         return calls
+
+    @staticmethod
+    def record_kills(monkeypatch):
+        kills, kill = [], os.kill
+        monkeypatch.setattr(os, "kill", lambda pid, sig: kills.append(pid) or kill(pid, sig))
+        return kills
 
     @staticmethod
     def assert_no_child_left():
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    @pytest.mark.parametrize("cpus, most, procs", [(None, 2, 1), (1, 2, 1), (2, 2, 2), (3, 2, 2), (3, 3, 3)])
-    def test_bytes_independent_of_cpu_count(self, monkeypatch, tmp_path, traj, cpus, most, procs):
-        monkeypatch.setattr(dynamics, "CSV_PROCESSES", most)
-        pins = self.set_cpus(monkeypatch, cpus)
-        calls = self.count_parent_chunks(monkeypatch)
+    @pytest.mark.parametrize("cpus", [None, 1, 2, 3])
+    def test_bytes_independent_of_cpu_count(self, monkeypatch, tmp_path, traj, temporary_files, cpus):
+        log = tmp_path / "affinity.log"
+        self.set_cpus(monkeypatch, cpus, log)
+        calls = self.caller_rows(monkeypatch)
+        kills = self.record_kills(monkeypatch)
+        firsts, first = [], dynamics._cpu_after_caller
+        monkeypatch.setattr(dynamics, "_cpu_after_caller", lambda cpus: firsts.append(first(cpus)) or firsts[-1])
         path = tmp_path / "traj.csv"
         write_trajectory_csv(traj, path)
         assert path.read_bytes() == self.expected(traj)
-        # chunk c is formatted by process c mod p, p = min(CPUs, most); the
-        # parent is process 0, pinned while helpers run to the CPU its pid
-        # picks, then given all back
-        assert len(calls) == len(range(0, 8, procs))
-        assert pins == ([{os.getpid() % cpus}, set(range(cpus))] if procs > 1 else [])
+        rows = len(traj.states)
+        if cpus is None or cpus == 1:  # the caller writes every row and forks nothing
+            assert calls == [(0, rows)] and not temporary_files and not log.exists() and not firsts
+        else:  # two helpers, each pinned to its own CPU; the caller formats no row and never pins
+            assert calls == [] and len(temporary_files) == 2
+            pins = sorted(line.split(" ", 1) for line in log.read_text().splitlines())
+            assert len({pid for pid, _ in pins}) == 2 and str(os.getpid()) not in {pid for pid, _ in pins}
+            assert sorted(cpu for _, cpu in pins) == sorted(f"[{(firsts[0] + i) % cpus}]" for i in (0, 1))
+        assert kills == [] and all(f.closed for f in temporary_files)
+        assert not os.listdir(tempfile.tempdir)
         self.assert_no_child_left()
         back = read_trajectory_csv(path, traj.graph, traj.config)
         assert back.states.tobytes() == traj.states.tobytes()
 
-    @pytest.mark.parametrize("frame", [0, 1])
-    def test_helper_dying_mid_frame(self, monkeypatch, tmp_path, traj, frame):
-        # each helper sends the head and half the body of its frame number
-        # `frame`, then exits: the parent formats the rest of its chunks
-        monkeypatch.setattr(dynamics, "CSV_PROCESSES", 3)
-        self.set_cpus(monkeypatch, 3)
-        calls = self.count_parent_chunks(monkeypatch)
-        sent = []
-        send = dynamics._send_frame
+    @pytest.mark.skipif(
+        len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2, reason="one usable CPU"
+    )
+    def test_first_helper_cpu_follows_the_callers(self, monkeypatch):
+        # the first helper's CPU is the one after the caller's, so that it
+        # does not take the caller's CPU while the caller forks the second;
+        # where /proc cannot be read, the process id sets the offset
+        before = os.sched_getaffinity(0)
+        cpus = sorted(before)
+        try:
+            for k, cpu in enumerate(cpus):
+                os.sched_setaffinity(0, {cpu})
+                assert dynamics._cpu_after_caller(cpus) == k + 1
+        finally:
+            os.sched_setaffinity(0, before)
 
-        def dying(pipe, data):
-            if len(sent) == frame:
-                pipe.write(len(data).to_bytes(8, "little") + data[: len(data) // 2])
-                pipe.flush()
-                os._exit(1)
-            sent.append(data)
-            send(pipe, data)
+        def no_proc(*args, **kwargs):
+            raise FileNotFoundError("/proc/self/stat")
 
-        monkeypatch.setattr(dynamics, "_send_frame", dying)
+        monkeypatch.setattr(dynamics, "open", no_proc, raising=False)
+        assert dynamics._cpu_after_caller(cpus) == os.getpid()
+
+    @pytest.mark.parametrize("how", ["exit", "kill"])
+    @pytest.mark.parametrize("half", [0, 1])
+    def test_failed_helper_half_formatted_by_caller(self, monkeypatch, tmp_path, traj, half, how):
+        # a helper that exits 1 partway, or is killed: the caller formats
+        # that half itself, and only that one
+        self.set_cpus(monkeypatch, 2, tmp_path / "affinity.log")
+        calls = self.caller_rows(monkeypatch, fail=(half, how))
         path = tmp_path / "traj.csv"
         write_trajectory_csv(traj, path)
         assert path.read_bytes() == self.expected(traj)
-        assert len(calls) == 8 - 2 * frame  # chunks 0, 3, 6, then each helper's from `frame` on
+        rows = len(traj.states)
+        assert calls == [[(0, rows // 2), (rows // 2, rows)][half]]
         self.assert_no_child_left()
 
     @pytest.mark.parametrize("failure", ["no directory", "device full", "interrupt"])
-    def test_helpers_reaped_on_failure(self, monkeypatch, tmp_path, traj, failure):
-        monkeypatch.setattr(dynamics, "CSV_PROCESSES", 3)
-        self.set_cpus(monkeypatch, 3)
+    def test_helpers_reaped_on_failure(self, monkeypatch, tmp_path, traj, temporary_files, failure):
+        self.set_cpus(monkeypatch, 2, tmp_path / "affinity.log")
         path = tmp_path / "missing" / "traj.csv"
         error = OSError
         if failure == "device full":
             if not os.path.exists("/dev/full"):
                 pytest.skip("no /dev/full")
             path = "/dev/full"
-        elif failure == "interrupt":
+        elif failure == "interrupt":  # Ctrl-C while the caller waits for the first helper
             path, error = tmp_path / "traj.csv", KeyboardInterrupt
-            calls = self.count_parent_chunks(monkeypatch)
-            fmt = dynamics._csv_lines
+            waits, wait = [], os.waitpid
 
-            def interrupted(traj, start, stop):
-                if len(calls) == 2:
+            def interrupted(pid, options):
+                waits.append(pid)
+                if len(waits) == 1:
                     raise KeyboardInterrupt
-                return fmt(traj, start, stop)
+                return wait(pid, options)
 
-            monkeypatch.setattr(dynamics, "_csv_lines", interrupted)
+            monkeypatch.setattr(os, "waitpid", interrupted)
         with pytest.raises(error):
             write_trajectory_csv(traj, path)
         self.assert_no_child_left()
+        assert len(temporary_files) == 2 and all(f.closed for f in temporary_files)
+        assert not os.listdir(tempfile.tempdir)
 
     def test_helpers_reaped_by_the_system(self, monkeypatch, tmp_path, traj):
         # with SIGCHLD ignored the kernel reaps the helpers, and waitpid
-        # finds none left: the write still succeeds
-        self.set_cpus(monkeypatch, 2)
+        # finds none left: the caller formats both halves, and never
+        # signals a pid the system reaped
+        self.set_cpus(monkeypatch, 2, tmp_path / "affinity.log")
+        calls = self.caller_rows(monkeypatch)
+        kills = self.record_kills(monkeypatch)
         previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
         try:
             write_trajectory_csv(traj, tmp_path / "traj.csv")
         finally:
             signal.signal(signal.SIGCHLD, previous)
         assert (tmp_path / "traj.csv").read_bytes() == self.expected(traj)
+        rows = len(traj.states)
+        assert calls == [(0, rows // 2), (rows // 2, rows)] and kills == []
+
+    def test_no_signal_to_helpers_the_system_reaped(self, monkeypatch, tmp_path, traj):
+        # with SIGCHLD ignored, helpers that are done are reaped by the
+        # system; a caller that fails after that signals none of them, as
+        # their pids may be reused
+        self.set_cpus(monkeypatch, 2, tmp_path / "affinity.log")
+        kills = self.record_kills(monkeypatch)
+        path = tmp_path / "missing" / "traj.csv"
+
+        def late_open(file, *args, **kwargs):
+            if file == path:
+                time.sleep(2)  # the helpers are done and gone by now
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "open", late_open, raising=False)
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            with pytest.raises(FileNotFoundError):
+                write_trajectory_csv(traj, path)
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert kills == []
 
     @pytest.mark.skipif(
         len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2, reason="one usable CPU"
     )
     @pytest.mark.parametrize("fails", [False, True])
     def test_real_affinity_restored(self, monkeypatch, tmp_path, traj, fails):
-        # on the real CPU set: helpers run, and the parent, pinned while
-        # they do, gets its CPU set back whether the write succeeds or fails
+        # on the real CPU set: helpers write every row, and the caller's
+        # CPU set after the write, successful or not, is the one before it
         before = os.sched_getaffinity(0)
-        calls = self.count_parent_chunks(monkeypatch)
+        calls = self.caller_rows(monkeypatch)
         path = tmp_path / ("missing/traj.csv" if fails else "traj.csv")
         try:
             write_trajectory_csv(traj, path)
@@ -948,35 +1022,36 @@ class TestParallelCsvWriter:
             assert fails
         else:
             assert path.read_bytes() == self.expected(traj)
-            assert len(calls) == len(range(0, 8, min(len(before), dynamics.CSV_PROCESSES)))
+            assert calls == []
         assert os.sched_getaffinity(0) == before
         self.assert_no_child_left()
 
     def test_affinity_changed_during_write_is_kept(self, monkeypatch, tmp_path, traj):
-        # a CPU set given to the caller while it writes (as by taskset -p)
-        # is not overwritten by the one it had on entry
-        pins = self.set_cpus(monkeypatch, 4)
-        calls = self.count_parent_chunks(monkeypatch)
-        fmt = dynamics._csv_lines
+        # a CPU set given to the caller while it waits (as by taskset -p)
+        # is the only affinity change the caller sees
+        log = tmp_path / "affinity.log"
+        self.set_cpus(monkeypatch, 4, log)
+        wait = os.waitpid
 
-        def moved(traj, start, stop):
-            if len(calls) == 2:
-                os.sched_setaffinity(0, {2, 3})
-            return fmt(traj, start, stop)
+        def moved(pid, options):
+            os.sched_setaffinity(0, {2, 3})
+            return wait(pid, options)
 
-        monkeypatch.setattr(dynamics, "_csv_lines", moved)
+        monkeypatch.setattr(os, "waitpid", moved)
         write_trajectory_csv(traj, tmp_path / "traj.csv")
-        assert pins == [{os.getpid() % 4}, {2, 3}]
+        caller = [cpus for pid, cpus in (line.split(" ", 1) for line in log.read_text().splitlines())
+                  if pid == str(os.getpid())]
+        assert caller == ["[2, 3]", "[2, 3]"]
         assert (tmp_path / "traj.csv").read_bytes() == self.expected(traj)
         self.assert_no_child_left()
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_working_memory(self, monkeypatch, tmp_path, p2, cpus):
-        # tracemalloc's peak in the parent while it writes 64 chunks: it
-        # holds one row of floats and text, or one helper's frame, at a
-        # time, under two chunks of CSV text; the times of all rows as
-        # floats (0.5 MB here) do not fit
-        self.set_cpus(monkeypatch, cpus)
+        # tracemalloc's peak in the caller while it writes 64 chunks: it
+        # holds one row of floats and text, or one piece of a helper's
+        # file, at a time, under two chunks of CSV text; the times of all
+        # rows as floats (0.5 MB here) do not fit
+        self.set_cpus(monkeypatch, cpus, tmp_path / "affinity.log")
         monkeypatch.setattr(dynamics, "CSV_CHUNK_VALUES", 7 * 2**8)
         rows = 64 * 2**8
         states = np.random.default_rng(3).standard_normal((rows, 6))
