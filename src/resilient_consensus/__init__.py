@@ -19,10 +19,7 @@ from .graph import (
 from .spectral import (
     Inertia,
     Spectrum,
-    block_triangular_det_check,
-    determinant,
     eigenvalues,
-    inertia,
     quadratic_inertia,
     quadratic_eigenvalues,
     spectrum_matching_distance,
@@ -32,12 +29,9 @@ from .dynamics import (
     NOMINAL,
     SimConfig,
     Trajectory,
-    adaptive_control,
     consensus_error,
     default_t_final,
-    emulator_derivative,
     error_series,
-    nominal_control,
     read_trajectory_csv,
     simulate,
     write_trajectory_csv,
@@ -51,7 +45,6 @@ from .stability import (
     check_energy_decay,
     check_perturbation_bound,
     closed_form_spectrum,
-    energy,
     error_block,
     fit_decay_rate,
     reduced_blocks,

@@ -72,6 +72,7 @@ the times of one chunk of ``CSV_CHUNK_VALUES`` values, at a time.
 
 from __future__ import annotations
 
+import array
 import gc
 import itertools
 import math
@@ -89,14 +90,7 @@ from .errors import (
     NumericalBlowupError,
     ScenarioError,
 )
-from .graph import (
-    Graph,
-    adjacency_matrix,
-    degree_matrix,
-    is_connected,
-    laplacian,
-    laplacian_spectrum,
-)
+from .graph import Graph, is_connected, laplacian, laplacian_spectrum
 from .spectral import Spectrum
 
 NOMINAL = "nominal"
@@ -105,10 +99,11 @@ ADAPTIVE = "adaptive"
 DEFAULT_DT = 0.001
 
 #: Largest trajectory ``simulate`` allocates, in samples: (steps + 1) * 3n
-#: float64 values, 800 MB. The run report adds its (steps + 1) x (3n - 1)
-#: array of xi, so ``simulate`` and ``analyze`` peak at about twice that,
-#: 1.6 GB, at the budget. The largest run in the tests and the benchmark
-#: has 1.8 M samples (p2, dt = 1e-4, 30 s).
+#: float64 values, 800 MB. The run report adds one block of
+#: ``ERROR_BLOCK_VALUES`` values and a few series of steps + 1 values: 0.03
+#: of the trajectory at n = 100, 0.3 at n = 10, and as much again at n = 2,
+#: where a row holds 6 values (``tracemalloc``). The largest run in the
+#: tests and the benchmark has 1.8 M samples (p2, dt = 1e-4, 30 s).
 MAX_TRAJECTORY_SAMPLES = 100_000_000
 
 #: Largest node count at which ``simulate`` integrates with the map in
@@ -137,7 +132,8 @@ MATMUL_CALL_FLOPS = 40_000
 #: Largest block of error rows, in rows times n, that ``_march_error_rows``
 #: advances in one go, and for which ``_march_x_stages`` forms the Horner
 #: shifts of the x march: their temporaries stay a few times this size. The
-#: non-finite scan of ``simulate`` reads blocks of this many values too.
+#: non-finite scan of ``simulate`` and the run report's
+#: ``stability.error_sums`` read blocks of this many values too.
 ERROR_BLOCK_VALUES = 2**16
 
 #: Values per chunk of rows for which ``write_trajectory_csv`` forms the
@@ -250,30 +246,6 @@ def _check_lengths(g: Graph, *vecs):
     for v in vecs:
         if len(v) != g.n:
             raise MatrixShapeError(f"vector length {len(v)} != node count {g.n}")
-
-
-def nominal_control(g: Graph, x: np.ndarray) -> np.ndarray:
-    """Standard consensus law u = -L x."""
-    x = np.asarray(x, dtype=float)
-    _check_lengths(g, x)
-    return -laplacian(g) @ x
-
-
-def adaptive_control(g: Graph, x: np.ndarray, w_hat: np.ndarray) -> np.ndarray:
-    """Modified consensus law u = -L x - w_hat; the estimate cancels w."""
-    x = np.asarray(x, dtype=float)
-    w_hat = np.asarray(w_hat, dtype=float)
-    _check_lengths(g, x, w_hat)
-    return -laplacian(g) @ x - w_hat
-
-
-def emulator_derivative(g: Graph, x: np.ndarray, x_hat: np.ndarray) -> np.ndarray:
-    """Emulator dynamics -Delta x_hat + A x, componentwise
-    d(x_hat_i)/dt = -d_i x_hat_i + sum over neighbors of x_j."""
-    x = np.asarray(x, dtype=float)
-    x_hat = np.asarray(x_hat, dtype=float)
-    _check_lengths(g, x, x_hat)
-    return -degree_matrix(g) @ x_hat + adjacency_matrix(g) @ x
 
 
 def _neg_laplacian(g: Graph):
@@ -694,19 +666,20 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 
 
 def _scan_csv_rows(lines, n: int) -> np.ndarray:
-    """Trajectory CSV body lines parsed one by one; raises ``ScenarioError``
-    naming the first row with the wrong number of fields or a non-numeric
-    field (the header is row 1)."""
-    rows = []
+    """Trajectory CSV body lines parsed one by one into one flat
+    ``array("d")``, returned as a (rows, 1 + 3n) view of it, so the peak is
+    that one buffer; raises ``ScenarioError`` naming the first row with the
+    wrong number of fields or a non-numeric field (the header is row 1)."""
+    values = array.array("d")
     for lineno, line in enumerate(lines, start=2):
         parts = line.strip().split(",")
         if len(parts) != 1 + 3 * n:
             raise ScenarioError(f"trajectory CSV row {lineno} has {len(parts)} fields")
         try:
-            rows.append([float(p) for p in parts])
+            values.extend(map(float, parts))
         except ValueError:
             raise ScenarioError(f"trajectory CSV row {lineno} has a non-numeric field") from None
-    return np.asarray(rows)
+    return np.frombuffer(values).reshape(-1, 1 + 3 * n)
 
 
 def read_trajectory_csv(path, g: Graph, cfg: SimConfig) -> Trajectory:
@@ -740,6 +713,7 @@ def read_trajectory_csv(path, g: Graph, cfg: SimConfig) -> Trajectory:
                 except ValueError:
                     data = None
             if data is None or data.shape != (next(lines), 1 + 3 * n):
+                data = None  # freed before the scan, not held through it
                 fh.seek(start)
                 data = _scan_csv_rows(itertools.islice(fh, limit), n)
         except UnicodeDecodeError as exc:

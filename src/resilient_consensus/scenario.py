@@ -157,8 +157,8 @@ def build_run_report(traj: Trajectory, w: np.ndarray) -> dict:
 
     An adaptive run's checks read one pass over the trajectory
     (``stability.error_sums``): the working memory above the trajectory is
-    one (steps + 1) x (3n - 1) array of the agreement coordinates xi, plus
-    a few arrays of steps + 1 values.
+    a few arrays of steps + 1 values, plus one block of the agreement
+    coordinates xi of at most ``dynamics.ERROR_BLOCK_VALUES`` values.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         report = _run_report(traj, w)

@@ -1,10 +1,10 @@
 """Dense real-matrix spectral machinery.
 
-Eigenvalues, determinants, and inertia counts, plus two structural results
-used by the stability analysis: the block-triangular determinant identity
-det([[A,B],[0,D]]) = det(A)det(D), and the inertia of a quadratic matrix
-polynomial Z(lam) = A lam^2 + B lam + C with positive-definite B, checked
-against its companion linearization.
+Eigenvalues, inertia counts of eigenvalue sets, the assembly of a
+block-triangular matrix [[A, B], [0, D]], and the inertia of a quadratic
+matrix polynomial Z(lam) = A lam^2 + B lam + C with positive-definite B,
+predicted by the inertia identities and observed on its companion
+linearization.
 
 Dense eigensolves are delegated to LAPACK (Hessenberg reduction + shifted
 QR), via numpy.
@@ -90,27 +90,14 @@ def eigenvalues(a: np.ndarray) -> Spectrum:
     return Spectrum(np.linalg.eigvals(a))
 
 
-def determinant(a: np.ndarray) -> float:
-    """Determinant via pivoted LU elimination."""
-    a = _require_square(a)
-    return float(np.linalg.det(a))
-
-
 def default_zero_tol(a: np.ndarray) -> float:
     """Zero-real-part tolerance scaled by the matrix's max row sum."""
     a = np.asarray(a, dtype=float)
     return 1e-9 * max(1.0, float(np.max(np.sum(np.abs(a), axis=1))))
 
 
-def inertia(a: np.ndarray, tol: float | None = None) -> Inertia:
-    """Count eigenvalue real parts against a +-tol band around zero."""
-    a = _require_square(a)
-    if tol is None:
-        tol = default_zero_tol(a)
-    return inertia_of_values(eigenvalues(a).eigenvalues, tol)
-
-
 def inertia_of_values(vals: np.ndarray, tol: float) -> Inertia:
+    """Count eigenvalue real parts against a +-tol band around zero."""
     re = np.asarray(vals).real
     return Inertia(
         n_plus=int(np.sum(re > tol)),
@@ -134,18 +121,6 @@ def assemble_block_triangular(a: np.ndarray, b: np.ndarray, d: np.ndarray) -> np
     m[:p, p:] = b
     m[p:, p:] = d
     return m
-
-
-def block_triangular_det_check(a, b, d) -> tuple[float, float, float]:
-    """Both sides of det([[A,B],[0,D]]) = det(A)det(D), and their difference.
-
-    The left side is a direct pivoted elimination on the assembled matrix,
-    independent of the factored right side.
-    """
-    m = assemble_block_triangular(a, b, d)
-    det_m = determinant(m)
-    det_ad = determinant(a) * determinant(d)
-    return det_m, det_ad, abs(det_m - det_ad)
 
 
 def companion_matrix(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:

@@ -45,16 +45,16 @@ E = 0.5 x_tilde'x_tilde + w_tilde'w_tilde/(2 alpha) (nonincreasing, with
 dE/dt = -x_tilde' Delta x_tilde), the transient bound
 ||x_tilde||_2 <= ||w_tilde(0)||_2 / sqrt(alpha), the boundedness of the
 emulator centroid and the decay rate of ||xi||. They read one pass over
-the trajectory, ``error_sums``: xi is formed once, its row-0 values read,
-and it is squared in place for the per-sample sums every check needs. A
-run report calls it once and passes the sums to the per-check code
-(``_perturbation_bound``, ``_energy``, ``_centroid_drift``,
-``_decay_rate``). The public checks (``check_perturbation_bound``,
-``check_energy_decay``, ``energy_series``, ``centroid_analysis``,
-``transformed_error_norms``, ``fit_decay_rate``) call the same two
-layers, so no reported value has a second code path; only the residuals
-that no report prints, of dE/dt and of the centroid's rate, read
-``error_series`` for the tests.
+the trajectory, ``error_sums``: xi is formed a block of rows at a time in
+one reused buffer, its row-0 values read, and it is squared in place for
+the per-sample sums every check needs. A run report calls it once and
+passes the sums to the per-check code (``_perturbation_bound``,
+``_energy``, ``_centroid_drift``, ``_decay_rate``). The public checks
+(``check_perturbation_bound``, ``check_energy_decay``,
+``centroid_analysis``, ``fit_decay_rate``) call the same two layers, so
+no reported value has a second code path; only the residuals that no
+report prints, of dE/dt and of the centroid's rate, read ``error_series``
+for the tests.
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ import numpy as np
 from .errors import DisconnectedGraphError, MatrixShapeError, ScenarioError
 from .dynamics import (
     ADAPTIVE,
+    ERROR_BLOCK_VALUES,
     Trajectory,
     _check_lengths,
     _closed_form_modes,
@@ -236,14 +237,6 @@ def verify_theorem(g: Graph, alpha: float) -> StabilityReport:
     )
 
 
-def energy(x_tilde: np.ndarray, w_tilde: np.ndarray, alpha: float) -> float:
-    """E = 0.5 ||x_tilde||^2 + ||w_tilde||^2 / (2 alpha)."""
-    alpha = read_scalar(alpha, "alpha", positive=True)
-    x_tilde = np.asarray(x_tilde, dtype=float)
-    w_tilde = np.asarray(w_tilde, dtype=float)
-    return float(0.5 * x_tilde @ x_tilde + (w_tilde @ w_tilde) / (2.0 * alpha))
-
-
 @dataclass(frozen=True)
 class ErrorSums:
     """What the trajectory checks read of a run, from ``error_sums``: per
@@ -261,34 +254,40 @@ class ErrorSums:
 
 def error_sums(traj: Trajectory, w: np.ndarray) -> ErrorSums:
     """The agreement coordinates xi = (z, x_tilde, w_tilde) of every sample,
-    formed once in one (steps + 1) x (3n - 1) array and squared in place
-    after the row-0 values are read; each sum is one row reduction of it.
-    The numpy operations are those of ``np.linalg.norm`` and of sums over
-    ``error_series``, so every value has the same bits."""
+    formed for a block of rows of at most ``ERROR_BLOCK_VALUES`` values at a
+    time in one reused buffer, and squared in place after the row-0 values
+    are read; each sum is one row reduction of a block into a per-sample
+    series. The numpy operations per row are those of ``np.linalg.norm``
+    and of sums over ``error_series``, so every value has the same bits."""
     w = np.asarray(w, dtype=float)
-    n = traj.graph.n
+    n, rows = traj.graph.n, len(traj.states)
     _check_lengths(traj.graph, w)
-    x_hat = traj.x_hat
-    xi = np.empty((len(traj.states), 3 * n - 1))
-    z, x_t, w_t = xi[:, : n - 1], xi[:, n - 1 : 2 * n - 1], xi[:, 2 * n - 1 :]
-    np.subtract(x_hat[:, :1], x_hat[:, 1:], out=z)
-    np.subtract(traj.x, x_hat, out=x_t)
-    np.subtract(traj.w_hat, w, out=w_t)
-    w_tilde0_norm = float(np.linalg.norm(w_t[0]))
-    x_tilde0_zero = bool(np.allclose(x_t[0], 0.0, atol=1e-12))
-    np.square(xi, out=xi)
+    x, x_hat, w_hat = traj.x, traj.x_hat, traj.w_hat
+    block = max(1, ERROR_BLOCK_VALUES // (3 * n - 1))
+    buffer = np.empty((min(block, rows), 3 * n - 1))
+    x_tilde_sq, w_tilde_sq, xi_sq = np.empty((3, rows))
+    for k in range(0, rows, block):
+        end = min(k + block, rows)
+        xi = buffer[: end - k]
+        z, x_t, w_t = xi[:, : n - 1], xi[:, n - 1 : 2 * n - 1], xi[:, 2 * n - 1 :]
+        np.subtract(x_hat[k:end, :1], x_hat[k:end, 1:], out=z)
+        np.subtract(x[k:end], x_hat[k:end], out=x_t)
+        np.subtract(w_hat[k:end], w, out=w_t)
+        if k == 0:
+            w_tilde0_norm = float(np.linalg.norm(w_t[0]))
+            x_tilde0_zero = bool(np.allclose(x_t[0], 0.0, atol=1e-12))
+        np.square(xi, out=xi)
+        np.add.reduce(x_t, axis=1, out=x_tilde_sq[k:end])
+        np.add.reduce(w_t, axis=1, out=w_tilde_sq[k:end])
+        np.add.reduce(xi, axis=1, out=xi_sq[k:end])
     return ErrorSums(
-        x_tilde_sq=np.add.reduce(x_t, axis=1),
-        w_tilde_sq=np.add.reduce(w_t, axis=1),
-        xi_norm=np.sqrt(np.add.reduce(xi, axis=1)),
+        x_tilde_sq=x_tilde_sq,
+        w_tilde_sq=w_tilde_sq,
+        xi_norm=np.sqrt(xi_sq, out=xi_sq),
         centroid=np.sum(x_hat, axis=1),
         w_tilde0_norm=w_tilde0_norm,
         x_tilde0_zero=x_tilde0_zero,
     )
-
-
-def energy_series(traj: Trajectory, w: np.ndarray, alpha: float) -> np.ndarray:
-    return _energy(error_sums(traj, w), alpha)
 
 
 def _energy(s: ErrorSums, alpha: float) -> np.ndarray:
@@ -309,7 +308,7 @@ def check_energy_decay(
     difference of E and the analytic rate -x_tilde' Delta x_tilde
     (trapezoid-averaged across the step, so the residual is O(dt^2)).
     """
-    e = energy_series(traj, w, alpha)
+    e = _energy(error_sums(traj, w), alpha)
     x_t, _ = error_series(traj, w)
     deg = traj.graph.degrees.astype(float)
     rate = -np.sum(deg[None, :] * x_t * x_t, axis=1)
@@ -376,12 +375,6 @@ def _centroid_drift(traj: Trajectory, c: np.ndarray) -> tuple[float, float]:
     tail_drift = abs(float(c[-1] - c[len(c) // 2]))
     final_agreement = float(np.mean(traj.x[-1]))
     return tail_drift, abs(final_agreement - float(c[-1]) / traj.graph.n)
-
-
-def transformed_error_norms(traj: Trajectory, w: np.ndarray) -> np.ndarray:
-    """Norm of xi = (z1, x_tilde, w_tilde) per sample, the coordinates in
-    which the closed loop is dxi/dt = M xi."""
-    return error_sums(traj, w).xi_norm
 
 
 def fit_decay_rate(traj: Trajectory, w: np.ndarray) -> float:

@@ -16,7 +16,6 @@ from resilient_consensus import (
     Inertia,
     NOMINAL,
     SimConfig,
-    block_triangular_det_check,
     centroid_analysis,
     check_energy_decay,
     check_perturbation_bound,
@@ -32,6 +31,8 @@ from resilient_consensus import (
     simulate,
     verify_theorem,
 )
+
+from reference import block_triangular_det_check
 
 GRID_SEED = 12345
 RUN_SEED = 67890

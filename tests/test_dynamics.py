@@ -20,16 +20,13 @@ from resilient_consensus import (
     NOMINAL,
     SimConfig,
     Trajectory,
-    adaptive_control,
     adjacency_matrix,
     build_run_report,
     closed_form_spectrum,
     consensus_error,
     default_t_final,
-    emulator_derivative,
     error_series,
     laplacian,
-    nominal_control,
     random_connected_graph,
     read_trajectory_csv,
     simulate,
@@ -43,7 +40,9 @@ from resilient_consensus.errors import (
     ScenarioError,
 )
 from resilient_consensus.graph import from_edge_list, path_graph
-from resilient_consensus.stability import DECAY_WINDOW, energy_series, transformed_error_norms
+from resilient_consensus.stability import DECAY_WINDOW, _energy, error_sums
+
+from reference import adaptive_control, emulator_derivative, nominal_control
 
 
 def adaptive_cfg(n, alpha=1.0, dt=0.001, t_final=10.0, x0=None, **kw):
@@ -632,10 +631,10 @@ class TestRunReport:
             ref, series = reference_run_report(traj, w_run)
             assert report == ref
             assert {k: type(v) for k, v in report.items()} == {k: type(v) for k, v in ref.items()}
-            if series is not None:  # the shared one pass, through the public checks
-                alpha = run_cfg.alpha
-                assert np.array_equal(energy_series(traj, w_run, alpha), series["energy"])
-                assert np.array_equal(transformed_error_norms(traj, w_run), series["xi_norm"])
+            if series is not None:  # the shared one pass, as the checks read it
+                sums = error_sums(traj, w_run)
+                assert np.array_equal(_energy(sums, run_cfg.alpha), series["energy"])
+                assert np.array_equal(sums.xi_norm, series["xi_norm"])
             if case == "mismatch":
                 assert report["perturbation_assumption_ok"] is False
             if case in ("too_short", "zero_xi", "two_rows"):
@@ -644,9 +643,9 @@ class TestRunReport:
                 assert report["decay_rate_fit"] is not None
 
     def test_working_memory(self):
-        # tracemalloc's peak during the report: one (steps + 1) x (3n - 1)
-        # array of xi above the trajectory; a steps x n copy of the error
-        # series for each check does not fit
+        # tracemalloc's peak during the report: a few series of steps + 1
+        # values and one block of xi above the trajectory; a
+        # (steps + 1) x (3n - 1) array of xi does not fit
         n, steps = 100, 20_000
         g = path_graph(n)
         w = np.ones(n)
@@ -658,7 +657,7 @@ class TestRunReport:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.25 * traj.states.nbytes
+        assert peak < 0.1 * traj.states.nbytes
 
 
 class TestConsensusError:
@@ -784,6 +783,31 @@ class TestTrajectoryCsv:
         back = read_trajectory_csv(path, p2, cfg)
         assert back.states.tobytes() == traj.states.tobytes()
         assert back.times.tobytes() == traj.times.tobytes()
+
+    def test_fallback_scan_working_memory(self, tmp_path):
+        # one field written 1_0, which float() reads and numpy's C parser
+        # rejects, sends the body to the line scan: its tracemalloc peak
+        # stays near the one array it returns, where a list of float lists
+        # took over five times that
+        g = path_graph(10)
+        cfg = adaptive_cfg(10, t_final=10.0, x0=np.linspace(-1.0, 1.0, 10))
+        traj = simulate(g, cfg, np.ones(10))
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, path)
+        header, first, rest = path.read_text().split("\n", 2)
+        fields = first.split(",")
+        fields[1] = "1_0"  # x_0 at t = 0
+        path.write_text("\n".join([header, ",".join(fields), rest]))
+        expected = traj.states.copy()
+        expected[0, 0] = 10.0
+        tracemalloc.start()
+        try:
+            back = read_trajectory_csv(path, g, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.states.tobytes() == expected.tobytes()
+        assert peak < 1.5 * back.states.nbytes
 
     def test_header_mismatch(self, p2, k3, tmp_path):
         traj = simulate(p2, adaptive_cfg(2, dt=0.01, t_final=0.1), np.zeros(2))

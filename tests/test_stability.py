@@ -11,6 +11,7 @@ from resilient_consensus import (
     Inertia,
     SimConfig,
     Spectrum,
+    Trajectory,
     adjacency_matrix,
     build_m,
     build_run_report,
@@ -22,7 +23,6 @@ from resilient_consensus import (
     complete_graph,
     degree_matrix,
     eigenvalues,
-    energy,
     error_block,
     fit_decay_rate,
     from_edge_list,
@@ -38,6 +38,7 @@ from resilient_consensus import (
 )
 from resilient_consensus.dynamics import _closed_form_modes
 from resilient_consensus.spectral import _cluster_matching, inertia_of_values, spectrum_matching
+from resilient_consensus.stability import _energy, error_sums
 from resilient_consensus.errors import (
     DisconnectedGraphError,
     MatrixShapeError,
@@ -444,12 +445,24 @@ class TestVerifyTheorem:
             verify_theorem(g, 1.0)
 
 
+def energy(x_tilde, w_tilde, alpha):
+    """E = 0.5 ||x_tilde||^2 + ||w_tilde||^2 / (2 alpha) at one sample, as
+    the run report forms it: through ``error_sums`` on a one-row trajectory
+    with x = x_tilde, x_hat = 0, w_hat = w_tilde and w = 0."""
+    n = len(x_tilde)
+    cfg = SimConfig(protocol=ADAPTIVE, dt=1.0, t_final=1.0, x0=x_tilde, alpha=alpha)
+    states = np.concatenate([x_tilde, np.zeros(n), w_tilde])[None, :]
+    sums = error_sums(Trajectory(states, complete_graph(n), cfg), np.zeros(n))
+    return float(_energy(sums, cfg.alpha)[0])
+
+
 class TestEnergy:
     def test_zero(self):
         assert energy(np.zeros(3), np.zeros(3), 1.0) == 0.0
 
     def test_substitution(self):
         assert energy(np.zeros(2), np.array([1.0, 0.0]), 2.0) == pytest.approx(0.25)
+        assert energy(np.array([1.0, 2.0]), np.zeros(2), 2.0) == pytest.approx(2.5)
 
     def test_initial_value_with_zero_mismatch(self, rng):
         w_t0 = rng.normal(size=4)
@@ -459,6 +472,7 @@ class TestEnergy:
         )
 
     def test_nonpositive_alpha_rejected(self):
+        # alpha enters through SimConfig, which rejects it before any energy
         with pytest.raises(ScenarioError):
             energy(np.zeros(2), np.zeros(2), -1.0)
 
