@@ -63,20 +63,32 @@ dense matvec costs more per step than the four sparse ones.
 
 Besides the trajectory that ``MAX_TRAJECTORY_SAMPLES`` budgets, the map
 holds a few 3n x n arrays, and the error rows, the stage shifts and the
-non-finite scan a few blocks of ``ERROR_BLOCK_VALUES`` values. With two
-usable CPUs the CSV writer forks two self-pinned helpers that write half
-the rows each to an unnamed temporary file, which the caller appends:
-less wall time for more CPU time. A process formats one row, and forms
-the times of one chunk of ``CSV_CHUNK_VALUES`` values, at a time.
+non-finite scan a few blocks of ``ERROR_BLOCK_VALUES`` values.
+
+Trajectory CSV I/O uses two CPUs where two are usable (``_usable_cpus``:
+the affinity mask, capped by the cgroup v2 CPU quota), through one
+primitive: ``_fork_helper`` forks a helper that pins itself to one CPU,
+``_reap`` waits for one, and ``_stop_helpers`` kills and reaps whatever
+is left. The writer forks two helpers that write half the rows each to
+an unnamed temporary file, which the caller appends. The reader splits
+the body at a line start near its byte midpoint; the caller parses the
+first half while one helper parses the second and pipes its rows back,
+and any doubt sends the body to the one-process read, so the bits and
+the errors do not depend on the CPU count. Both trade CPU time for wall
+time. A process formats one row, and forms the times of one chunk of
+``CSV_CHUNK_VALUES`` values, at a time, and parses a chunk of rows at a
+time; no CSV line is read past ``CSV_FIELD_CHARS`` characters a field.
 """
 
 from __future__ import annotations
 
 import array
 import gc
+import io
 import itertools
 import math
 import numbers
+import operator
 import os
 import tempfile
 import warnings
@@ -137,10 +149,31 @@ MATMUL_CALL_FLOPS = 40_000
 ERROR_BLOCK_VALUES = 2**16
 
 #: Values per chunk of rows for which ``write_trajectory_csv`` forms the
-#: times in one piece; a trajectory of more than one chunk is split between
-#: two helpers where two CPUs are usable, and the caller copies a helper's
-#: file in pieces of at most one chunk of text (about 0.2 MB).
+#: times in one piece, and which ``read_trajectory_csv`` parses in one
+#: piece on its two-CPU path. A trajectory of more than one chunk is
+#: written by two helpers where two CPUs are usable, and the writer copies
+#: a helper's file in pieces of at most one chunk of text (about 0.2 MB).
 CSV_CHUNK_VALUES = 2**13
+
+#: Characters a trajectory CSV field may take on average, its comma
+#: included, against at most 24 for the ``repr`` of a float: the reader
+#: reads a body row up to this many characters a field, and the header up
+#: to this many characters past its expected length, and rejects a longer
+#: line before it is read whole.
+CSV_FIELD_CHARS = 64
+
+#: Smallest trajectory CSV body, in bytes, that ``read_trajectory_csv``
+#: parses on two CPUs. Its helper costs about 7 ms in the benchmark's
+#: worker (70-76 MB resident), whatever the body: the fork 2-3 ms, the
+#: pipe 0.5-1.5 ms and the helper's exit, which the caller waits for,
+#: 2-4 ms. At about 19 ns a byte, halving the parse paid for that only
+#: from about 1.3 MB on: perfbench ``analyze_s`` at seed 1 moved by +3 %
+#: on a 1.26 MB body, -6 % on 1.45 MB and -26 % on 3.75 MB (10 pairs each).
+CSV_PARALLEL_BYTES = 2**21
+
+#: The cgroup v2 file that holds the CPU quota of the caller's cgroup,
+#: "<quota> <period>" in microseconds or "max <period>" for none.
+CPU_MAX_PATH = "/sys/fs/cgroup/cpu.max"
 
 
 def read_scalar(raw, name: str, positive: bool = False) -> float:
@@ -546,12 +579,34 @@ def _csv_columns(n: int) -> list[str]:
     return ["t"] + [f"{name}_{i}" for name in ("x", "xhat", "what") for i in range(n)]
 
 
+
+
+def _usable_cpus() -> list:
+    """The CPUs a helper may pin itself to: the caller's affinity mask,
+    sorted, where it holds two or more CPUs and the cgroup v2 CPU quota
+    (``CPU_MAX_PATH``: quota over period, rounded up) lets two or more run
+    at once; else an empty list, and neither CSV path forks a helper.
+    Where the platform has no affinity call there is one CPU; where the
+    quota file cannot be read or parsed, no quota applies."""
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    if len(cpus) < 2:
+        return []
+    try:
+        with open(CPU_MAX_PATH) as fh:
+            quota, period = fh.read().split()
+        if quota != "max" and -(-int(quota) // int(period)) < 2:
+            return []
+    except (OSError, ValueError, ZeroDivisionError):
+        pass
+    return cpus
+
+
 def _cpu_after_caller(cpus: list) -> int:
     """Index in cpus, modulo len(cpus), of the CPU after the caller's
-    (``/proc/self/stat``), else the process id. The first CSV helper pins
+    (``/proc/self/stat``), else the process id. The first helper pins
     itself there: by the process id alone it took the caller's CPU in some
-    runs, slowing the second fork (large-cert ``simulate`` 87-98 ms against
-    77-93 ms, perfbench, three runs each)."""
+    runs, slowing the writer's second fork (large-cert ``simulate`` 87-98 ms
+    against 77-93 ms, perfbench, three runs each)."""
     try:
         with open("/proc/self/stat") as fh:
             return 1 + cpus.index(int(fh.read().rsplit(")", 1)[1].split()[36]))
@@ -571,98 +626,151 @@ def _write_csv_rows(traj: Trajectory, start: int, stop: int, fh) -> None:
             fh.write(f"{t!r},{','.join(map(repr, y.tolist()))}\n".encode())
 
 
-def _fork_helper(traj: Trajectory, start: int, stop: int, tmp, cpu) -> int:
-    """Fork a process that pins itself to ``cpu``, writes the CSV lines of
-    rows [start, stop) to the file ``tmp`` and exits with code 0 only if
-    it wrote them all; return its pid."""
+def _fork_helper(cpu, work, *args) -> int:
+    """Fork a helper that pins itself to ``cpu``, calls ``work(*args)`` and
+    exits with code 0 only if that returned; return its pid.
+
+    The helper shares the caller's memory, shows no warning, runs no
+    garbage collection and leaves through ``os._exit``: no flush or close
+    of the caller's files. ``work`` makes no BLAS call and imports
+    nothing. Python >= 3.12 warns about a fork of a multi-threaded process
+    (an unpinned OpenBLAS pool, say); the helper takes no lock another
+    thread could hold (the allocator's are reset at fork), so that warning
+    is silenced. A CPU the helper cannot pin to leaves it unpinned."""
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)  # see write_trajectory_csv
+        warnings.simplefilter("ignore", DeprecationWarning)
         pid = os.fork()
     if pid == 0:
         code = 1
         try:
             gc.disable()  # no finalizer of the parent's garbage runs here
-            try:  # see write_trajectory_csv
+            warnings.simplefilter("ignore")
+            try:
                 os.sched_setaffinity(0, {cpu})
             except OSError:
                 pass
-            _write_csv_rows(traj, start, stop, tmp)
-            tmp.flush()
+            work(*args)
             code = 0
         finally:
             os._exit(code)
     return pid
 
 
+def _reap(pids: dict, key) -> bool:
+    """Wait for the helper ``pids[key]``, if there is one, and drop it from
+    pids: True only if it exited with code 0. A helper the system reaped
+    (as under ``SIGCHLD = SIG_IGN``) counts as failed."""
+    try:
+        status = os.waitpid(pids[key], 0)[1] if key in pids else 1
+    except ChildProcessError:
+        status = 1
+    pids.pop(key, None)
+    return status == 0
+
+
+def _stop_helpers(pids: dict) -> None:
+    """Kill and reap every helper still in pids, in the ``finally`` of each
+    call that forks one. A helper the system reaped gets no signal, as its
+    pid may have been reused."""
+    for pid in pids.values():
+        try:
+            if os.waitpid(pid, os.WNOHANG)[0] == 0:  # still running: stop it
+                import signal  # here, not at module level: its import takes about 1 ms
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        except ChildProcessError:  # reaped by the system
+            pass
+
+
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Trajectory CSV: header t,x_0..,xhat_0..,what_0..; each value is the
     ``repr`` of its float, and the bytes do not depend on the CPU count.
 
-    Where two CPUs are usable and the rows make more than one chunk of
-    ``CSV_CHUNK_VALUES`` values, one helper per half of the rows is forked
-    before the file is opened. Helper i pins itself to the usable CPU i + 1
-    places after the caller's (``_cpu_after_caller``) and writes its half
-    to its own unnamed temporary file. Unpinned, two helpers often shared
-    one CPU: small-long ``simulate`` took 115 ms against 70-80 ms pinned.
-    The caller writes the header, then for each half in row order waits
-    for its helper and appends its file in pieces of at most one chunk of
-    text. A half whose helper did not exit with code 0 (it failed, was
-    killed, or was reaped by the system under ``SIGCHLD = SIG_IGN``) the
-    caller formats itself, as it does every row where the rows are not
-    split. If the call fails, each helper not yet reaped is killed and
-    reaped.
+    Where two CPUs are usable (``_usable_cpus``) and the rows make more
+    than one chunk of ``CSV_CHUNK_VALUES`` values, one helper per half of
+    the rows is forked (``_fork_helper``) before the file is opened. Helper
+    i pins itself to the usable CPU i + 1 places after the caller's
+    (``_cpu_after_caller``) and writes its half to its own unnamed
+    temporary file. Unpinned, two helpers often shared one CPU: small-long
+    ``simulate`` took 115 ms against 70-80 ms pinned. The caller writes the
+    header, then for each half in row order waits for its helper and
+    appends its file in pieces of at most one chunk of text. A half whose
+    helper did not exit with code 0 (it failed, was killed, or was reaped
+    by the system) the caller formats itself, as it does every row where
+    the rows are not split. If the call fails, each helper not yet reaped
+    is killed and reaped (``_stop_helpers``).
 
     Side effects where the rows are split: the call forks two helpers and
     creates two unnamed temporary files (``tempfile.TemporaryFile``), all
     gone when it returns or raises. It never changes the caller's CPU set.
-
-    A helper shares the trajectory with the caller, writes only to its
-    file and leaves through ``os._exit``: no BLAS call, no import, no
-    garbage collection, no flush or close of the caller's files. Python
-    >= 3.12 warns about a fork of a multi-threaded process (an unpinned
-    OpenBLAS pool, say); the helper takes no lock another thread could
-    hold (the allocator's are reset at fork), so the warning is silenced.
     """
     rows, width = len(traj.states), 1 + traj.states.shape[1]
     per_chunk = max(1, CSV_CHUNK_VALUES // width)
-    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
-    halves = [(0, rows // 2), (rows // 2, rows)] if len(cpus) > 1 and rows > per_chunk else [(0, rows)]
+    cpus = _usable_cpus()
+    halves = [(0, rows // 2), (rows // 2, rows)] if cpus and rows > per_chunk else [(0, rows)]
     piece = memoryview(bytearray(4 * per_chunk * width))  # a value takes 4 bytes or more ("0.0,")
     pids, files = {}, {}  # by half; a pid leaves pids once reaped
+
+    def write_half(start, stop, tmp):  # in a helper
+        _write_csv_rows(traj, start, stop, tmp)
+        tmp.flush()
+
     try:
         if len(halves) > 1:
             first = _cpu_after_caller(cpus)
             for i, (start, stop) in enumerate(halves):
                 try:
                     files[i] = tempfile.TemporaryFile()
-                    pids[i] = _fork_helper(traj, start, stop, files[i], cpus[(first + i) % len(cpus)])
+                    pids[i] = _fork_helper(cpus[(first + i) % len(cpus)], write_half, start, stop, files[i])
                 except OSError:  # no file or process to spare: the caller formats this half
                     pass
         with open(path, "wb") as fh:
             fh.write((",".join(_csv_columns(traj.graph.n)) + "\n").encode())
             for i, (start, stop) in enumerate(halves):
-                try:
-                    status = os.waitpid(pids[i], 0)[1] if i in pids else 1
-                except ChildProcessError:  # reaped by the system, as under SIGCHLD = SIG_IGN
-                    status = 1
-                pids.pop(i, None)
-                if status == 0:  # the helper exited with code 0
+                if _reap(pids, i):
                     files[i].seek(0)
                     while size := files[i].readinto(piece):
                         fh.write(piece[:size])
                 else:
                     _write_csv_rows(traj, start, stop, fh)
     finally:
-        for pid in pids.values():
-            try:
-                if os.waitpid(pid, os.WNOHANG)[0] == 0:  # still running: stop it
-                    import signal  # here, not at module level: its import takes about 1 ms
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-            except ChildProcessError:  # reaped by the system
-                pass
+        _stop_helpers(pids)
         for tmp in files.values():
             tmp.close()
+
+
+def _csv_lines(fh, width: int, limit: int | None = None):
+    """The body lines of a trajectory CSV with rows of ``width`` fields
+    from the text file fh, at most ``limit`` of them (all where None). A
+    row longer than ``CSV_FIELD_CHARS`` characters a field is not read
+    whole: ``ScenarioError`` names it, counting the header as row 1."""
+    longest = CSV_FIELD_CHARS * width
+    readline = fh.readline
+    for lineno in itertools.islice(itertools.count(2), limit):
+        line = readline(longest + 1)
+        if not line:
+            return
+        if len(line) > longest and line[-1] != "\n":
+            raise ScenarioError(f"trajectory CSV row {lineno} is longer than {longest} characters")
+        yield line
+
+
+def _loadtxt_rows(lines, width: int) -> np.ndarray | None:
+    """lines parsed by numpy's C text reader into a (lines, width) array,
+    or None where it rejects a line (a ``ScenarioError`` or
+    ``UnicodeDecodeError`` from reading them included), skips one (it
+    skips empty lines) or reads another width."""
+    lines_read = itertools.count()  # then next(lines_read) counts the lines parsed
+    with warnings.catch_warnings():
+        # lines with no data warn; the caller's line scan rejects them
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            data = np.loadtxt(
+                map(operator.itemgetter(0), zip(lines, lines_read)), delimiter=",", comments=None, ndmin=2
+            )
+        except ValueError:
+            return None
+    return data if data.shape == (next(lines_read), width) else None
 
 
 def _scan_csv_rows(lines, n: int) -> np.ndarray:
@@ -682,40 +790,172 @@ def _scan_csv_rows(lines, n: int) -> np.ndarray:
     return np.frombuffer(values).reshape(-1, 1 + 3 * n)
 
 
+class _FileSpan(io.RawIOBase):
+    """Bytes [start, stop) of the file open on ``fd``, read with
+    ``os.pread``, which leaves the file's offset where it is."""
+
+    def __init__(self, fd: int, start: int, stop: int):
+        super().__init__()
+        self._fd, self._pos, self._stop = fd, start, stop
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        data = os.pread(self._fd, min(len(buf), self._stop - self._pos), self._pos)
+        buf[: len(data)] = data
+        self._pos += len(data)
+        return len(data)
+
+
+def _span_chunks(fd: int, start: int, stop: int, width: int):
+    """The trajectory CSV lines in bytes [start, stop) of the file open on
+    fd, decoded as ``read_trajectory_csv`` decodes the file and parsed by
+    ``_loadtxt_rows`` a chunk of ``CSV_CHUNK_VALUES`` values at a time:
+    yields one (rows, width) array per chunk, and raises ``ValueError``
+    where ``_loadtxt_rows`` does not accept a chunk."""
+    per_chunk = max(1, CSV_CHUNK_VALUES // width)
+    with io.TextIOWrapper(io.BufferedReader(_FileSpan(fd, start, stop)), encoding="utf-8") as text:
+        lines = _csv_lines(text, width)
+        for line in lines:  # the first line of each chunk
+            data = _loadtxt_rows(itertools.chain([line], itertools.islice(lines, per_chunk - 1)), width)
+            if data is None:
+                raise ValueError("chunk not parsed whole")
+            yield data
+
+
+def _check_grid(data: np.ndarray, row: int, samples: int, dt: float) -> None:
+    """Raise ``ValueError`` unless the parsed rows data fit as rows
+    [row, row + len(data)) of a grid of ``samples`` rows and their times
+    are t_k = k dt, as ``Trajectory.times`` forms them."""
+    end = row + len(data)
+    if not (0 <= row and end <= samples and np.array_equal(data[:, 0], np.arange(row, end) * dt)):
+        raise ValueError("rows off the grid")
+
+
+def _read_halves(fh, start: int, samples: int, width: int, dt: float) -> np.ndarray | None:
+    """The states of the trajectory CSV open as fh, whose body starts at
+    byte ``start``, parsed in two halves at once, or None where this path
+    does not apply or does not accept the body exactly as it is.
+
+    The body is split at the first line start at or after its byte
+    midpoint. A helper (``_fork_helper``, pinned to the CPU after the
+    caller's) parses the second half while the caller parses the first,
+    each with ``_span_chunks``, and each checks every time against
+    t_k = k dt of its row k (``_check_grid``). The caller copies the state
+    columns of each chunk into the top rows of the result as it goes. The
+    helper counts its rows, which end at row ``samples``, and sends the
+    count, then their state columns, through a pipe, which the caller reads
+    straight into the bottom rows. The result stands only if the two row
+    counts add up to ``samples`` and the helper exited with code 0. So an
+    accepted body is one that the caller's own read accepts too, with the
+    same bits: no line numpy rejects or skips, and exactly the grid's rows
+    and times. The time column is dropped.
+
+    The path does not apply with fewer than two usable CPUs
+    (``_usable_cpus``), a body of less than ``CSV_PARALLEL_BYTES``, or a
+    body too short or too long for ``samples`` rows of ``width`` fields of
+    1 to ``CSV_FIELD_CHARS`` characters. ``start`` is ``fh.tell()``, which is
+    the byte offset unless a decoder state is pending; a larger value
+    leaves the body too short. The helper is killed and reaped if it is
+    still running when the call returns or raises (``_stop_helpers``).
+    """
+    fd = fh.fileno()
+    stop = os.fstat(fd).st_size
+    longest = CSV_FIELD_CHARS * width
+    body = stop - start
+    if not (CSV_PARALLEL_BYTES <= body and 2 * width * samples <= body <= (longest + 1) * samples):
+        return None
+    cpus = _usable_cpus()
+    if not cpus:
+        return None
+    mid = (start + stop) // 2
+    cut = os.pread(fd, longest + 1, mid - 1).find(b"\n")  # from the byte before mid
+    split = mid + cut
+    if cut < 0 or split >= stop:
+        return None
+    states = np.empty((samples, width - 1))
+
+    def parse_bottom(rows_in, rows_out):  # in the helper
+        os.close(rows_in)  # so that its writes fail if the caller is gone
+        chunks = list(_span_chunks(fd, split, stop, width))
+        rows = sum(map(len, chunks))
+        row = samples - rows
+        for data in chunks:
+            _check_grid(data, row, samples, dt)
+            row += len(data)
+        with open(rows_out, "wb") as out:
+            out.write(rows.to_bytes(8, "little"))
+            for data in chunks:
+                out.write(np.ascontiguousarray(data[:, 1:]))
+
+    pids = {}
+    try:
+        rows_in, rows_out = os.pipe()
+        with open(rows_in, "rb") as bottom:
+            try:
+                cpu = cpus[_cpu_after_caller(cpus) % len(cpus)]
+                pids[0] = _fork_helper(cpu, parse_bottom, rows_in, rows_out)
+            finally:
+                os.close(rows_out)  # so that the read below ends where the helper does
+            top = 0
+            for data in _span_chunks(fd, start, split, width):
+                _check_grid(data, top, samples, dt)
+                states[top : top + len(data)] = data[:, 1:]
+                top += len(data)
+            count = bottom.read(8)
+            if (
+                len(count) == 8
+                and top + int.from_bytes(count, "little") == samples
+                and bottom.readinto(states[top:]) == states[top:].nbytes
+                and _reap(pids, 0)
+            ):
+                return states
+    except (ValueError, OSError):  # the caller reads the body alone
+        pass
+    finally:
+        _stop_helpers(pids)
+    return None
+
+
 def read_trajectory_csv(path, g: Graph, cfg: SimConfig) -> Trajectory:
     """Read a trajectory CSV back; validates the header against the graph
     and the time column against the grid ``simulate`` writes for cfg:
     exactly t_k = k dt for k = 0..round(t_final / dt).
 
-    numpy's C text reader parses the body as it streams from the file.
-    It skips empty lines, so a body in which it skipped a line, which it
-    rejects, or which it reads into the wrong width is read again by
-    ``_scan_csv_rows``: that names the first bad row, or accepts what
-    ``float`` accepts. Both stop one row past the grid's last, so a file
-    that is too long costs one row more than the grid to reject."""
+    The header is read up to its expected length plus
+    ``CSV_FIELD_CHARS`` characters, and each body row up to
+    ``CSV_FIELD_CHARS`` characters a field (``_csv_lines``), so no line
+    is read whole however long it is. Where two CPUs are usable,
+    ``_read_halves`` first parses the body in two halves at once, into an
+    array of the state columns only. Where it does not apply or does not
+    accept the body, numpy's C text reader parses the body as it streams
+    from the file. It skips empty lines, so a body in which it skipped a
+    line, which it rejects, or which it reads into the wrong width is read
+    again by ``_scan_csv_rows``: that names the first bad row, or accepts
+    what ``float`` accepts. Both stop one row past the grid's last, so a
+    file that is too long costs one row more than the grid to reject. The
+    two paths return the same bits and raise the same errors."""
     n = g.n
+    width = 1 + 3 * n
+    header = ",".join(_csv_columns(n))
     steps = cfg.t_final / cfg.dt
     samples = round(steps) + 1 if math.isfinite(steps) else None
     limit = None if samples is None else samples + 1
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            header = fh.readline().strip().split(",")
-            if header != _csv_columns(n):
+            line = fh.readline(len(header) + CSV_FIELD_CHARS)
+            if len(line) == len(header) + CSV_FIELD_CHARS or line.strip() != header:
                 raise ScenarioError(f"trajectory CSV header does not match graph with n={n}")
             start = fh.tell()
-            lines = itertools.count()  # then next(lines) counts the lines parsed
-            with warnings.catch_warnings():
-                # a body with no data lines warns; the scan rejects it below
-                warnings.simplefilter("ignore", UserWarning)
-                try:
-                    body = (line for line, _ in zip(itertools.islice(fh, limit), lines))
-                    data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
-                except ValueError:
-                    data = None
-            if data is None or data.shape != (next(lines), 1 + 3 * n):
-                data = None  # freed before the scan, not held through it
+            if samples is not None:
+                states = _read_halves(fh, start, samples, width, cfg.dt)
+                if states is not None:
+                    return Trajectory(states, g, cfg)
+            data = _loadtxt_rows(_csv_lines(fh, width, limit), width)
+            if data is None:
                 fh.seek(start)
-                data = _scan_csv_rows(itertools.islice(fh, limit), n)
+                data = _scan_csv_rows(_csv_lines(fh, width, limit), n)
         except UnicodeDecodeError as exc:
             raise ScenarioError(f"trajectory CSV is not UTF-8 text ({exc.reason})") from None
     if not len(data):

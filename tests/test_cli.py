@@ -745,6 +745,82 @@ class TestAnalyzeCommand:
         assert report["consensus_error_final"] == pytest.approx(1.0, abs=1e-6)
 
 
+    def test_long_row_rejected_with_its_number(self, tmp_path, p2_file, capsys):
+        # an 8 MB body row is an input error naming the row, found before
+        # the row is read whole
+        scenario = write_scenario(tmp_path, t_final=0.05)
+        out = tmp_path / "traj.csv"
+        rows = [f"{k * 0.01!r},0.0,0.0,0.0,0.0,0.0,0.0\n" for k in range(6)]
+        rows[3] = rows[3][:-1] + ",0.0" * 2_000_000 + "\n"
+        out.write_text("t,x_0,x_1,xhat_0,xhat_1,what_0,what_1\n" + "".join(rows))
+        assert self.analyze(out, p2_file, scenario) == 1
+        assert capsys.readouterr().err == "error: trajectory CSV row 5 is longer than 448 characters\n"
+
+
+def _edit_row(k, edit):
+    """A case of TestAnalyzeCommand.test_same_outcome_with_one_cpu_and_two:
+    line k of the CSV (the header is line 0) replaced by edit(line)."""
+    return lambda lines: lines[:k] + [edit(lines[k])] + lines[k + 1 :]
+
+
+#: Malformed (and two valid) bodies of a 1001-row p2 trajectory CSV, one
+#: per way the reader must reject a file, in either half of the body.
+ANALYZE_CASES = {
+    "valid": lambda lines: lines,
+    # the same time written 0_t, which float() reads and numpy rejects
+    "0_t in the first half": _edit_row(3, lambda line: "0_" + line),
+    "0_t in the second half": _edit_row(701, lambda line: "0_" + line),
+    "truncated": lambda lines: lines[:5] + [lines[5][:-7]],
+    "cut at a row boundary": lambda lines: lines[:600],
+    "different dt": lambda lines: lines[:1] + lines[1::2],
+    "over long": lambda lines: lines + [f"{k * 0.01!r}" + lines[-1][lines[-1].index(",") :] for k in range(1001, 1101)],
+    "non-numeric field, first half": _edit_row(2, lambda line: line[:-4] + "abc\n"),
+    "non-numeric field, second half": _edit_row(800, lambda line: line[:-4] + "abc\n"),
+    "field numpy and float reject": _edit_row(900, lambda line: line[:-4] + "1e\n"),
+    "wrong field count": _edit_row(900, lambda line: line[:-1] + ",0.0\n"),
+    "empty line": lambda lines: lines[:900] + ["\n"] + lines[900:],
+    "blank line": lambda lines: lines[:900] + ["  \n"] + lines[900:],
+    "time off the grid": _edit_row(950, lambda line: "9.4" + line[line.index(",") :]),
+    "not UTF-8": _edit_row(950, lambda line: line[:-1] + "\udcff\n"),
+    "long row": _edit_row(950, lambda line: line[:-1] + ",0.0" * 200 + "\n"),
+    "header": _edit_row(0, lambda line: line.replace("what_1", "w_1")),
+    "carriage returns": lambda lines: [line[:-1] + "\r\n" for line in lines],
+    "no final line end": lambda lines: lines[:-1] + [lines[-1][:-1]],
+}
+
+
+class TestAnalyzeWithOneCpuAndTwo:
+    """Every analyze outcome, report or error, is the same with one usable
+    CPU (one process reads the CSV) and with two (the caller and a helper
+    each read half of it)."""
+
+    @pytest.mark.parametrize("case", sorted(ANALYZE_CASES))
+    def test_same_outcome_with_one_cpu_and_two(self, tmp_path, p2_file, capsys, monkeypatch, usable_cpus, case):
+        from resilient_consensus import dynamics
+
+        scenario = write_scenario(tmp_path, t_final=10.0)
+        valid = tmp_path / "valid.csv"
+        main(["simulate", "--graph", p2_file, "--scenario", scenario, "--out", str(valid)])
+        capsys.readouterr()
+        lines = valid.read_text().splitlines(keepends=True)
+        out = tmp_path / "traj.csv"
+        out.write_bytes("".join(ANALYZE_CASES[case](lines)).encode("utf-8", "surrogateescape"))
+        forks, fork = [], dynamics._fork_helper
+        monkeypatch.setattr(dynamics, "_fork_helper", lambda *args: forks.append(1) or fork(*args))
+        outcomes = []
+        for cpus in (1, 2):
+            usable_cpus(cpus, chunk_values=7 * 50)  # 50 rows a chunk
+            code = main(["analyze", "--trajectory", str(out), "--graph", p2_file, "--scenario", scenario])
+            outcomes.append((code, *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
+        valid_cases = ("valid", "0_t in the first half", "0_t in the second half", "carriage returns", "no final line end")
+        assert (outcomes[0][0] == 0) == (case in valid_cases)
+        if case in valid_cases + ("not UTF-8", "time off the grid"):
+            assert forks  # the two-CPU run forked its helper
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
 class TestNoScipyOnCertificatePath:
     """verify runs on numpy alone; analyze runs on numpy and PyYAML, and so
     do simulate and sweep on runs that take the map in error coordinates: a

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -809,6 +809,72 @@ class TestTrajectoryCsv:
         assert back.states.tobytes() == expected.tobytes()
         assert peak < 1.5 * back.states.nbytes
 
+    def test_header_without_line_end_not_read_whole(self, p2, tmp_path):
+        # an 8 MB first line with no line end: the header is read up to
+        # its expected length plus CSV_FIELD_CHARS characters, and rejected
+        path = tmp_path / "traj.csv"
+        path.write_text("t,x_0,x_1,xhat_0,xhat_1,what_0,what_1" + ",0.0" * 2_000_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ScenarioError, match="^trajectory CSV header does not match graph with n=2$"):
+                read_trajectory_csv(path, p2, adaptive_cfg(2, dt=0.1, t_final=1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.02 * path.stat().st_size
+
+    def test_header_padded_past_the_bound_does_not_match(self, p2, tmp_path):
+        # a header line more than CSV_FIELD_CHARS characters longer than
+        # expected is cut where the bound ends, and does not match
+        cfg = adaptive_cfg(2, dt=0.1, t_final=0.1)
+        header = "t,x_0,x_1,xhat_0,xhat_1,what_0,what_1"
+        path = tmp_path / "traj.csv"
+        for pad, ok in [(dynamics.CSV_FIELD_CHARS - 2, True), (dynamics.CSV_FIELD_CHARS, False)]:
+            path.write_text(header + " " * pad + "\n0.0,0,0,0,0,0,0\n0.1,0,0,0,0,0,0\n")
+            if ok:
+                assert read_trajectory_csv(path, p2, cfg).states.shape == (2, 6)
+            else:
+                with pytest.raises(ScenarioError, match="^trajectory CSV header does not match graph with n=2$"):
+                    read_trajectory_csv(path, p2, cfg)
+
+    @pytest.mark.parametrize("row", [2, 5])
+    def test_long_row_not_read_whole(self, p2, tmp_path, row):
+        # one 8 MB body row: rows are read up to CSV_FIELD_CHARS characters
+        # a field, and the first longer one is named
+        cfg = adaptive_cfg(2, dt=0.1, t_final=1.0)
+        lines = [f"{k * 0.1!r},0.0,0.0,0.0,0.0,0.0,0.0\n" for k in range(11)]
+        lines[row - 2] = lines[row - 2][:-1] + ",0.0" * 2_000_000 + "\n"
+        path = tmp_path / "traj.csv"
+        path.write_text("t,x_0,x_1,xhat_0,xhat_1,what_0,what_1\n" + "".join(lines))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ScenarioError) as exc:
+                read_trajectory_csv(path, p2, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        longest = 7 * dynamics.CSV_FIELD_CHARS
+        assert str(exc.value) == f"trajectory CSV row {row} is longer than {longest} characters"
+        assert peak < 0.02 * path.stat().st_size
+
+    def test_row_of_the_longest_length_read(self, p2, tmp_path):
+        # a last row of exactly CSV_FIELD_CHARS characters a field (leading
+        # zeros) is read like any other, with or without a line end; one
+        # character more is too long
+        cfg = adaptive_cfg(2, dt=0.1, t_final=0.1)
+        longest = 7 * dynamics.CSV_FIELD_CHARS
+        path = tmp_path / "traj.csv"
+        for extra in [0, 1]:
+            last = "0.1,0.0,0.0,0.0,0.0,0.0,"
+            last += "0" * (longest + extra - len(last) - 3) + "1.0"
+            for end in ["\n", ""]:
+                path.write_text(f"t,x_0,x_1,xhat_0,xhat_1,what_0,what_1\n0.0,0,0,0,0,0,0\n{last}{end}")
+                if extra:
+                    with pytest.raises(ScenarioError, match=f"^trajectory CSV row 3 is longer than {longest} "):
+                        read_trajectory_csv(path, p2, cfg)
+                else:
+                    assert read_trajectory_csv(path, p2, cfg).states[1, -1] == 1.0
+
     def test_header_mismatch(self, p2, k3, tmp_path):
         traj = simulate(p2, adaptive_cfg(2, dt=0.01, t_final=0.1), np.zeros(2))
         path = tmp_path / "traj.csv"
@@ -865,6 +931,7 @@ class TestParallelCsvWriter:
             monkeypatch.delattr(os, "sched_setaffinity", raising=False)
             return
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(dynamics, "CPU_MAX_PATH", os.path.join(os.devnull, "cpu.max"))
 
         def pin(pid, cpus):
             with open(log, "a") as fh:
@@ -1088,3 +1155,259 @@ class TestParallelCsvWriter:
         finally:
             tracemalloc.stop()
         assert peak < 2 * path.stat().st_size / 64
+
+
+#: (n, extra edge probability, dt, steps) of the benchmark's workloads
+#: small-long, mid-wide and large-cert.
+WORKLOAD_SHAPES = {
+    "small-long": (10, 0.3, 0.016, 2500),
+    "mid-wide": (120, 0.05, 0.001, 500),
+    "large-cert": (200, 0.05, 0.001, 100),
+}
+
+
+class TestParallelCsvReader:
+    """The reader's two halves: the caller parses the first half of the
+    body while one forked helper parses the second and pipes its rows back;
+    any doubt sends the body to the one-process read."""
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        # a reader that deadlocks ends the run with a traceback, not a hang
+        faulthandler.dump_traceback_later(120, exit=True)
+        yield
+        faulthandler.cancel_dump_traceback_later()
+
+    @pytest.fixture
+    def halves(self, monkeypatch):
+        """What each call of ``_read_halves`` returned: True where it read
+        the body, False where it left it to the one-process read."""
+        results, read = [], dynamics._read_halves
+
+        def recording(*args):
+            states = read(*args)
+            results.append(states is not None)
+            return states
+
+        monkeypatch.setattr(dynamics, "_read_halves", recording)
+        return results
+
+    @staticmethod
+    def read_both(usable_cpus, path, g, cfg):
+        """The states read with one usable CPU and with two, as bytes, or
+        the message of the ``ScenarioError`` raised."""
+        out = []
+        for cpus in (1, 2):
+            usable_cpus(cpus)
+            try:
+                out.append(read_trajectory_csv(path, g, cfg).states.tobytes())
+            except ScenarioError as exc:
+                out.append(str(exc))
+        return out
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        data=st.data(),
+        n=st.integers(2, 4),
+        rows=st.integers(2, 40),
+        dt=st.sampled_from([0.1, 0.001, 1e-4, 0.3]),
+    )
+    def test_paths_bit_identical_on_random_grids(self, tmp_path_factory, usable_cpus, halves, data, n, rows, dt):
+        # any floats, inf, nan, -0.0 and subnormals included, in rows of
+        # any chunk size below the grid: both paths give the same bits, and
+        # the halves read every such body with a line start at or after its
+        # byte midpoint
+        values = data.draw(st.lists(st.floats(), min_size=rows * 3 * n, max_size=rows * 3 * n))
+        states = np.array(values).reshape(rows, 3 * n)
+        per_chunk = data.draw(st.integers(1, rows - 1))
+        cfg = adaptive_cfg(n, dt=dt, t_final=dt * (rows - 1))
+        if round(cfg.t_final / dt) != rows - 1:
+            return
+        g = path_graph(n)
+        path = tmp_path_factory.getbasetemp() / "random.csv"
+        usable_cpus(1, chunk_values=per_chunk * (1 + 3 * n))
+        write_trajectory_csv(Trajectory(states, g, cfg), path)
+        halves.clear()
+        one, two = self.read_both(usable_cpus, path, g, cfg)
+        assert isinstance(one, bytes) and one == two
+        body = path.read_bytes().split(b"\n", 1)[1]
+        split = body[:-1].rfind(b"\n") + 1 >= len(body) // 2  # the last line starts there
+        assert halves == [False, split]  # one CPU, then two
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOAD_SHAPES))
+    def test_paths_bit_identical_on_workload_shaped_runs(self, tmp_path, usable_cpus, halves, workload):
+        n, p, dt, steps = WORKLOAD_SHAPES[workload]
+        rng = np.random.default_rng(1)
+        g = random_connected_graph(n, rng, extra_edge_prob=p)
+        cfg = adaptive_cfg(n, dt=dt, t_final=dt * steps, x0=rng.uniform(-1.0, 1.0, n))
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(simulate(g, cfg, rng.uniform(-1.0, 1.0, n)), path)
+        one, two = self.read_both(usable_cpus, path, g, cfg)
+        assert isinstance(one, bytes) and one == two
+        assert halves == [False, True]
+        self.assert_no_child_left()
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=csv_rows(t_column=True))
+    def test_fuzzed_rows_same_with_one_cpu_and_two(self, tmp_path_factory, usable_cpus, rows):
+        # the rows of test_c_parse_reads_what_the_line_scan_reads, at one
+        # row a chunk: the same message or the same bits either way
+        path = tmp_path_factory.getbasetemp() / "fuzzed.csv"
+        path.write_bytes((P2_HEADER + "".join(rows)).encode())
+        cfg = adaptive_cfg(2, dt=0.1, t_final=0.1 * (len(rows) - 1))
+        with mock.patch.object(dynamics, "CSV_CHUNK_VALUES", 7):
+            one, two = self.read_both(usable_cpus, path, path_graph(2), cfg)
+        assert one == two
+        self.assert_no_child_left()
+
+    @pytest.fixture
+    def long_csv(self, p2, tmp_path):
+        """A valid 2001-row p2 trajectory CSV and its config."""
+        cfg = adaptive_cfg(2, dt=0.01, t_final=20.0, x0=[1.0, -1.0])
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(simulate(p2, cfg, np.array([1.0, 0.0])), path)
+        return path, cfg
+
+    def test_rows_repeated_at_the_split_rejected(self, tmp_path, usable_cpus, halves, p2):
+        # rows of one length, t = 0..59 then t = 40..99, against a grid of
+        # 100 rows: the split falls between the two runs, and each half's
+        # times fit the grid (rows 0..59, and 40..99 counted from the end),
+        # but their counts add up to 120, so the halves reject the body and
+        # the one-process read names it
+        cfg = adaptive_cfg(2, dt=1.0, t_final=99.0)
+        rows = [f"{k:05d}.0,0.0,0.0,0.0,0.0,0.0,{k:05d}.0\n" for k in [*range(60), *range(40, 100)]]
+        path = tmp_path / "traj.csv"
+        path.write_text("t,x_0,x_1,xhat_0,xhat_1,what_0,what_1\n" + "".join(rows))
+        outcomes = []
+        for cpus in (1, 2):
+            usable_cpus(cpus, chunk_values=7 * 10)
+            with pytest.raises(ScenarioError) as exc:
+                read_trajectory_csv(path, p2, cfg)
+            outcomes.append(str(exc.value))
+        assert outcomes[0] == outcomes[1] and "(more than 100 samples" in outcomes[0]
+        assert halves == [False, False]
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("how", ["exit", "kill", "raise"])
+    def test_failed_helper_falls_back(self, monkeypatch, usable_cpus, halves, p2, long_csv, how):
+        # a helper that exits 1, is killed or raises once it has parsed its
+        # half: the body is read again by one process, with the same bits
+        path, cfg = long_csv
+        usable_cpus(1)
+        expected = read_trajectory_csv(path, p2, cfg).states.tobytes()
+        caller, chunks = os.getpid(), dynamics._span_chunks
+
+        def failing(*args):
+            yield from chunks(*args)
+            if os.getpid() != caller:
+                if how == "kill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                elif how == "exit":
+                    os._exit(1)
+                raise ValueError("helper failed")
+
+        monkeypatch.setattr(dynamics, "_span_chunks", failing)
+        usable_cpus(2)
+        halves.clear()
+        assert read_trajectory_csv(path, p2, cfg).states.tobytes() == expected
+        assert halves == [False]  # the helper's failure is seen
+        self.assert_no_child_left()
+
+    def test_helper_killed_when_the_callers_half_fails(self, monkeypatch, usable_cpus, p2, long_csv):
+        # a field numpy rejects in the first row ends the caller's half at
+        # once: the helper, still parsing, is killed and reaped, and the
+        # line scan reads the field
+        path, cfg = long_csv
+        text = path.read_text()
+        header, first, rest = text.split("\n", 2)
+        path.write_text("\n".join([header, "0" + first.replace("1.0", "1_0", 1), rest]))
+        caller, chunks = os.getpid(), dynamics._span_chunks
+
+        def slow(*args):  # the helper is slow to start
+            if os.getpid() != caller:
+                time.sleep(2)
+            yield from chunks(*args)
+
+        monkeypatch.setattr(dynamics, "_span_chunks", slow)
+        kills, kill = [], os.kill
+        monkeypatch.setattr(os, "kill", lambda pid, sig: kills.append(pid) or kill(pid, sig))
+        usable_cpus(2)
+        back = read_trajectory_csv(path, p2, cfg)
+        assert back.states[0, 0] == 10.0 and len(kills) == 1
+        self.assert_no_child_left()
+
+    def test_interrupt_kills_and_reaps_the_helper(self, monkeypatch, usable_cpus, p2, long_csv):
+        path, cfg = long_csv
+        caller, check = os.getpid(), dynamics._check_grid
+
+        def interrupted(data, row, samples, dt):
+            if os.getpid() == caller and row > 0:
+                raise KeyboardInterrupt
+            check(data, row, samples, dt)
+
+        monkeypatch.setattr(dynamics, "_check_grid", interrupted)
+        usable_cpus(2, chunk_values=7 * 100)
+        with pytest.raises(KeyboardInterrupt):
+            read_trajectory_csv(path, p2, cfg)
+        self.assert_no_child_left()
+
+    def test_body_under_the_threshold_read_by_one_process(self, monkeypatch, usable_cpus, halves, p2, long_csv):
+        # a body of CSV_PARALLEL_BYTES or more takes the halves; one byte
+        # less stays in one process
+        path, cfg = long_csv
+        body = len(path.read_bytes().split(b"\n", 1)[1])
+        usable_cpus(2)
+        for threshold in (body, body + 1):
+            monkeypatch.setattr(dynamics, "CSV_PARALLEL_BYTES", threshold)
+            read_trajectory_csv(path, p2, cfg)
+        assert halves == [True, False]
+
+    def test_state_columns_only(self, usable_cpus, halves, p2, long_csv):
+        # the halves return the 3n state columns in an array of their own;
+        # the one-process read returns a view that keeps the time column
+        path, cfg = long_csv
+        usable_cpus(2)
+        states = read_trajectory_csv(path, p2, cfg).states
+        assert halves == [True]
+        assert states.base is None and states.flags.c_contiguous and states.shape == (2001, 6)
+
+    @pytest.mark.parametrize(
+        "cpu_max, cpus, expected",
+        [
+            (None, 4, [0, 1, 2, 3]),  # no file: no quota
+            ("max 100000\n", 4, [0, 1, 2, 3]),
+            ("200000 100000\n", 4, [0, 1, 2, 3]),
+            ("150000 100000\n", 4, [0, 1, 2, 3]),  # 1.5 CPUs, rounded up to 2
+            ("100000 100000\n", 4, []),
+            ("50000 100000\n", 4, []),
+            ("garbage\n", 4, [0, 1, 2, 3]),  # unreadable: no quota
+            ("100000 0\n", 4, [0, 1, 2, 3]),
+            ("max 100000\n", 1, []),
+        ],
+    )
+    def test_usable_cpus_capped_by_cgroup_quota(self, monkeypatch, tmp_path, cpu_max, cpus, expected):
+        path = tmp_path / "cpu.max"
+        if cpu_max is not None:
+            path.write_text(cpu_max)
+        monkeypatch.setattr(dynamics, "CPU_MAX_PATH", str(path))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        assert dynamics._usable_cpus() == expected
+
+    def test_no_fork_under_a_one_cpu_quota(self, monkeypatch, tmp_path, usable_cpus, p2, long_csv):
+        # with 4 CPUs in the mask and a quota of one, neither the writer
+        # nor the reader forks, and both give the same bytes and bits
+        path, cfg = long_csv
+        usable_cpus(4)
+        (tmp_path / "cpu.max").write_text("100000 100000\n")
+        monkeypatch.setattr(dynamics, "CPU_MAX_PATH", str(tmp_path / "cpu.max"))
+        forks = []
+        monkeypatch.setattr(dynamics, "_fork_helper", lambda *args: forks.append(args))
+        traj = read_trajectory_csv(path, p2, cfg)
+        write_trajectory_csv(traj, tmp_path / "again.csv")
+        assert forks == [] and (tmp_path / "again.csv").read_bytes() == path.read_bytes()
