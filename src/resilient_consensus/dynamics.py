@@ -70,14 +70,16 @@ the affinity mask, capped by the cgroup v2 CPU quota), through one
 primitive: ``_fork_helper`` forks a helper that pins itself to one CPU,
 ``_reap`` waits for one, and ``_stop_helpers`` kills and reaps whatever
 is left. The writer forks two helpers that write half the rows each to
-an unnamed temporary file, which the caller appends. The reader splits
-the body at a line start near its byte midpoint; the caller parses the
-first half while one helper parses the second and pipes its rows back,
-and any doubt sends the body to the one-process read, so the bits and
-the errors do not depend on the CPU count. Both trade CPU time for wall
-time. A process formats one row, and forms the times of one chunk of
-``CSV_CHUNK_VALUES`` values, at a time, and parses a chunk of rows at a
-time; no CSV line is read past ``CSV_FIELD_CHARS`` characters a field.
+an unnamed temporary file, which the caller appends. The reader parses
+the body a chunk at a time straight into the state columns; on a large
+body the caller parses the part up to a line start near its byte
+midpoint while one helper parses the rest and pipes its rows back. A
+body this parse does not take whole goes to a line scan with ``float``,
+so the bits and the errors do not depend on the CPU count. Both trade
+CPU time for wall time. A process formats one row, and forms the times
+of one chunk of ``CSV_CHUNK_VALUES`` values, at a time, and parses a
+chunk of rows at a time; no CSV line is read past ``CSV_FIELD_CHARS``
+characters a field.
 """
 
 from __future__ import annotations
@@ -111,11 +113,13 @@ ADAPTIVE = "adaptive"
 DEFAULT_DT = 0.001
 
 #: Largest trajectory ``simulate`` allocates, in samples: (steps + 1) * 3n
-#: float64 values, 800 MB. The run report adds one block of
-#: ``ERROR_BLOCK_VALUES`` values and a few series of steps + 1 values: 0.03
-#: of the trajectory at n = 100, 0.3 at n = 10, and as much again at n = 2,
-#: where a row holds 6 values (``tracemalloc``). The largest run in the
-#: tests and the benchmark has 1.8 M samples (p2, dt = 1e-4, 30 s).
+#: float64 values, 800 MB; ``analyze`` applies it too, and its read holds
+#: the states plus one chunk of ``CSV_CHUNK_VALUES`` values. The run report
+#: adds one block of ``ERROR_BLOCK_VALUES`` values and a few series of
+#: steps + 1 values: 0.03 of the trajectory at n = 100, 0.3 at n = 10, and
+#: as much again at n = 2, where a row holds 6 values (``tracemalloc``).
+#: The largest run in the tests and the benchmark has 1.8 M samples (p2,
+#: dt = 1e-4, 30 s).
 MAX_TRAJECTORY_SAMPLES = 100_000_000
 
 #: Largest node count at which ``simulate`` integrates with the map in
@@ -150,9 +154,10 @@ ERROR_BLOCK_VALUES = 2**16
 
 #: Values per chunk of rows for which ``write_trajectory_csv`` forms the
 #: times in one piece, and which ``read_trajectory_csv`` parses in one
-#: piece on its two-CPU path. A trajectory of more than one chunk is
-#: written by two helpers where two CPUs are usable, and the writer copies
-#: a helper's file in pieces of at most one chunk of text (about 0.2 MB).
+#: piece (chunks of 2^13 to 2^17 values read as fast). A trajectory of
+#: more than one chunk is written by two helpers where two CPUs are
+#: usable, and the writer copies a helper's file in pieces of at most one
+#: chunk of text (about 0.2 MB).
 CSV_CHUNK_VALUES = 2**13
 
 #: Characters a trajectory CSV field may take on average, its comma
@@ -579,8 +584,6 @@ def _csv_columns(n: int) -> list[str]:
     return ["t"] + [f"{name}_{i}" for name in ("x", "xhat", "what") for i in range(n)]
 
 
-
-
 def _usable_cpus() -> list:
     """The CPUs a helper may pin itself to: the caller's affinity mask,
     sorted, where it holds two or more CPUs and the cgroup v2 CPU quota
@@ -755,24 +758,6 @@ def _csv_lines(fh, width: int, limit: int | None = None):
         yield line
 
 
-def _loadtxt_rows(lines, width: int) -> np.ndarray | None:
-    """lines parsed by numpy's C text reader into a (lines, width) array,
-    or None where it rejects a line (a ``ScenarioError`` or
-    ``UnicodeDecodeError`` from reading them included), skips one (it
-    skips empty lines) or reads another width."""
-    lines_read = itertools.count()  # then next(lines_read) counts the lines parsed
-    with warnings.catch_warnings():
-        # lines with no data warn; the caller's line scan rejects them
-        warnings.simplefilter("ignore", UserWarning)
-        try:
-            data = np.loadtxt(
-                map(operator.itemgetter(0), zip(lines, lines_read)), delimiter=",", comments=None, ndmin=2
-            )
-        except ValueError:
-            return None
-    return data if data.shape == (next(lines_read), width) else None
-
-
 def _scan_csv_rows(lines, n: int) -> np.ndarray:
     """Trajectory CSV body lines parsed one by one into one flat
     ``array("d")``, returned as a (rows, 1 + 3n) view of it, so the peak is
@@ -811,15 +796,22 @@ class _FileSpan(io.RawIOBase):
 def _span_chunks(fd: int, start: int, stop: int, width: int):
     """The trajectory CSV lines in bytes [start, stop) of the file open on
     fd, decoded as ``read_trajectory_csv`` decodes the file and parsed by
-    ``_loadtxt_rows`` a chunk of ``CSV_CHUNK_VALUES`` values at a time:
-    yields one (rows, width) array per chunk, and raises ``ValueError``
-    where ``_loadtxt_rows`` does not accept a chunk."""
+    numpy's C text reader a chunk of ``CSV_CHUNK_VALUES`` values at a time:
+    yields one (rows, width) array per chunk. Raises ``ValueError`` where
+    numpy rejects a line (a ``ScenarioError`` or ``UnicodeDecodeError``
+    from reading them included), skips one (it skips empty lines) or reads
+    another width."""
     per_chunk = max(1, CSV_CHUNK_VALUES // width)
     with io.TextIOWrapper(io.BufferedReader(_FileSpan(fd, start, stop)), encoding="utf-8") as text:
         lines = _csv_lines(text, width)
         for line in lines:  # the first line of each chunk
-            data = _loadtxt_rows(itertools.chain([line], itertools.islice(lines, per_chunk - 1)), width)
-            if data is None:
+            lines_read = itertools.count()  # then next(lines_read) counts the lines parsed
+            chunk = zip(itertools.chain([line], itertools.islice(lines, per_chunk - 1)), lines_read)
+            with warnings.catch_warnings():
+                # lines with no data warn; the line scan rejects them
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(map(operator.itemgetter(0), chunk), delimiter=",", comments=None, ndmin=2)
+            if data.shape != (next(lines_read), width):
                 raise ValueError("chunk not parsed whole")
             yield data
 
@@ -833,47 +825,45 @@ def _check_grid(data: np.ndarray, row: int, samples: int, dt: float) -> None:
         raise ValueError("rows off the grid")
 
 
-def _read_halves(fh, start: int, samples: int, width: int, dt: float) -> np.ndarray | None:
+def _read_body(fh, start: int, samples: int, width: int, dt: float) -> np.ndarray | None:
     """The states of the trajectory CSV open as fh, whose body starts at
-    byte ``start``, parsed in two halves at once, or None where this path
-    does not apply or does not accept the body exactly as it is.
+    byte ``start``, parsed by numpy's C text reader a chunk at a time
+    (``_span_chunks``), or None where that parse does not accept the body
+    exactly as it is: a line numpy rejects or skips, or rows other than
+    the grid's ``samples`` rows with times t_k = k dt (``_check_grid``).
 
-    The body is split at the first line start at or after its byte
-    midpoint. A helper (``_fork_helper``, pinned to the CPU after the
-    caller's) parses the second half while the caller parses the first,
-    each with ``_span_chunks``, and each checks every time against
-    t_k = k dt of its row k (``_check_grid``). The caller copies the state
-    columns of each chunk into the top rows of the result as it goes. The
-    helper counts its rows, which end at row ``samples``, and sends the
-    count, then their state columns, through a pipe, which the caller reads
-    straight into the bottom rows. The result stands only if the two row
-    counts add up to ``samples`` and the helper exited with code 0. So an
-    accepted body is one that the caller's own read accepts too, with the
-    same bits: no line numpy rejects or skips, and exactly the grid's rows
-    and times. The time column is dropped.
+    A body too short or too long for ``samples`` rows of ``width`` fields
+    of 1 to ``CSV_FIELD_CHARS`` characters is rejected before the result is
+    allocated. The caller parses bytes [start, split) and copies each
+    chunk's state columns into the top rows of the result; the time column
+    is dropped. The split is the body's end, unless two CPUs are usable
+    (``_usable_cpus``) and the body is at least ``CSV_PARALLEL_BYTES``:
+    then it is the first line start at or after the byte midpoint, and a
+    helper (``_fork_helper``, pinned to the CPU after the caller's) parses
+    the rest at the same time, counts its rows, which end at row
+    ``samples``, and pipes the count, then their state columns, straight
+    into the bottom rows. The result stands only if the row counts add up
+    to ``samples`` and any helper exited with code 0; a helper still
+    running when the call returns or raises is killed and reaped
+    (``_stop_helpers``).
 
-    The path does not apply with fewer than two usable CPUs
-    (``_usable_cpus``), a body of less than ``CSV_PARALLEL_BYTES``, or a
-    body too short or too long for ``samples`` rows of ``width`` fields of
-    1 to ``CSV_FIELD_CHARS`` characters. ``start`` is ``fh.tell()``, which is
-    the byte offset unless a decoder state is pending; a larger value
-    leaves the body too short. The helper is killed and reaped if it is
-    still running when the call returns or raises (``_stop_helpers``).
+    ``start`` is ``fh.tell()``, the byte offset unless a decoder state is
+    pending (a larger value leaves the body too short). Every read is an
+    ``os.pread``, so fh's offset stays where it is.
     """
     fd = fh.fileno()
     stop = os.fstat(fd).st_size
     longest = CSV_FIELD_CHARS * width
     body = stop - start
-    if not (CSV_PARALLEL_BYTES <= body and 2 * width * samples <= body <= (longest + 1) * samples):
+    if not 2 * width * samples <= body <= (longest + 1) * samples:
         return None
-    cpus = _usable_cpus()
-    if not cpus:
-        return None
-    mid = (start + stop) // 2
-    cut = os.pread(fd, longest + 1, mid - 1).find(b"\n")  # from the byte before mid
-    split = mid + cut
-    if cut < 0 or split >= stop:
-        return None
+    cpus = _usable_cpus() if body >= CSV_PARALLEL_BYTES else []
+    split = stop
+    if cpus:
+        mid = (start + stop) // 2
+        cut = os.pread(fd, longest + 1, mid - 1).find(b"\n")  # from the byte before mid
+        if 0 <= cut < stop - mid:
+            split = mid + cut
     states = np.empty((samples, width - 1))
 
     def parse_bottom(rows_in, rows_out):  # in the helper
@@ -889,31 +879,36 @@ def _read_halves(fh, start: int, samples: int, width: int, dt: float) -> np.ndar
             for data in chunks:
                 out.write(np.ascontiguousarray(data[:, 1:]))
 
-    pids = {}
+    pids, bottom = {}, None
     try:
-        rows_in, rows_out = os.pipe()
-        with open(rows_in, "rb") as bottom:
+        if split < stop:
+            rows_in, rows_out = os.pipe()
+            bottom = open(rows_in, "rb")
             try:
                 cpu = cpus[_cpu_after_caller(cpus) % len(cpus)]
                 pids[0] = _fork_helper(cpu, parse_bottom, rows_in, rows_out)
             finally:
                 os.close(rows_out)  # so that the read below ends where the helper does
-            top = 0
-            for data in _span_chunks(fd, start, split, width):
-                _check_grid(data, top, samples, dt)
-                states[top : top + len(data)] = data[:, 1:]
-                top += len(data)
-            count = bottom.read(8)
-            if (
-                len(count) == 8
-                and top + int.from_bytes(count, "little") == samples
-                and bottom.readinto(states[top:]) == states[top:].nbytes
-                and _reap(pids, 0)
-            ):
-                return states
-    except (ValueError, OSError):  # the caller reads the body alone
+        top = 0
+        for data in _span_chunks(fd, start, split, width):
+            _check_grid(data, top, samples, dt)
+            states[top : top + len(data)] = data[:, 1:]
+            top += len(data)
+        if bottom is None:
+            return states if top == samples else None
+        count = bottom.read(8)
+        if (
+            len(count) == 8
+            and top + int.from_bytes(count, "little") == samples
+            and bottom.readinto(states[top:]) == states[top:].nbytes
+            and _reap(pids, 0)
+        ):
+            return states
+    except (ValueError, OSError):  # the line scan reads the body
         pass
     finally:
+        if bottom is not None:
+            bottom.close()
         _stop_helpers(pids)
     return None
 
@@ -923,39 +918,31 @@ def read_trajectory_csv(path, g: Graph, cfg: SimConfig) -> Trajectory:
     and the time column against the grid ``simulate`` writes for cfg:
     exactly t_k = k dt for k = 0..round(t_final / dt).
 
-    The header is read up to its expected length plus
+    The run-size budget applies first (``_step_count``), as in
+    ``simulate``: a scenario too large to run is rejected before the file
+    is opened. The header is read up to its expected length plus
     ``CSV_FIELD_CHARS`` characters, and each body row up to
-    ``CSV_FIELD_CHARS`` characters a field (``_csv_lines``), so no line
-    is read whole however long it is. Where two CPUs are usable,
-    ``_read_halves`` first parses the body in two halves at once, into an
-    array of the state columns only. Where it does not apply or does not
-    accept the body, numpy's C text reader parses the body as it streams
-    from the file. It skips empty lines, so a body in which it skipped a
-    line, which it rejects, or which it reads into the wrong width is read
-    again by ``_scan_csv_rows``: that names the first bad row, or accepts
-    what ``float`` accepts. Both stop one row past the grid's last, so a
-    file that is too long costs one row more than the grid to reject. The
-    two paths return the same bits and raise the same errors."""
+    ``CSV_FIELD_CHARS`` characters a field (``_csv_lines``), so no line is
+    read whole however long it is. ``_read_body`` parses the body a chunk
+    at a time, on one CPU or two, into an array of the state columns only,
+    so the read holds the states plus about one chunk. A body it does not
+    accept is read again by ``_scan_csv_rows``: that names the first bad
+    row, or accepts what ``float`` accepts, and the grid check below names
+    a wrong count or time. The scan stops one row past the grid's last, so
+    a file that is too long costs one row more than the grid to reject."""
+    samples = _step_count(g, cfg) + 1
     n = g.n
     width = 1 + 3 * n
     header = ",".join(_csv_columns(n))
-    steps = cfg.t_final / cfg.dt
-    samples = round(steps) + 1 if math.isfinite(steps) else None
-    limit = None if samples is None else samples + 1
     with open(path, "r", encoding="utf-8") as fh:
         try:
             line = fh.readline(len(header) + CSV_FIELD_CHARS)
             if len(line) == len(header) + CSV_FIELD_CHARS or line.strip() != header:
                 raise ScenarioError(f"trajectory CSV header does not match graph with n={n}")
-            start = fh.tell()
-            if samples is not None:
-                states = _read_halves(fh, start, samples, width, cfg.dt)
-                if states is not None:
-                    return Trajectory(states, g, cfg)
-            data = _loadtxt_rows(_csv_lines(fh, width, limit), width)
-            if data is None:
-                fh.seek(start)
-                data = _scan_csv_rows(_csv_lines(fh, width, limit), n)
+            states = _read_body(fh, fh.tell(), samples, width, cfg.dt)
+            if states is not None:
+                return Trajectory(states, g, cfg)
+            data = _scan_csv_rows(_csv_lines(fh, width, samples + 1), n)
         except UnicodeDecodeError as exc:
             raise ScenarioError(f"trajectory CSV is not UTF-8 text ({exc.reason})") from None
     if not len(data):
@@ -963,7 +950,7 @@ def read_trajectory_csv(path, g: Graph, cfg: SimConfig) -> Trajectory:
     traj = Trajectory(data[:, 1:], g, cfg)
     times = data[:, 0]
     if not (len(times) == samples and np.array_equal(times, traj.times)):
-        count = f"more than {samples}" if len(times) == limit else len(times)
+        count = f"more than {samples}" if len(times) > samples else len(times)
         raise ScenarioError(
             f"trajectory CSV time grid ({count} samples, t from {float(times[0])!r} to "
             f"{float(times[-1])!r}) is not the scenario's: t_k = k * {cfg.dt!r} for "

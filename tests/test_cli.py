@@ -323,7 +323,7 @@ class TestStepSizePreflight:
 
 class TestRunSizeBudget:
     """simulate rejects a run whose (steps + 1) x 3n trajectory exceeds the
-    budget before it allocates it."""
+    budget before it allocates it, and analyze before it reads one."""
 
     @pytest.mark.parametrize(
         "dt, t_final, steps", [(0.01, 1.0e300, "1e+302 steps"), (1e-3, 1e9, "1e+12 steps")]
@@ -335,6 +335,19 @@ class TestRunSizeBudget:
         err = capsys.readouterr().err
         assert "run too large" in err and steps in err and "(n=2)" in err and "bytes" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("dt, t_final", [(0.01, 1.0e8), (1e-300, 1e300)])
+    def test_analyze_applies_the_budget_before_opening_the_csv(self, tmp_path, p2_file, capsys, dt, t_final):
+        # analyze rejects the scenario simulate rejects, with the same
+        # message, before it opens the CSV: a path that does not exist gets
+        # the budget message, not a file error
+        scenario = write_scenario(tmp_path, dt=dt, t_final=t_final)
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--graph", p2_file, "--scenario", scenario, "--out", str(out)]) == 1
+        simulate_err = capsys.readouterr().err
+        assert "run too large" in simulate_err and not out.exists()
+        assert main(["analyze", "--trajectory", str(out), "--graph", p2_file, "--scenario", scenario]) == 1
+        assert capsys.readouterr().err == simulate_err
 
 
 class TestNumericalBlowup:

@@ -736,9 +736,10 @@ class TestTrajectoryCsv:
     @settings(max_examples=300, deadline=None)
     @given(rows=csv_rows(t_column=True))
     def test_c_parse_reads_what_the_line_scan_reads(self, tmp_path_factory, rows):
-        # the reader (numpy's C parser, with the scan as its fallback) and
-        # the line-by-line float() scan alone give the same error message or
-        # the same bits
+        # the reader (numpy's C parser a chunk at a time, with the scan as
+        # its fallback) and the line-by-line float() scan alone give the
+        # same error message or the same bits, at the default chunk size
+        # and at one row a chunk
         path = tmp_path_factory.getbasetemp() / "fuzzed.csv"
         path.write_bytes((P2_HEADER + "".join(rows)).encode())
         with open(path, encoding="utf-8") as fh:
@@ -749,11 +750,13 @@ class TestTrajectoryCsv:
         except ScenarioError as exc:
             expected = str(exc)
         cfg = adaptive_cfg(2, dt=0.1, t_final=0.1 * (len(rows) - 1))
-        try:
-            got = read_trajectory_csv(path, path_graph(2), cfg).states.tobytes()
-        except ScenarioError as exc:
-            got = str(exc)
-        assert got == expected
+        for chunk_values in (dynamics.CSV_CHUNK_VALUES, 7):
+            with mock.patch.object(dynamics, "CSV_CHUNK_VALUES", chunk_values):
+                try:
+                    got = read_trajectory_csv(path, path_graph(2), cfg).states.tobytes()
+                except ScenarioError as exc:
+                    got = str(exc)
+            assert got == expected
 
     def test_round_trip(self, p2, tmp_path):
         w = np.array([1.0, 0.0])
@@ -808,6 +811,30 @@ class TestTrajectoryCsv:
             tracemalloc.stop()
         assert back.states.tobytes() == expected.tobytes()
         assert peak < 1.5 * back.states.nbytes
+
+    def test_chunked_read_working_memory(self, tmp_path, usable_cpus):
+        # a one-process read of 9.6 MB of states (n = 10, 40 001 rows)
+        # holds the states and about one chunk: numpy's whole-body parse
+        # peaked at 1.16 x the states, and kept the time column alive
+        usable_cpus(1)
+        n, dt, rows = 10, 0.001, 40_001
+        row = np.random.default_rng(5).standard_normal(3 * n)
+        fields = "".join(f",{v!r}" for v in row.tolist())
+        path = tmp_path / "traj.csv"
+        with open(path, "w") as fh:
+            fh.write(",".join(dynamics._csv_columns(n)) + "\n")
+            fh.writelines(f"{t!r}{fields}\n" for t in (np.arange(rows) * dt).tolist())
+        cfg = adaptive_cfg(n, dt=dt, t_final=dt * (rows - 1))
+        tracemalloc.start()
+        try:
+            back = read_trajectory_csv(path, path_graph(n), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.states.nbytes >= 9_600_000
+        assert np.array_equal(back.states, np.broadcast_to(row, (rows, 3 * n)))
+        assert peak < 1.1 * back.states.nbytes
+        assert back.states.base is None
 
     def test_header_without_line_end_not_read_whole(self, p2, tmp_path):
         # an 8 MB first line with no line end: the header is read up to
@@ -1169,7 +1196,7 @@ WORKLOAD_SHAPES = {
 class TestParallelCsvReader:
     """The reader's two halves: the caller parses the first half of the
     body while one forked helper parses the second and pipes its rows back;
-    any doubt sends the body to the one-process read."""
+    any doubt sends the body to the line scan."""
 
     @pytest.fixture(autouse=True)
     def deadline(self):
@@ -1180,16 +1207,25 @@ class TestParallelCsvReader:
 
     @pytest.fixture
     def halves(self, monkeypatch):
-        """What each call of ``_read_halves`` returned: True where it read
-        the body, False where it left it to the one-process read."""
-        results, read = [], dynamics._read_halves
+        """For each call of ``_read_body``, the pair (forked, accepted):
+        whether it forked a helper, and whether it read the body rather
+        than leave it to the line scan. The halves read a body where both
+        hold."""
+        results, forks = [], []
+        read, fork = dynamics._read_body, dynamics._fork_helper
+
+        def forking(*args):
+            forks.append(args)
+            return fork(*args)
 
         def recording(*args):
+            forks.clear()
             states = read(*args)
-            results.append(states is not None)
+            results.append((bool(forks), states is not None))
             return states
 
-        monkeypatch.setattr(dynamics, "_read_halves", recording)
+        monkeypatch.setattr(dynamics, "_fork_helper", forking)
+        monkeypatch.setattr(dynamics, "_read_body", recording)
         return results
 
     @staticmethod
@@ -1237,7 +1273,7 @@ class TestParallelCsvReader:
         assert isinstance(one, bytes) and one == two
         body = path.read_bytes().split(b"\n", 1)[1]
         split = body[:-1].rfind(b"\n") + 1 >= len(body) // 2  # the last line starts there
-        assert halves == [False, split]  # one CPU, then two
+        assert halves == [(False, True), (split, True)]  # one CPU, then two
         self.assert_no_child_left()
 
     @pytest.mark.parametrize("workload", sorted(WORKLOAD_SHAPES))
@@ -1250,7 +1286,7 @@ class TestParallelCsvReader:
         write_trajectory_csv(simulate(g, cfg, rng.uniform(-1.0, 1.0, n)), path)
         one, two = self.read_both(usable_cpus, path, g, cfg)
         assert isinstance(one, bytes) and one == two
-        assert halves == [False, True]
+        assert halves == [(False, True), (True, True)]
         self.assert_no_child_left()
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -1278,8 +1314,8 @@ class TestParallelCsvReader:
         # rows of one length, t = 0..59 then t = 40..99, against a grid of
         # 100 rows: the split falls between the two runs, and each half's
         # times fit the grid (rows 0..59, and 40..99 counted from the end),
-        # but their counts add up to 120, so the halves reject the body and
-        # the one-process read names it
+        # but their counts add up to 120, so the halves reject the body, as
+        # the one-process parse does, and the line scan names it
         cfg = adaptive_cfg(2, dt=1.0, t_final=99.0)
         rows = [f"{k:05d}.0,0.0,0.0,0.0,0.0,0.0,{k:05d}.0\n" for k in [*range(60), *range(40, 100)]]
         path = tmp_path / "traj.csv"
@@ -1291,13 +1327,13 @@ class TestParallelCsvReader:
                 read_trajectory_csv(path, p2, cfg)
             outcomes.append(str(exc.value))
         assert outcomes[0] == outcomes[1] and "(more than 100 samples" in outcomes[0]
-        assert halves == [False, False]
+        assert halves == [(False, False), (True, False)]
         self.assert_no_child_left()
 
     @pytest.mark.parametrize("how", ["exit", "kill", "raise"])
     def test_failed_helper_falls_back(self, monkeypatch, usable_cpus, halves, p2, long_csv, how):
         # a helper that exits 1, is killed or raises once it has parsed its
-        # half: the body is read again by one process, with the same bits
+        # half: the body is read again by the line scan, with the same bits
         path, cfg = long_csv
         usable_cpus(1)
         expected = read_trajectory_csv(path, p2, cfg).states.tobytes()
@@ -1316,7 +1352,7 @@ class TestParallelCsvReader:
         usable_cpus(2)
         halves.clear()
         assert read_trajectory_csv(path, p2, cfg).states.tobytes() == expected
-        assert halves == [False]  # the helper's failure is seen
+        assert halves == [(True, False)]  # the helper's failure is seen
         self.assert_no_child_left()
 
     def test_helper_killed_when_the_callers_half_fails(self, monkeypatch, usable_cpus, p2, long_csv):
@@ -1366,16 +1402,17 @@ class TestParallelCsvReader:
         for threshold in (body, body + 1):
             monkeypatch.setattr(dynamics, "CSV_PARALLEL_BYTES", threshold)
             read_trajectory_csv(path, p2, cfg)
-        assert halves == [True, False]
+        assert halves == [(True, True), (False, True)]
 
     def test_state_columns_only(self, usable_cpus, halves, p2, long_csv):
-        # the halves return the 3n state columns in an array of their own;
-        # the one-process read returns a view that keeps the time column
+        # with two CPUs and with one, the read returns the 3n state columns
+        # in an array of their own, which does not keep the time column
         path, cfg = long_csv
-        usable_cpus(2)
-        states = read_trajectory_csv(path, p2, cfg).states
-        assert halves == [True]
-        assert states.base is None and states.flags.c_contiguous and states.shape == (2001, 6)
+        for cpus in (2, 1):
+            usable_cpus(cpus)
+            states = read_trajectory_csv(path, p2, cfg).states
+            assert states.base is None and states.flags.c_contiguous and states.shape == (2001, 6)
+        assert halves == [(True, True), (False, True)]
 
     @pytest.mark.parametrize(
         "cpu_max, cpus, expected",
