@@ -70,15 +70,16 @@ the affinity mask, capped by the cgroup v2 CPU quota), through one
 primitive: ``_fork_helper`` forks a helper that pins itself to one CPU,
 ``_reap`` waits for one, and ``_stop_helpers`` kills and reaps whatever
 is left. The writer forks two helpers that write half the rows each to
-an unnamed temporary file, which the caller appends. The reader parses
-the body a chunk at a time straight into the state columns; on a large
-body the caller parses the part up to a line start near its byte
-midpoint while one helper parses the rest and pipes its rows back. A
-body this parse does not take whole goes to a line scan with ``float``,
-so the bits and the errors do not depend on the CPU count. Both trade
-CPU time for wall time. A process formats one row, and forms the times
-of one chunk of ``CSV_CHUNK_VALUES`` values, at a time, and parses a
-chunk of rows at a time; no CSV line is read past ``CSV_FIELD_CHARS``
+an unnamed temporary file, which the caller appends. The reader splits
+byte pieces of the body into lines and parses a chunk of them at a time
+straight into the state columns; on a large body the caller parses the
+part up to a line start near its byte midpoint while one helper parses
+the rest and pipes its rows back. A body this parse does not take whole
+goes to a line scan with ``float``, which alone decides what is accepted
+and what each error says, so neither depends on the CPU count. Both
+trade CPU time for wall time. A process formats one row, and forms the
+times of one chunk of ``CSV_CHUNK_VALUES`` values, at a time, and parses
+a chunk of rows at a time; no CSV line is read past ``CSV_FIELD_CHARS``
 characters a field.
 """
 
@@ -86,11 +87,8 @@ from __future__ import annotations
 
 import array
 import gc
-import io
-import itertools
 import math
 import numbers
-import operator
 import os
 import tempfile
 import warnings
@@ -154,17 +152,18 @@ ERROR_BLOCK_VALUES = 2**16
 
 #: Values per chunk of rows for which ``write_trajectory_csv`` forms the
 #: times in one piece, and which ``read_trajectory_csv`` parses in one
-#: piece (chunks of 2^13 to 2^17 values read as fast). A trajectory of
-#: more than one chunk is written by two helpers where two CPUs are
-#: usable, and the writer copies a helper's file in pieces of at most one
-#: chunk of text (about 0.2 MB).
+#: piece (chunks of 2^13 to 2^17 values read as fast), from byte pieces of
+#: twice as many bytes (a value takes two or more). A trajectory of more
+#: than one chunk is written by two helpers where two CPUs are usable, and
+#: the writer copies a helper's file in pieces of at most one chunk of
+#: text (about 0.2 MB).
 CSV_CHUNK_VALUES = 2**13
 
 #: Characters a trajectory CSV field may take on average, its comma
 #: included, against at most 24 for the ``repr`` of a float: the reader
 #: reads a body row up to this many characters a field, and the header up
 #: to this many characters past its expected length, and rejects a longer
-#: line before it is read whole.
+#: line before it is read whole; its byte pieces hold one such row or more.
 CSV_FIELD_CHARS = 64
 
 #: Smallest trajectory CSV body, in bytes, that ``read_trajectory_csv``
@@ -742,78 +741,62 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
             tmp.close()
 
 
-def _csv_lines(fh, width: int, limit: int | None = None):
-    """The body lines of a trajectory CSV with rows of ``width`` fields
-    from the text file fh, at most ``limit`` of them (all where None). A
-    row longer than ``CSV_FIELD_CHARS`` characters a field is not read
-    whole: ``ScenarioError`` names it, counting the header as row 1."""
+def _scan_csv_rows(fh, width: int, limit: int) -> np.ndarray:
+    """Up to ``limit`` body lines of the trajectory CSV open as text fh,
+    each read up to ``CSV_FIELD_CHARS`` characters a field and parsed with
+    ``float`` into one flat ``array("d")``, returned as a (rows, width)
+    view of it; ``ScenarioError`` names the first row (the header is row 1)
+    that is longer, has another field count or a non-numeric field."""
     longest = CSV_FIELD_CHARS * width
-    readline = fh.readline
-    for lineno in itertools.islice(itertools.count(2), limit):
-        line = readline(longest + 1)
+    values = array.array("d")
+    for lineno in range(2, limit + 2):
+        line = fh.readline(longest + 1)
         if not line:
-            return
+            break
         if len(line) > longest and line[-1] != "\n":
             raise ScenarioError(f"trajectory CSV row {lineno} is longer than {longest} characters")
-        yield line
-
-
-def _scan_csv_rows(lines, n: int) -> np.ndarray:
-    """Trajectory CSV body lines parsed one by one into one flat
-    ``array("d")``, returned as a (rows, 1 + 3n) view of it, so the peak is
-    that one buffer; raises ``ScenarioError`` naming the first row with the
-    wrong number of fields or a non-numeric field (the header is row 1)."""
-    values = array.array("d")
-    for lineno, line in enumerate(lines, start=2):
         parts = line.strip().split(",")
-        if len(parts) != 1 + 3 * n:
+        if len(parts) != width:
             raise ScenarioError(f"trajectory CSV row {lineno} has {len(parts)} fields")
         try:
             values.extend(map(float, parts))
         except ValueError:
             raise ScenarioError(f"trajectory CSV row {lineno} has a non-numeric field") from None
-    return np.frombuffer(values).reshape(-1, 1 + 3 * n)
-
-
-class _FileSpan(io.RawIOBase):
-    """Bytes [start, stop) of the file open on ``fd``, read with
-    ``os.pread``, which leaves the file's offset where it is."""
-
-    def __init__(self, fd: int, start: int, stop: int):
-        super().__init__()
-        self._fd, self._pos, self._stop = fd, start, stop
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buf) -> int:
-        data = os.pread(self._fd, min(len(buf), self._stop - self._pos), self._pos)
-        buf[: len(data)] = data
-        self._pos += len(data)
-        return len(data)
+    return np.frombuffer(values).reshape(-1, width)
 
 
 def _span_chunks(fd: int, start: int, stop: int, width: int):
-    """The trajectory CSV lines in bytes [start, stop) of the file open on
-    fd, decoded as ``read_trajectory_csv`` decodes the file and parsed by
-    numpy's C text reader a chunk of ``CSV_CHUNK_VALUES`` values at a time:
-    yields one (rows, width) array per chunk. Raises ``ValueError`` where
-    numpy rejects a line (a ``ScenarioError`` or ``UnicodeDecodeError``
-    from reading them included), skips one (it skips empty lines) or reads
-    another width."""
+    """The trajectory CSV rows in bytes [start, stop) of the file open on
+    fd, parsed by numpy's C text reader a chunk of ``CSV_CHUNK_VALUES``
+    values at a time: yields one (rows, width) array per chunk. Pieces of
+    2 ``CSV_CHUNK_VALUES`` bytes, or one longest row and its line end where
+    that is more, are read with ``os.pread`` (fd's offset stays), cut after
+    their last line end, decoded as strict UTF-8 and split at line ends.
+    Raises ``ValueError`` where the line scan might read the span otherwise:
+    a carriage return, a row longer than ``CSV_FIELD_CHARS`` characters a
+    field, or a line numpy rejects, skips (empty) or reads as another width."""
+    longest = CSV_FIELD_CHARS * width
+    size = max(longest + 1, 2 * CSV_CHUNK_VALUES)
     per_chunk = max(1, CSV_CHUNK_VALUES // width)
-    with io.TextIOWrapper(io.BufferedReader(_FileSpan(fd, start, stop)), encoding="utf-8") as text:
-        lines = _csv_lines(text, width)
-        for line in lines:  # the first line of each chunk
-            lines_read = itertools.count()  # then next(lines_read) counts the lines parsed
-            chunk = zip(itertools.chain([line], itertools.islice(lines, per_chunk - 1)), lines_read)
-            with warnings.catch_warnings():
-                # lines with no data warn; the line scan rejects them
-                warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(map(operator.itemgetter(0), chunk), delimiter=",", comments=None, ndmin=2)
-            if data.shape != (next(lines_read), width):
-                raise ValueError("chunk not parsed whole")
-            yield data
+    lines, pos = [], start
+    while pos < stop or lines:
+        if len(lines) < per_chunk and pos < stop:
+            piece = os.pread(fd, min(size, stop - pos), pos)
+            cut = len(piece) if pos + len(piece) == stop else piece.rfind(b"\n") + 1
+            new = piece[:cut].decode("utf-8").removesuffix("\n").split("\n")
+            if not cut or b"\r" in piece or max(map(len, new)) > longest:
+                raise ValueError("a row too long, or a carriage return")
+            lines += new
+            pos += cut
+            continue
+        with warnings.catch_warnings():
+            # lines with no data warn; the line scan rejects them
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(lines[:per_chunk], delimiter=",", comments=None, ndmin=2)
+        if data.shape != (min(per_chunk, len(lines)), width):
+            raise ValueError("chunk not parsed whole")
+        del lines[:per_chunk]  # before the yield, so no two chunks of lines are held
+        yield data
 
 
 def _check_grid(data: np.ndarray, row: int, samples: int, dt: float) -> None:
@@ -827,10 +810,11 @@ def _check_grid(data: np.ndarray, row: int, samples: int, dt: float) -> None:
 
 def _read_body(fh, start: int, samples: int, width: int, dt: float) -> np.ndarray | None:
     """The states of the trajectory CSV open as fh, whose body starts at
-    byte ``start``, parsed by numpy's C text reader a chunk at a time
-    (``_span_chunks``), or None where that parse does not accept the body
-    exactly as it is: a line numpy rejects or skips, or rows other than
-    the grid's ``samples`` rows with times t_k = k dt (``_check_grid``).
+    byte ``start``, read in byte pieces and parsed by numpy's C text reader
+    a chunk at a time (``_span_chunks``), or None where that parse does not
+    accept the body exactly as it is: a carriage return, a row too long,
+    bytes that are not UTF-8, a line numpy rejects or skips, or rows other
+    than the grid's ``samples`` rows with times t_k = k dt (``_check_grid``).
 
     A body too short or too long for ``samples`` rows of ``width`` fields
     of 1 to ``CSV_FIELD_CHARS`` characters is rejected before the result is
@@ -922,14 +906,15 @@ def read_trajectory_csv(path, g: Graph, cfg: SimConfig) -> Trajectory:
     ``simulate``: a scenario too large to run is rejected before the file
     is opened. The header is read up to its expected length plus
     ``CSV_FIELD_CHARS`` characters, and each body row up to
-    ``CSV_FIELD_CHARS`` characters a field (``_csv_lines``), so no line is
-    read whole however long it is. ``_read_body`` parses the body a chunk
-    at a time, on one CPU or two, into an array of the state columns only,
-    so the read holds the states plus about one chunk. A body it does not
-    accept is read again by ``_scan_csv_rows``: that names the first bad
-    row, or accepts what ``float`` accepts, and the grid check below names
-    a wrong count or time. The scan stops one row past the grid's last, so
-    a file that is too long costs one row more than the grid to reject."""
+    ``CSV_FIELD_CHARS`` characters a field, so no line is read whole
+    however long it is. ``_read_body`` reads the body in byte pieces of at
+    least one such row and parses it a chunk at a time, on one CPU or two,
+    into an array of the state columns only, so the read holds the states
+    plus about one chunk of lines. A body it does not accept is read again
+    as text by ``_scan_csv_rows``: that names the first bad row, or accepts
+    what ``float`` accepts, and the grid check below names a wrong count or
+    time. The scan stops one row past the grid's last, so a file that is
+    too long costs one row more than the grid to reject."""
     samples = _step_count(g, cfg) + 1
     n = g.n
     width = 1 + 3 * n
@@ -942,7 +927,7 @@ def read_trajectory_csv(path, g: Graph, cfg: SimConfig) -> Trajectory:
             states = _read_body(fh, fh.tell(), samples, width, cfg.dt)
             if states is not None:
                 return Trajectory(states, g, cfg)
-            data = _scan_csv_rows(_csv_lines(fh, width, samples + 1), n)
+            data = _scan_csv_rows(fh, width, samples + 1)
         except UnicodeDecodeError as exc:
             raise ScenarioError(f"trajectory CSV is not UTF-8 text ({exc.reason})") from None
     if not len(data):

@@ -9,6 +9,7 @@ computed once per graph, on first use, and returned read-only.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -160,6 +161,16 @@ def laplacian_spectrum(g: Graph) -> np.ndarray:
     return g.laplacian_eigenvalues
 
 
+def _lines(text: str):
+    """The lines of ``text.splitlines()``, split a block of about 8 KB at a
+    time, each cut after a line end but not inside a \\r\\n."""
+    line_end, pos = re.compile(r"\r(?!\n)|[\n\v\f\x1c-\x1e\x85\u2028\u2029]"), 0
+    while pos < len(text):
+        end = match.end() if (match := line_end.search(text, pos + 2**13)) else len(text)
+        yield from text[pos:end].splitlines()
+        pos = end
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list text format.
 
@@ -167,11 +178,13 @@ def parse_edge_list(text: str) -> Graph:
     with ``#`` are comments. Errors report 1-based line numbers. A header
     with n over ``MAX_NODES`` and at least n - 1 edges is rejected before
     the edges are read; fewer edges cannot connect the graph, which every
-    command rejects without an n x n allocation.
+    command rejects without an n x n allocation. Lines are walked a block
+    at a time (``_lines``); past the first m, edges are checked and counted
+    but not kept, so a file of too many edges is rejected in bounded memory.
     """
     header = None
-    pairs = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    pairs, count = [], 0
+    for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -191,14 +204,14 @@ def parse_edge_list(text: str) -> Graph:
                 )
             header = (a, b, lineno)
         else:
-            pairs.append((a, b, lineno))
+            if count < header[1]:
+                pairs.append((a, b, lineno))
+            count += 1
     if header is None:
         raise EdgeListParseError("empty edge-list file", 1)
     n, m, hline = header
-    if len(pairs) != m:
-        raise EdgeListParseError(
-            f"header declares {m} edges but file has {len(pairs)}", hline
-        )
+    if count != m:
+        raise EdgeListParseError(f"header declares {m} edges but file has {count}", hline)
     try:
         return from_edge_list(n, [(a, b) for a, b, _ in pairs])
     except (SelfLoopError, NodeIndexError, TooFewNodesError) as exc:

@@ -744,11 +744,10 @@ class TestTrajectoryCsv:
         path.write_bytes((P2_HEADER + "".join(rows)).encode())
         with open(path, encoding="utf-8") as fh:
             fh.readline()
-            lines = fh.readlines()
-        try:
-            expected = dynamics._scan_csv_rows(lines, 2)[:, 1:].tobytes()
-        except ScenarioError as exc:
-            expected = str(exc)
+            try:
+                expected = dynamics._scan_csv_rows(fh, 7, len(rows) + 1)[:, 1:].tobytes()
+            except ScenarioError as exc:
+                expected = str(exc)
         cfg = adaptive_cfg(2, dt=0.1, t_final=0.1 * (len(rows) - 1))
         for chunk_values in (dynamics.CSV_CHUNK_VALUES, 7):
             with mock.patch.object(dynamics, "CSV_CHUNK_VALUES", chunk_values):
@@ -1276,16 +1275,44 @@ class TestParallelCsvReader:
         assert halves == [(False, True), (split, True)]  # one CPU, then two
         self.assert_no_child_left()
 
-    @pytest.mark.parametrize("workload", sorted(WORKLOAD_SHAPES))
-    def test_paths_bit_identical_on_workload_shaped_runs(self, tmp_path, usable_cpus, halves, workload):
+    @pytest.mark.parametrize(
+        "workload, pieces, last_end",
+        [pytest.param(w, "as written", "\n", id=w) for w in sorted(WORKLOAD_SHAPES)]
+        + [
+            pytest.param(w, p, end, id=f"{w}-{p}-{'with' if end else 'no'} last line end")
+            for w in sorted(WORKLOAD_SHAPES)
+            for p in ("end at a row end", "end a byte short", "one row long")
+            for end in ("\n", "")
+        ],
+    )
+    def test_paths_bit_identical_on_workload_shaped_runs(self, tmp_path, usable_cpus, halves, workload, pieces, last_end):
+        # the body as written; and with its rows padded to one odd length L,
+        # a last row of exactly CSV_FIELD_CHARS characters a field, with or
+        # without its line end, and a chunk size whose pieces of 2
+        # CSV_CHUNK_VALUES bytes end exactly at a row end (4 L bytes) or one
+        # byte short of one (3 L - 1), or take one longest row and its line
+        # end (one value a chunk): one CPU and two read the bits the line
+        # scan reads, and neither leaves the body to it
         n, p, dt, steps = WORKLOAD_SHAPES[workload]
         rng = np.random.default_rng(1)
         g = random_connected_graph(n, rng, extra_edge_prob=p)
         cfg = adaptive_cfg(n, dt=dt, t_final=dt * steps, x0=rng.uniform(-1.0, 1.0, n))
         path = tmp_path / "traj.csv"
         write_trajectory_csv(simulate(g, cfg, rng.uniform(-1.0, 1.0, n)), path)
+        if pieces != "as written":
+            width = 1 + 3 * n
+            size = 25 * width  # L: a row of reprs of 24 characters or fewer, padded, and its line end
+            longest = dynamics.CSV_FIELD_CHARS * width
+            header, *rows = path.read_text().splitlines()
+            rows = [row.rjust(size - 1) for row in rows[:-1]] + [rows[-1].rjust(longest)]
+            path.write_text("\n".join([header, *rows]) + last_end)
+            chunk_values = {"end at a row end": 2 * size, "end a byte short": (3 * size - 1) // 2, "one row long": 1}
+            usable_cpus(1, chunk_values=chunk_values[pieces])
+        with open(path, encoding="utf-8") as fh:
+            fh.readline()
+            expected = dynamics._scan_csv_rows(fh, 1 + 3 * n, steps + 2)[:, 1:].tobytes()
         one, two = self.read_both(usable_cpus, path, g, cfg)
-        assert isinstance(one, bytes) and one == two
+        assert one == two == expected
         assert halves == [(False, True), (True, True)]
         self.assert_no_child_left()
 

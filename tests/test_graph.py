@@ -26,7 +26,7 @@ from resilient_consensus.errors import (
     TooFewNodesError,
 )
 from resilient_consensus.dynamics import MAX_TRAJECTORY_SAMPLES
-from resilient_consensus.graph import MAX_NODES, format_edge_list
+from resilient_consensus.graph import MAX_NODES, format_edge_list, load_edge_list
 
 
 def random_graphs(n_lo=2, n_hi=20):
@@ -279,6 +279,33 @@ class TestEdgeListFormat:
     def test_empty_file(self):
         with pytest.raises(EdgeListParseError):
             parse_edge_list("# nothing here\n")
+
+    def test_extra_edges_counted_not_stored(self, tmp_path):
+        # a header of 2 edges, then 10^5 edge lines: the lines are walked a
+        # block at a time and 2 edges kept, so the peak is that of reading
+        # the file; a list of every line and a tuple per edge took 41 x it
+        path = tmp_path / "edges.txt"
+        path.write_text("3 2\n" + "0 1\n" * 100_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(EdgeListParseError, match="^line 1: header declares 2 edges but file has 100000$"):
+                load_edge_list(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * path.stat().st_size
+
+    @pytest.mark.parametrize("at", [8191, 8192, 8193])
+    def test_line_numbers_across_blocks(self, at):
+        # lines end wherever str.splitlines ends them, a \r\n counting once,
+        # also at the end of the walk's first block of about 8 KB, where the
+        # \r of a \r\n falls just before, at or just after byte 8192
+        head = "3 2\n0 1\n1 2\n"
+        ends = ["\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r\n"]
+        text = head + "#" * (at - len(head)) + "\r\n" + "".join(f"# {k}{end}" for k, end in enumerate(ends * 50))
+        text += "0 x\n"
+        with pytest.raises(EdgeListParseError, match=f"^line {len(text.splitlines())}: non-integer token in '0 x'$"):
+            parse_edge_list(text)
 
 
 class TestNodeBudget:
