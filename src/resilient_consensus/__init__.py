@@ -39,7 +39,6 @@ from .dynamics import (
 from .stability import (
     AugmentedSystem,
     StabilityReport,
-    build_m,
     build_transform,
     centroid_analysis,
     check_energy_decay,

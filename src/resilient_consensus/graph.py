@@ -24,10 +24,11 @@ from .errors import (
 )
 
 #: Largest node count an edge list may declare for a graph that can be
-#: connected. The largest dense matrix any command builds is verify's
-#: (3n-1) x (3n-1) certificate matrix M: at n = 3333 it holds
-#: 9998^2 < 10^8 float64 values (800 MB), the budget that
-#: ``dynamics.MAX_TRAJECTORY_SAMPLES`` sets for a trajectory.
+#: connected. The costliest step of any command is verify's dense
+#: nonsymmetric eigensolve of the (n-1) x (n-1) agreement block A1, whose
+#: time grows as n^3: 0.45-0.6 s at n = 1000 (one BLAS thread, 2-vCPU
+#: x86-64 VM), so about 15-20 s at n = 3333. Its arrays, n x n at most,
+#: stay far within the 10^8 values of ``dynamics.MAX_TRAJECTORY_SAMPLES``.
 MAX_NODES = 3333
 
 
@@ -198,8 +199,9 @@ def parse_edge_list(text: str) -> Graph:
         if header is None:
             if a > MAX_NODES and b >= a - 1:
                 raise EdgeListParseError(
-                    f"n={a} is over the node budget of {MAX_NODES}: the (3n-1)^2 certificate "
-                    f"matrix would take {8 * (3 * a - 1) ** 2:.6g} bytes",
+                    f"n={a} is over the node budget of {MAX_NODES}: the dense eigensolve of "
+                    f"the (n-1)^2 agreement block grows as n^3, to {(a / MAX_NODES) ** 3:.4g} "
+                    f"times its time at the budget",
                     lineno,
                 )
             header = (a, b, lineno)

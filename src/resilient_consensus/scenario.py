@@ -38,7 +38,7 @@ from .dynamics import (
     read_scalar,
 )
 from .errors import NumericalBlowupError, ScenarioError
-from .graph import Graph
+from .graph import MAX_NODES, Graph
 from .stability import (
     DEFAULT_SPECTRAL_TOL,
     _centroid_drift,
@@ -51,6 +51,13 @@ from .stability import (
 )
 
 SCHEMA_VERSION = 1
+
+#: Largest scenario file ``read_scenario`` parses. The largest legitimate
+#: one holds four vectors of ``MAX_NODES`` numbers, about 0.35 MB as
+#: Python writes floats; the cap allows 64 bytes a number plus 64 KB for
+#: the rest. libyaml holds about 100 bytes per list item while it parses,
+#: so a file of 2 M numbers took 837 MB before ``_vector`` could reject it.
+MAX_SCENARIO_BYTES = 64 * 4 * MAX_NODES + 2**16
 
 
 @dataclass(frozen=True)
@@ -116,6 +123,9 @@ def read_scenario(path) -> dict:
     """The mapping in a scenario file, for ``parse_scenario``. A relative
     ``graph:`` path is resolved against the file's directory.
 
+    A file over ``MAX_SCENARIO_BYTES`` is rejected before it is parsed,
+    having read one byte more than the budget.
+
     PyYAML is imported here, not at module level: only scenarios are YAML
     input, so ``verify`` runs without it. libyaml's C parser is used when
     PyYAML was built with it, else the pure-Python one; both read the same
@@ -123,17 +133,22 @@ def read_scenario(path) -> dict:
     import yaml
 
     loader = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = yaml.load(fh, Loader=loader)
-        except yaml.YAMLError as exc:
-            raise ScenarioError(f"cannot parse scenario {path}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise ScenarioError(
-                f"cannot read scenario {path}: not UTF-8 text ({exc.reason})"
-            ) from None
-        except ValueError as exc:  # an int over Python's digit limit
-            raise ScenarioError(f"cannot parse scenario {path}: {exc}") from None
+    with open(path, "rb") as fh:
+        data = fh.read(MAX_SCENARIO_BYTES + 1)
+    if len(data) > MAX_SCENARIO_BYTES:
+        raise ScenarioError(
+            f"scenario {path} is over the size budget of {MAX_SCENARIO_BYTES} bytes"
+        )
+    try:
+        raw = yaml.load(data.decode("utf-8"), Loader=loader)
+    except yaml.YAMLError as exc:
+        raise ScenarioError(f"cannot parse scenario {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(
+            f"cannot read scenario {path}: not UTF-8 text ({exc.reason})"
+        ) from None
+    except ValueError as exc:  # an int over Python's digit limit
+        raise ScenarioError(f"cannot parse scenario {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ScenarioError("scenario file must be a mapping")
     if raw.get("graph") is not None:

@@ -1,10 +1,9 @@
 """Dense real-matrix spectral machinery.
 
-Eigenvalues, inertia counts of eigenvalue sets, the assembly of a
-block-triangular matrix [[A, B], [0, D]], and the inertia of a quadratic
-matrix polynomial Z(lam) = A lam^2 + B lam + C with positive-definite B,
-predicted by the inertia identities and observed on its companion
-linearization.
+Eigenvalues, inertia counts of eigenvalue sets, and the inertia of a
+quadratic matrix polynomial Z(lam) = A lam^2 + B lam + C with
+positive-definite B, predicted by the inertia identities and observed on
+its companion linearization.
 
 Dense eigensolves are delegated to LAPACK (Hessenberg reduction + shifted
 QR), via numpy.
@@ -37,6 +36,11 @@ from .errors import HypothesisViolationError, MatrixShapeError
 
 #: Condition number above which the companion linearization warns.
 CONDITION_WARN_THRESHOLD = 1e12
+
+#: Distances ``_cluster_matching`` holds at once: it reduces |left - right|
+#: and the gaps between clusters a block of rows at a time, so matching the
+#: 3n - 1 modes of the closed loop holds no (3n - 1) x n array.
+MATCH_BLOCK_VALUES = 2**16
 
 
 @dataclass(frozen=True)
@@ -104,23 +108,6 @@ def inertia_of_values(vals: np.ndarray, tol: float) -> Inertia:
         n_zero=int(np.sum(np.abs(re) <= tol)),
         n_minus=int(np.sum(re < -tol)),
     )
-
-
-def assemble_block_triangular(a: np.ndarray, b: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Assemble M = [[A, B], [0, D]]."""
-    a = _require_square(a, "A")
-    d = _require_square(d, "D")
-    b = np.asarray(b, dtype=float)
-    if b.shape != (a.shape[0], d.shape[0]):
-        raise MatrixShapeError(
-            f"B must be {a.shape[0]}x{d.shape[0]}, got {b.shape}"
-        )
-    p, q = a.shape[0], d.shape[0]
-    m = np.zeros((p + q, p + q))
-    m[:p, :p] = a
-    m[:p, p:] = b
-    m[p:, p:] = d
-    return m
 
 
 def companion_matrix(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -225,16 +212,23 @@ def _cluster_matching(
         above = np.bincount(inverse, weights=np.arange(len(right)) >= split, minlength=len(values))
         if np.any((above > 0) & (above < counts)):
             return None
-    dist = np.abs(left[:, None] - values[None, :])
-    nearest = np.argmin(dist, axis=1)
+    step = max(1, MATCH_BLOCK_VALUES // len(values))
+    nearest = np.empty(len(left), dtype=np.intp)
+    r = 0.0
+    for i in range(0, len(left), step):
+        dist = np.abs(left[i : i + step, None] - values[None, :])
+        nearest[i : i + step] = np.argmin(dist, axis=1)
+        r = max(r, float(np.max(np.min(dist, axis=1))))
     if not np.array_equal(np.bincount(nearest, minlength=len(values)), counts):
         return None
-    r = float(np.max(dist[np.arange(len(left)), nearest]))
-    if len(values) > 1:
-        gaps = np.abs(values[:, None] - values[None, :])
-        np.fill_diagonal(gaps, np.inf)
-        if not 2.0 * r < float(np.min(gaps)) * (1.0 - 4.0 * np.finfo(float).eps):
-            return None
+    gap = np.inf
+    for i in range(0, len(values), step):
+        gaps = np.abs(values[i : i + step, None] - values[None, :])
+        rows = np.arange(len(gaps))
+        gaps[rows, i + rows] = np.inf
+        gap = min(gap, float(np.min(gaps)))
+    if not 2.0 * r < gap * (1.0 - 4.0 * np.finfo(float).eps):
+        return None
     pairs = np.empty(len(left), dtype=np.intp)
     pairs[np.argsort(nearest, kind="stable")] = np.argsort(inverse, kind="stable")
     return pairs, r

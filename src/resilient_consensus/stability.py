@@ -25,20 +25,22 @@ Laplacian eigensolve and 2n scalar quadratic roots. It lives in
 exported here too. Run reports (``scenario.build_run_report``) and the
 RK4 step-size preflight (``dynamics.simulate``) use only the closed form.
 ``verify_theorem`` reports the closed form and cross-checks it against
-the one dense nonsymmetric eigensolve of M that the toolkit makes: the
-optimal (min-sum) matching distance between the two is the decomposition
-residual, and the dense eigenvalues matched to the roots of E give the
-observed quadratic inertia.
+M's two diagonal blocks, each solved on its own, so that the
+(3n-1) x (3n-1) matrix M is never built: the one dense nonsymmetric
+eigensolve of A1 that the toolkit makes, and E as n stacked 2x2 blocks
+in one batched solve. The optimal (min-sum) matching distance between the solved values
+and the closed form is the decomposition residual, and the eigenvalues of
+E give the observed quadratic inertia.
 
 The matching (``spectral.spectrum_matching``) groups the closed-form
-values into clusters of equal values and sends each dense eigenvalue to
-its nearest cluster. The residual and the observed inertia are then the
-Hungarian assignment's bit for bit when every cluster receives exactly
-its multiplicity, the largest matched distance is below half the smallest
-gap between clusters, and no cluster holds both an agreement mode and a
-root of E. Otherwise, as at a Jordan chain or at near-repeated Laplacian
-eigenvalues, ``scipy.optimize.linear_sum_assignment`` solves it. So
-``verify`` imports no scipy module on typical inputs.
+values into clusters of equal values and sends each solved eigenvalue to
+its nearest cluster. The residual is then the Hungarian assignment's bit
+for bit when every cluster receives exactly its multiplicity, the largest
+matched distance is below half the smallest gap between clusters, and no
+cluster holds both an agreement mode and a root of E. Otherwise, as at a
+double root of E or at near-repeated Laplacian eigenvalues,
+``scipy.optimize.linear_sum_assignment`` solves it. So ``verify`` imports
+no scipy module on typical inputs.
 
 Trajectory-side checks cover the energy function
 E = 0.5 x_tilde'x_tilde + w_tilde'w_tilde/(2 alpha) (nonincreasing, with
@@ -74,12 +76,10 @@ from .dynamics import (
     error_series,
     read_scalar,
 )
-from .graph import Graph, adjacency_matrix, is_connected, laplacian
+from .graph import Graph, adjacency_matrix, is_connected
 from .spectral import (
     Inertia,
     Spectrum,
-    assemble_block_triangular,
-    eigenvalues,
     inertia_identities,
     inertia_of_values,
     spectrum_matching,
@@ -102,7 +102,10 @@ class AgreementTransform:
 
 @dataclass(frozen=True)
 class AugmentedSystem:
-    """The (3n-1)-dimensional closed-loop matrix M and its building blocks."""
+    """The (3n-1)-dimensional closed-loop matrix M and its building blocks.
+
+    No command assembles M; the tests' reference (``tests/reference.py``)
+    and the benchmark's traced replay do."""
 
     m_matrix: np.ndarray
     a1: np.ndarray
@@ -144,22 +147,17 @@ def reduced_blocks(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 
     They are the leading (n-1)x(n-1) block of -T L T^-1 and the first n-1
     rows of T Adj for the transform T of ``build_transform``: the sum row
-    and column vanish because 1'L = 0 and L 1 = 0.
+    and column vanish because 1'L = 0 and L 1 = 0. With L = Delta - Adj,
+    A1 is Adj[1:, 1:] - Adj[0, 1:] less the degrees d_1.. on its diagonal,
+    formed without an n x n Laplacian; the entries are small integers, so
+    every value and every zero's sign is that of the Laplacian rows.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("reduced blocks require a connected graph")
-    lap = laplacian(g)
     adj = adjacency_matrix(g)
-    return lap[0, 1:] - lap[1:, 1:], adj[0] - adj[1:]
-
-
-def build_m(g: Graph, alpha: float) -> AugmentedSystem:
-    """Assemble the augmented closed-loop matrix M = [[A1, [A2 0]], [0, E]]."""
-    alpha = read_scalar(alpha, "alpha", positive=True)
-    a1, a2 = reduced_blocks(g)
-    b = np.hstack([a2, np.zeros((g.n - 1, g.n))])
-    m = assemble_block_triangular(a1, b, error_block(g, alpha))
-    return AugmentedSystem(m_matrix=m, a1=a1, a2=a2, alpha=alpha)
+    a1 = adj[1:, 1:] - adj[0, 1:]
+    a1.flat[:: g.n] -= g.degrees[1:]
+    return a1, adj[0] - adj[1:]
 
 
 def error_block(g: Graph, alpha: float) -> np.ndarray:
@@ -167,7 +165,9 @@ def error_block(g: Graph, alpha: float) -> np.ndarray:
     built as one float 2n x 2n array. The top block row is negated whole,
     so its zeros are -0.0, as in -Delta and -I: the sign of a zero steers
     LAPACK's Householder reflections, and with +0.0 there the dense
-    eigenvalues of M changed in their last bits on 81 of 180 test inputs."""
+    eigenvalues of M changed in their last bits on 81 of 180 test inputs.
+    ``verify_theorem`` solves E as its n 2x2 blocks instead; the tests'
+    reference M and the benchmark's replay use it whole."""
     n = g.n
     e = np.zeros((2 * n, 2 * n))
     i = np.arange(n)
@@ -184,47 +184,56 @@ def verify_theorem(g: Graph, alpha: float) -> StabilityReport:
     The spectrum, abscissa and verdict come from ``closed_form_spectrum``;
     the verdict is true iff every eigenvalue has real part below
     -``DEFAULT_SPECTRAL_TOL``.
-    Cross-check: one dense eigensolve of M, matched to the closed form.
-    The largest matched distance is the decomposition residual, and the
-    dense eigenvalues matched to the roots of E give the observed inertia
-    of lam^2 I + lam Delta + alpha I, against the (0, 0, 2n) that the
-    inertia identities predict. The dense solve resolves the real parts
-    -d/2 only below alpha of about (d / (2 dim eps))^2, 2e29 on p2; where
-    its error reaches the smallest |Re| of the roots of E the observed
-    inertia is None, and the verdict, from the closed form, stands.
+    Cross-check: M is block upper triangular, so it is solved block by
+    block, never assembled: one dense nonsymmetric eigensolve of A1
+    (``reduced_blocks``) and one batched solve of the n 2x2 blocks
+    E_i = [[-d_i, -1], [alpha, 0]] of E. The solved values are matched to
+    the closed form, and the largest matched distance is the decomposition
+    residual. The eigenvalues of E give the observed inertia of
+    lam^2 I + lam Delta + alpha I, against the (0, 0, 2n) that the inertia
+    identities predict. A 2x2 solve resolves the real parts -d/2 only
+    below alpha of about (d / (4 eps))^2, 1.3e30 on p2; where its error
+    reaches the smallest |Re| of the roots of E the observed inertia is
+    None, and the verdict, from the closed form, stands.
 
-    The decomposition residual is the error of the dense solve, since the
-    closed form is exact. Where M has a Jordan chain of length j the dense
-    eigenvalue is off by about (eps ||M||_inf)^(1/j), so the residual can
-    exceed 1e-7 on a valid input: at alpha = d^2/4 a root of E is double
-    (j = 2), and an agreement mode lambda_k = d/2 equal to it makes j = 3.
-    ``decomposition_residual_tol`` is max(1e-7, 10 (eps ||M||_inf)^(1/j))
-    with j read off the closed form, so the report says whether the
-    residual is within what the dense solve can resolve.
+    The decomposition residual is the error of the block solves, since the
+    closed form is exact. A1 is similar to -L on the complement of 1, so
+    it is diagonalizable, and its eigenvalues are off by about eps ||A1||.
+    At alpha = d^2/4 a root of E_i is double, a Jordan chain of length
+    j = 2, and the solve is off by about (eps ||E_i||_inf)^(1/2).
+    ``decomposition_residual_tol`` is
+    max(1e-7, 10 (eps max_i ||E_i||_inf)^(1/j)), with
+    ||E_i||_inf = max(d_i + 1, alpha) and j read off the closed form, so
+    the report says whether the residual is within what the block solves
+    can resolve.
     """
     alpha = read_scalar(alpha, "alpha", positive=True)
     agreement, error_roots = _closed_form_modes(g, alpha)
     closed = np.concatenate([agreement, error_roots])
     spectrum = Spectrum(closed)
-    m = build_m(g, alpha).m_matrix
-    dense = eigenvalues(m).eigenvalues
-    pairs, residual = spectrum_matching(dense, closed, split=len(agreement))
     d = g.degrees
+    blocks = np.zeros((g.n, 2, 2))
+    blocks[:, 0, 0] = -d
+    blocks[:, 0, 1] = -1.0
+    blocks[:, 1, 0] = alpha
+    solved_a1 = np.linalg.eigvals(reduced_blocks(g)[0])
+    solved_e = np.linalg.eigvals(blocks).ravel()
+    _, residual = spectrum_matching(
+        np.concatenate([solved_a1, solved_e]), closed, split=len(agreement)
+    )
     chain = 1 + bool(np.any(d * d == 4 * alpha))
-    roots = np.fromiter(set(error_roots.tolist()), complex)  # one pair per degree
-    chain += bool(np.any(np.abs(agreement[:, None] - roots) <= 1e-9))
-    scale = np.finfo(float).eps * np.max(np.sum(np.abs(m), axis=1))
-    residual_tol = max(1e-7, 10.0 * float(scale) ** (1.0 / chain))
+    scale = float(np.finfo(float).eps) * max(float(np.max(d)) + 1.0, alpha)
+    residual_tol = max(1e-7, 10.0 * scale ** (1.0 / chain))
     # lam^2 I + lam Delta + alpha I has exact diagonal coefficients (ones,
     # degrees >= 1, alpha > 0), so the prediction needs no tolerance. The
-    # dense roots are counted against the dense solve's own error, about
-    # dim eps times the norm of the balanced M that LAPACK solves, which is
-    # of the order of the spectral radius here.
+    # roots of E are counted against the 2x2 solves' own error, about
+    # dim eps times the norm of the balanced block that LAPACK solves,
+    # which is of the order of its spectral radius here.
     ones = np.ones(g.n)
-    dense_tol = len(dense) * np.finfo(float).eps * float(np.max(np.abs(dense)))
+    solve_tol = blocks.shape[-1] * np.finfo(float).eps * float(np.max(np.abs(solved_e)))
     observed = None
-    if dense_tol < np.min(np.abs(error_roots.real)):
-        observed = inertia_of_values(dense[pairs >= len(agreement)], dense_tol)
+    if solve_tol < np.min(np.abs(error_roots.real)):
+        observed = inertia_of_values(solved_e, solve_tol)
     return StabilityReport(
         spectrum=spectrum,
         spectral_abscissa=spectrum.abscissa,

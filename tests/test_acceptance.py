@@ -19,6 +19,7 @@ from resilient_consensus import (
     centroid_analysis,
     check_energy_decay,
     check_perturbation_bound,
+    closed_form_spectrum,
     complete_graph,
     consensus_error,
     cycle_graph,
@@ -29,10 +30,11 @@ from resilient_consensus import (
     path_graph,
     random_connected_graph,
     simulate,
+    spectrum_matching_distance,
     verify_theorem,
 )
 
-from reference import block_triangular_det_check
+from reference import block_triangular_det_check, build_m
 
 GRID_SEED = 12345
 RUN_SEED = 67890
@@ -121,11 +123,15 @@ def test_criterion_3_quadratic_inertia():
 
 
 def test_criterion_4_spectrum_decomposition():
+    # the dense spectrum of the assembled M against the closed form
+    # spec(A1) U spec(E), and verify's own residual, from its block solves
     ok = True
     for g in grid_graphs():
         for alpha in ALPHA_GRID:
-            rep = verify_theorem(g, alpha)
-            ok = ok and rep.decomposition_residual <= 1e-7
+            dense = np.linalg.eigvals(build_m(g, alpha).m_matrix)
+            closed = closed_form_spectrum(g, alpha).eigenvalues
+            ok = ok and spectrum_matching_distance(dense, closed) <= 1e-7
+            ok = ok and verify_theorem(g, alpha).decomposition_residual <= 1e-7
     report("4 spec(M) = spec(A1) U spec(error block), residual <= 1e-7", ok)
 
 

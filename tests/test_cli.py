@@ -18,6 +18,7 @@ import resilient_consensus
 from resilient_consensus import ADAPTIVE, NOMINAL, SimConfig, simulate, verify_theorem, write_trajectory_csv
 from resilient_consensus.cli import main
 from resilient_consensus.scenario import (
+    MAX_SCENARIO_BYTES,
     build_run_report,
     dump_report,
     load_scenario,
@@ -27,6 +28,7 @@ from resilient_consensus.scenario import (
 )
 from resilient_consensus.errors import ConsensusToolkitError, ScenarioError
 from resilient_consensus.graph import (
+    MAX_NODES,
     complete_graph,
     from_edge_list,
     format_edge_list,
@@ -350,6 +352,52 @@ class TestRunSizeBudget:
         assert capsys.readouterr().err == simulate_err
 
 
+class TestScenarioSizeBudget:
+    """A scenario file over ``MAX_SCENARIO_BYTES`` is rejected before it is
+    parsed; the largest legitimate scenario, four vectors of ``MAX_NODES``
+    numbers of the longest form Python writes, parses even when padded to
+    the budget."""
+
+    @staticmethod
+    def padded(tmp_path, size):
+        nums = ", ".join([repr(-1.2345678901234567e-300)] * MAX_NODES)
+        body = "schema: 1\nprotocol: adaptive\nalpha: 1.0\nt_final: 1.0\n"
+        body += "".join(f"{key}: [{nums}]\n" for key in ("x0", "w", "x_hat0", "w_hat0"))
+        assert len(body) < 0.4 * MAX_SCENARIO_BYTES
+        path = tmp_path / "largest.yaml"
+        path.write_text(body + "#" * (size - len(body) - 1) + "\n", encoding="utf-8")
+        assert path.stat().st_size == size
+        return path
+
+    def test_largest_scenario_at_the_budget_parses(self, tmp_path):
+        raw = read_scenario(self.padded(tmp_path, MAX_SCENARIO_BYTES))
+        sc = parse_scenario(raw)
+        assert len(sc.w) == MAX_NODES and sc.config.x0[-1] == -1.2345678901234567e-300
+
+    @pytest.mark.parametrize("case", ["one byte over", "2 M entries"])
+    def test_over_the_budget_rejected_before_parsing(self, tmp_path, p2_file, capsys, case):
+        # libyaml held 837 MB for a scenario of 2 M entries (8 MB) before the
+        # vector's length could be checked
+        if case == "one byte over":
+            path = self.padded(tmp_path, MAX_SCENARIO_BYTES + 1)
+        else:
+            path = tmp_path / "huge.yaml"
+            path.write_text("schema: 1\nprotocol: nominal\nx0: [" + "0, " * 2_000_000 + "0]\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ScenarioError, match="over the size budget"):
+                read_scenario(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+        argv = ["simulate", "--graph", p2_file, "--scenario", str(path), "--out", str(tmp_path / "t.csv")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: scenario {path} is over the size budget of {MAX_SCENARIO_BYTES} bytes\n"
+        )
+
+
 class TestNumericalBlowup:
     def test_overflow_exits_3_with_clean_stderr(self, tmp_path, p2_file):
         # the state itself overflows at t = 0.1; in a fresh interpreter, so
@@ -519,7 +567,7 @@ class TestVerifyCommand:
         assert proc.stdout == ""
         [line] = proc.stderr.splitlines()
         assert line.startswith(f"error: line 1: n={n} is over the node budget")
-        assert line.endswith("bytes")
+        assert line.endswith("times its time at the budget")
 
     def test_p2(self, p2_file, capsys):
         code = main(["verify", "--graph", p2_file, "--alpha", "1.0"])
@@ -539,18 +587,18 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize(
         "alpha, code",
-        [("1e-12", 2), ("1e-9", 2), ("1e9", 0), ("1e16", 0), ("1e300", 0), ("1e308", 0)],
+        [("1e-12", 2), ("1e-9", 2), ("1e9", 0), ("1e16", 0), ("1e30", 0), ("1e300", 0), ("1e308", 0)],
     )
     def test_inertia_at_extreme_gains(self, p2_file, capsys, alpha, code):
-        # the prediction takes the exact coefficients, and the dense roots are
-        # counted against the dense solve's error, not against a scale of alpha.
-        # From alpha of about (d / (2 dim eps))^2 = 2e29 on p2 that error
-        # swamps the real parts -1/2: the observed inertia is null, and the
-        # closed-form verdict stands
+        # the prediction takes the exact coefficients, and the roots of E are
+        # counted against the 2x2 solves' error, not against a scale of alpha.
+        # From alpha of about (d / (2 dim eps))^2 = 1.3e30 on p2 (dim = 2)
+        # that error swamps the real parts -1/2: the observed inertia is null,
+        # and the closed-form verdict stands
         assert main(["verify", "--graph", p2_file, "--alpha", alpha]) == code
         report = yaml.safe_load(capsys.readouterr().out.split(")\n", 1)[1])
         assert report["quadratic_inertia_predicted"] == [0, 0, 4]
-        observed = [0, 0, 4] if float(alpha) < 2e29 else None
+        observed = [0, 0, 4] if float(alpha) < 1.3e30 else None
         assert report["quadratic_inertia_observed"] == observed
 
     def test_nonnegative_abscissa_contradicts_theorem(self, p2, p2_file, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -309,13 +310,22 @@ class TestEdgeListFormat:
 
 
 class TestNodeBudget:
-    def test_budget_keeps_certificate_matrix_within_trajectory_budget(self):
-        # verify's (3n-1)^2 M is the largest dense matrix any command builds
-        assert (3 * MAX_NODES - 1) ** 2 <= MAX_TRAJECTORY_SAMPLES < (3 * MAX_NODES + 2) ** 2
+    def test_budget_bounds_the_agreement_block_eigensolve(self):
+        # verify's costliest step, the dense eigensolve of the (n-1)^2 block
+        # A1, grows as n^3: twice the budget takes 8 times as long. No command
+        # builds an array over n x n, far within the trajectory budget
+        n = 2 * MAX_NODES
+        with pytest.raises(EdgeListParseError, match=r"\(n-1\)\^2 agreement block grows as n\^3, to 8 times"):
+            parse_edge_list(f"{n} {n - 1}\n")
+        assert MAX_NODES**2 < MAX_TRAJECTORY_SAMPLES
 
     def test_header_over_budget_rejected_before_edges(self):
         n = MAX_NODES + 1
-        with pytest.raises(EdgeListParseError, match=f"line 2: n={n} .* bytes"):
+        message = (
+            f"line 2: n={n} is over the node budget of {MAX_NODES}: the dense eigensolve of "
+            f"the (n-1)^2 agreement block grows as n^3, to 1.001 times its time at the budget"
+        )
+        with pytest.raises(EdgeListParseError, match=f"^{re.escape(message)}$"):
             parse_edge_list(f"# header only\n{n} {n - 1}\n")
 
     def test_largest_budgeted_path_parses(self):

@@ -13,13 +13,12 @@ from resilient_consensus import (
 )
 from resilient_consensus.errors import HypothesisViolationError, MatrixShapeError
 from resilient_consensus.spectral import (
-    assemble_block_triangular,
     companion_matrix,
     default_zero_tol,
     inertia_of_values,
 )
 
-from reference import block_triangular_det_check, determinant
+from reference import assemble_block_triangular, block_triangular_det_check, determinant
 
 
 def as_multiset(vals):
