@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     DisconnectedGraphError,
     EdgeListParseError,
+    GraphValidationError,
     NodeIndexError,
     SelfLoopError,
     TooFewNodesError,
@@ -111,19 +112,30 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _edge_error(i: int, j: int, n: int) -> GraphValidationError | None:
+    """Why (i, j) is not an edge of a graph on n nodes, or None."""
+    if i == j:
+        return SelfLoopError(f"self-loop ({i},{j}) is not allowed")
+    if not (0 <= i < n) or not (0 <= j < n):
+        return NodeIndexError(f"edge ({i},{j}) out of range for n={n}")
+    return None
+
+
+def _too_few_nodes(n: int) -> TooFewNodesError:
+    return TooFewNodesError(f"need at least 2 nodes, got n={n}")
+
+
 def from_edge_list(n: int, edges) -> Graph:
     """Build a canonical Graph from an edge list.
 
     Duplicate edges are merged; (i, j) and (j, i) are the same edge.
     """
     if n < 2:
-        raise TooFewNodesError(f"need at least 2 nodes, got n={n}")
+        raise _too_few_nodes(n)
     canon = set()
     for i, j in edges:
-        if i == j:
-            raise SelfLoopError(f"self-loop ({i},{j}) is not allowed")
-        if not (0 <= i < n) or not (0 <= j < n):
-            raise NodeIndexError(f"edge ({i},{j}) out of range for n={n}")
+        if (exc := _edge_error(i, j, n)) is not None:
+            raise exc
         canon.add((min(i, j), max(i, j)))
     return Graph(n=n, edges=frozenset(canon))
 
@@ -180,11 +192,14 @@ def parse_edge_list(text: str) -> Graph:
     with n over ``MAX_NODES`` and at least n - 1 edges is rejected before
     the edges are read; fewer edges cannot connect the graph, which every
     command rejects without an n x n allocation. Lines are walked a block
-    at a time (``_lines``); past the first m, edges are checked and counted
-    but not kept, so a file of too many edges is rejected in bounded memory.
+    at a time (``_lines``). Each of the first m edges is checked as it is
+    read and added to one set as (min, max), so repeated edges take no
+    memory; past the first m, edges are counted but not kept, so a file of
+    too many edges is rejected in bounded memory. A wrong edge count is
+    reported before the first bad edge, and n < 2 at that edge's line, or
+    else at the header's.
     """
-    header = None
-    pairs, count = [], 0
+    header, canon, count, first_error = None, set(), 0, None
     for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -206,22 +221,23 @@ def parse_edge_list(text: str) -> Graph:
                 )
             header = (a, b, lineno)
         else:
-            if count < header[1]:
-                pairs.append((a, b, lineno))
+            if count < header[1] and first_error is None:
+                if (exc := _edge_error(a, b, header[0])) is None:
+                    canon.add((a, b) if a < b else (b, a))
+                else:
+                    first_error = (exc, lineno)
             count += 1
     if header is None:
         raise EdgeListParseError("empty edge-list file", 1)
     n, m, hline = header
     if count != m:
         raise EdgeListParseError(f"header declares {m} edges but file has {count}", hline)
-    try:
-        return from_edge_list(n, [(a, b) for a, b, _ in pairs])
-    except (SelfLoopError, NodeIndexError, TooFewNodesError) as exc:
-        # Attribute the error to the first offending edge line.
-        for a, b, lineno in pairs:
-            if a == b or not (0 <= a < n) or not (0 <= b < n):
-                raise EdgeListParseError(str(exc), lineno) from exc
-        raise EdgeListParseError(str(exc), hline) from exc
+    exc, lineno = first_error or (None, hline)
+    if n < 2:
+        exc = _too_few_nodes(n)
+    if exc is not None:
+        raise EdgeListParseError(str(exc), lineno) from exc
+    return Graph(n=n, edges=frozenset(canon))
 
 
 def load_edge_list(path) -> Graph:

@@ -8,21 +8,13 @@ its companion linearization.
 Dense eigensolves are delegated to LAPACK (Hessenberg reduction + shifted
 QR), via numpy.
 
-``spectrum_matching`` pairs a computed spectrum with an exact one (such
-as the closed form, where agents of equal degree share their roots bit for
-bit) by the min-sum assignment on pairwise moduli. It first groups the
-exact values into clusters of equal values and sends each computed value
-to its nearest cluster. Let r be the largest distance so matched. When
-every cluster receives exactly its multiplicity and r is below half the
-smallest gap between clusters (with a few ulps of slack), every
-cross-cluster pair costs more than r, so more than any within-cluster
-pair, and every min-sum assignment pairs within clusters. Within a
-cluster all pairings cost the same, so the largest matched distance is
-the assignment's bit for bit, and so is which computed values land on
-each side of a split of the exact values, unless a cluster straddles the
-split. Where one of these conditions fails, as at a Jordan chain or at
-near-repeated Laplacian eigenvalues, ``scipy.optimize`` is imported and
-``linear_sum_assignment`` solves the assignment.
+``spectrum_matching`` pairs two eigenvalue multisets by the min-sum
+assignment on pairwise moduli, solved by ``scipy.optimize``'s
+``linear_sum_assignment`` on the full cost matrix. No command calls it:
+the tests' references and the benchmark's traced replay match a dense
+solve of the assembled closed-loop matrix with it, while ``verify``
+pairs each solved block with its own part of the closed form
+(``stability.verify_theorem``).
 """
 
 from __future__ import annotations
@@ -36,11 +28,6 @@ from .errors import HypothesisViolationError, MatrixShapeError
 
 #: Condition number above which the companion linearization warns.
 CONDITION_WARN_THRESHOLD = 1e12
-
-#: Distances ``_cluster_matching`` holds at once: it reduces |left - right|
-#: and the gaps between clusters a block of rows at a time, so matching the
-#: 3n - 1 modes of the closed loop holds no (3n - 1) x n array.
-MATCH_BLOCK_VALUES = 2**16
 
 
 @dataclass(frozen=True)
@@ -199,56 +186,13 @@ def quadratic_inertia(a, b, c, tol: float | None = None) -> tuple[Inertia, Inert
     return predicted, observed
 
 
-def _cluster_matching(
-    left: np.ndarray, right: np.ndarray, split: int | None
-) -> tuple[np.ndarray, float] | None:
-    """``spectrum_matching`` by nearest cluster of equal ``right`` values
-    (see the module docstring), or None where that is not provably the
-    min-sum assignment's answer."""
-    values, inverse, counts = np.unique(right, return_inverse=True, return_counts=True)
-    if not (len(values) and np.all(np.isfinite(values)) and np.all(np.isfinite(left))):
-        return None
-    if split is not None:
-        above = np.bincount(inverse, weights=np.arange(len(right)) >= split, minlength=len(values))
-        if np.any((above > 0) & (above < counts)):
-            return None
-    step = max(1, MATCH_BLOCK_VALUES // len(values))
-    nearest = np.empty(len(left), dtype=np.intp)
-    r = 0.0
-    for i in range(0, len(left), step):
-        dist = np.abs(left[i : i + step, None] - values[None, :])
-        nearest[i : i + step] = np.argmin(dist, axis=1)
-        r = max(r, float(np.max(np.min(dist, axis=1))))
-    if not np.array_equal(np.bincount(nearest, minlength=len(values)), counts):
-        return None
-    gap = np.inf
-    for i in range(0, len(values), step):
-        gaps = np.abs(values[i : i + step, None] - values[None, :])
-        rows = np.arange(len(gaps))
-        gaps[rows, i + rows] = np.inf
-        gap = min(gap, float(np.min(gaps)))
-    if not 2.0 * r < gap * (1.0 - 4.0 * np.finfo(float).eps):
-        return None
-    pairs = np.empty(len(left), dtype=np.intp)
-    pairs[np.argsort(nearest, kind="stable")] = np.argsort(inverse, kind="stable")
-    return pairs, r
-
-
-def spectrum_matching(
-    left: np.ndarray, right: np.ndarray, split: int | None = None
-) -> tuple[np.ndarray, float]:
+def spectrum_matching(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, float]:
     """Optimal matching between two eigenvalue multisets.
 
     The min-sum (Hungarian) assignment on pairwise moduli. Returns
     ``pairs``, with ``left[i]`` matched to ``right[pairs[i]]``, and the
-    largest matched pair distance. Sets must have equal cardinality.
-
-    Where the nearest-cluster conditions of the module docstring hold,
-    no assignment is solved and no scipy module imported. The largest
-    distance and the ``left`` values matched into ``right[:split]`` and
-    into ``right[split:]`` are then those of ``linear_sum_assignment`` bit
-    for bit; ``pairs`` may differ from its columns only within a set of
-    equal ``right`` values.
+    largest matched pair distance. Sets must have equal cardinality. The
+    N x N cost matrix and the O(N^3) solve are for reference inputs only.
     """
     left = np.asarray(left, dtype=complex)
     right = np.asarray(right, dtype=complex)
@@ -256,9 +200,6 @@ def spectrum_matching(
         raise MatrixShapeError(
             f"spectra differ in size: {left.shape} vs {right.shape}"
         )
-    fast = _cluster_matching(left, right, split)
-    if fast is not None:
-        return fast
     from scipy.optimize import linear_sum_assignment
 
     cost = np.abs(left[:, None] - right[None, :])

@@ -28,19 +28,12 @@ RK4 step-size preflight (``dynamics.simulate``) use only the closed form.
 M's two diagonal blocks, each solved on its own, so that the
 (3n-1) x (3n-1) matrix M is never built: the one dense nonsymmetric
 eigensolve of A1 that the toolkit makes, and E as n stacked 2x2 blocks
-in one batched solve. The optimal (min-sum) matching distance between the solved values
-and the closed form is the decomposition residual, and the eigenvalues of
-E give the observed quadratic inertia.
-
-The matching (``spectral.spectrum_matching``) groups the closed-form
-values into clusters of equal values and sends each solved eigenvalue to
-its nearest cluster. The residual is then the Hungarian assignment's bit
-for bit when every cluster receives exactly its multiplicity, the largest
-matched distance is below half the smallest gap between clusters, and no
-cluster holds both an agreement mode and a root of E. Otherwise, as at a
-double root of E or at near-repeated Laplacian eigenvalues,
-``scipy.optimize.linear_sum_assignment`` solves it. So ``verify`` imports
-no scipy module on typical inputs.
+in one batched solve. Each solved block is paired with its own part of
+the closed form: the eigenvalues of A1 with the agreement modes in sorted
+order, and the two roots of each 2x2 block with that agent's pair. The
+largest paired distance is the decomposition residual, and the
+eigenvalues of E give the observed quadratic inertia. No assignment is
+solved and no scipy module imported.
 
 Trajectory-side checks cover the energy function
 E = 0.5 x_tilde'x_tilde + w_tilde'w_tilde/(2 alpha) (nonincreasing, with
@@ -82,7 +75,6 @@ from .spectral import (
     Spectrum,
     inertia_identities,
     inertia_of_values,
-    spectrum_matching,
 )
 
 DEFAULT_SPECTRAL_TOL = 1e-8
@@ -187,9 +179,14 @@ def verify_theorem(g: Graph, alpha: float) -> StabilityReport:
     Cross-check: M is block upper triangular, so it is solved block by
     block, never assembled: one dense nonsymmetric eigensolve of A1
     (``reduced_blocks``) and one batched solve of the n 2x2 blocks
-    E_i = [[-d_i, -1], [alpha, 0]] of E. The solved values are matched to
-    the closed form, and the largest matched distance is the decomposition
-    residual. The eigenvalues of E give the observed inertia of
+    E_i = [[-d_i, -1], [alpha, 0]] of E. The decomposition residual is the
+    largest distance over two pairings of the solved values with the
+    closed form. The eigenvalues of A1 and the agreement modes, both
+    sorted, pair in order; on the real line, where the agreement modes
+    lie, that pairing is optimal for the sum and for the largest distance.
+    The two roots of each E_i pair with agent i's two closed-form roots,
+    in whichever of the two orders has the smaller largest distance. The
+    eigenvalues of E give the observed inertia of
     lam^2 I + lam Delta + alpha I, against the (0, 0, 2n) that the inertia
     identities predict. A 2x2 solve resolves the real parts -d/2 only
     below alpha of about (d / (4 eps))^2, 1.3e30 on p2; where its error
@@ -209,18 +206,20 @@ def verify_theorem(g: Graph, alpha: float) -> StabilityReport:
     """
     alpha = read_scalar(alpha, "alpha", positive=True)
     agreement, error_roots = _closed_form_modes(g, alpha)
-    closed = np.concatenate([agreement, error_roots])
-    spectrum = Spectrum(closed)
+    spectrum = Spectrum(np.concatenate([agreement, error_roots]))
     d = g.degrees
     blocks = np.zeros((g.n, 2, 2))
     blocks[:, 0, 0] = -d
     blocks[:, 0, 1] = -1.0
     blocks[:, 1, 0] = alpha
     solved_a1 = np.linalg.eigvals(reduced_blocks(g)[0])
-    solved_e = np.linalg.eigvals(blocks).ravel()
-    _, residual = spectrum_matching(
-        np.concatenate([solved_a1, solved_e]), closed, split=len(agreement)
+    solved_e = np.linalg.eigvals(blocks)
+    own = error_roots.reshape(2, g.n).T
+    a1_dist = np.abs(np.sort(solved_a1) - np.sort(agreement))
+    e_dist = np.minimum(
+        np.max(np.abs(solved_e - own), axis=1), np.max(np.abs(solved_e - own[:, ::-1]), axis=1)
     )
+    residual = float(max(np.max(a1_dist), np.max(e_dist)))
     chain = 1 + bool(np.any(d * d == 4 * alpha))
     scale = float(np.finfo(float).eps) * max(float(np.max(d)) + 1.0, alpha)
     residual_tol = max(1e-7, 10.0 * scale ** (1.0 / chain))

@@ -90,7 +90,7 @@ def dense_certificate(g: Graph, alpha: float) -> StabilityReport:
     closed = np.concatenate([agreement, error_roots])
     spectrum = Spectrum(closed)
     dense = np.linalg.eigvals(build_m(g, alpha).m_matrix)
-    pairs, residual = spectrum_matching(dense, closed, split=len(agreement))
+    pairs, residual = spectrum_matching(dense, closed)
     dense_tol = len(dense) * np.finfo(float).eps * float(np.max(np.abs(dense)))
     observed = None
     if dense_tol < np.min(np.abs(error_roots.real)):

@@ -296,6 +296,41 @@ class TestEdgeListFormat:
             tracemalloc.stop()
         assert peak < 2.5 * path.stat().st_size
 
+    def test_repeated_edges_merged_as_read(self, tmp_path):
+        # one edge written 2 x 10^5 times: each line is checked and merged
+        # into the edge set as it is read, so the peak is that of reading the
+        # file; a tuple per line, merged after the walk, took 42 x it
+        path = tmp_path / "edges.txt"
+        path.write_text("3 200000\n" + "0 1\n" * 200_000)
+        tracemalloc.start()
+        try:
+            g = load_edge_list(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.n == 3 and g.edges == frozenset({(0, 1)})
+        assert peak < 2.5 * path.stat().st_size
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # a wrong edge count is reported before a bad edge
+            ("3 2\n0 0\n", "line 1: header declares 2 edges but file has 1"),
+            ("# c\n3 1\n0 7\n0 1\n", "line 2: header declares 1 edges but file has 2"),
+            # a self-loop is named before a range error, at the first bad edge
+            ("3 1\n5 5\n", "line 2: self-loop (5,5) is not allowed"),
+            ("3 3\n0 1\n\n0 7\n2 2\n", "line 4: edge (0,7) out of range for n=3"),
+            ("3 2\n1 0\n-1 2\n", "line 3: edge (-1,2) out of range for n=3"),
+            # n < 2 at the first bad edge's line, or else at the header's
+            ("1 2\n# c\n0 0\n0 1\n", "line 3: need at least 2 nodes, got n=1"),
+            ("0 1\n0 1\n", "line 2: need at least 2 nodes, got n=0"),
+            ("# c\n1 0\n", "line 2: need at least 2 nodes, got n=1"),
+        ],
+    )
+    def test_error_precedence(self, text, message):
+        with pytest.raises(EdgeListParseError, match=f"^{re.escape(message)}$"):
+            parse_edge_list(text)
+
     @pytest.mark.parametrize("at", [8191, 8192, 8193])
     def test_line_numbers_across_blocks(self, at):
         # lines end wherever str.splitlines ends them, a \r\n counting once,
