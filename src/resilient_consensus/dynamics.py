@@ -70,17 +70,20 @@ the affinity mask, capped by the cgroup v2 CPU quota), through one
 primitive: ``_fork_helper`` forks a helper that pins itself to one CPU,
 ``_reap`` waits for one, and ``_stop_helpers`` kills and reaps whatever
 is left. The writer forks two helpers that write half the rows each to
-an unnamed temporary file, which the caller appends. The reader splits
-byte pieces of the body into lines and parses a chunk of them at a time
-straight into the state columns; on a large body the caller parses the
+an unnamed temporary file, which the caller appends. A helper formats a
+chunk of rows at a time with ``floatrepr.repr_rows``, the bytes of
+``repr`` computed with numpy, at about 0.3 us a value against 0.6 us for
+``repr`` (2-vCPU Xeon, Python 3.11, numpy 2.4); the caller formats a row
+at a time with ``repr`` itself. The reader splits byte pieces of the
+body into lines and parses a chunk of them at a time straight into the
+state columns; on a large body the caller parses the
 part up to a line start near its byte midpoint while one helper parses
 the rest and pipes its rows back. A body this parse does not take whole
 goes to a line scan with ``float``, which alone decides what is accepted
 and what each error says, so neither depends on the CPU count. Both
-trade CPU time for wall time. A process formats one row, and forms the
-times of one chunk of ``CSV_CHUNK_VALUES`` values, at a time, and parses
-a chunk of rows at a time; no CSV line is read past ``CSV_FIELD_CHARS``
-characters a field.
+trade CPU time for wall time. A process formats and parses a chunk of
+``CSV_CHUNK_VALUES`` values at a time, the caller's writer one row at a
+time; no CSV line is read past ``CSV_FIELD_CHARS`` characters a field.
 """
 
 from __future__ import annotations
@@ -150,13 +153,15 @@ MATMUL_CALL_FLOPS = 40_000
 #: ``stability.error_sums`` read blocks of this many values too.
 ERROR_BLOCK_VALUES = 2**16
 
-#: Values per chunk of rows for which ``write_trajectory_csv`` forms the
-#: times in one piece, and which ``read_trajectory_csv`` parses in one
+#: Values per chunk of rows that a helper of ``write_trajectory_csv``
+#: formats in one piece with ``floatrepr.repr_rows`` (about 200 bytes of
+#: working memory a value), and which ``read_trajectory_csv`` parses in one
 #: piece (chunks of 2^13 to 2^17 values read as fast), from byte pieces of
-#: twice as many bytes (a value takes two or more). A trajectory of more
-#: than one chunk is written by two helpers where two CPUs are usable, and
-#: the writer copies a helper's file in pieces of at most one chunk of
-#: text (about 0.2 MB).
+#: twice as many bytes (a value takes two or more). The caller's writer
+#: forms the times of a chunk in one piece and formats a row at a time
+#: with ``repr``. A trajectory of more than one chunk is written by two
+#: helpers where two CPUs are usable, and the writer copies a helper's
+#: file in pieces of at most one chunk of text (about 0.2 MB).
 CSV_CHUNK_VALUES = 2**13
 
 #: Characters a trajectory CSV field may take on average, its comma
@@ -628,6 +633,21 @@ def _write_csv_rows(traj: Trajectory, start: int, stop: int, fh) -> None:
             fh.write(f"{t!r},{','.join(map(repr, y.tolist()))}\n".encode())
 
 
+def _write_csv_chunks(traj: Trajectory, start: int, stop: int, fh, repr_rows) -> None:
+    """Write rows [start, stop) to fh as CSV lines, a chunk of about
+    ``CSV_CHUNK_VALUES`` values at a time: the times t_k = k dt and the
+    states of the chunk's rows go into one float block, which
+    ``repr_rows`` (``floatrepr.repr_rows``) formats to the bytes that
+    ``_write_csv_rows`` writes."""
+    per_chunk = max(1, CSV_CHUNK_VALUES // (1 + traj.states.shape[1]))
+    block = np.empty((min(per_chunk, stop - start), 1 + traj.states.shape[1]))
+    for k in range(start, stop, per_chunk):
+        rows = block[: min(per_chunk, stop - k)]
+        rows[:, 0] = np.arange(k, k + len(rows)) * traj.config.dt
+        rows[:, 1:] = traj.states[k : k + len(rows)]
+        fh.write(repr_rows(rows))
+
+
 def _fork_helper(cpu, work, *args) -> int:
     """Fork a helper that pins itself to ``cpu``, calls ``work(*args)`` and
     exits with code 0 only if that returned; return its pid.
@@ -638,7 +658,9 @@ def _fork_helper(cpu, work, *args) -> int:
     nothing. Python >= 3.12 warns about a fork of a multi-threaded process
     (an unpinned OpenBLAS pool, say); the helper takes no lock another
     thread could hold (the allocator's are reset at fork), so that warning
-    is silenced. A CPU the helper cannot pin to leaves it unpinned."""
+    is silenced. A CPU the helper cannot pin to leaves it unpinned. What
+    ``work`` calls is imported before the fork: the writer's helpers format
+    with ``floatrepr``, which ``write_trajectory_csv`` imports first."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeprecationWarning)
         pid = os.fork()
@@ -693,14 +715,20 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     the rows is forked (``_fork_helper``) before the file is opened. Helper
     i pins itself to the usable CPU i + 1 places after the caller's
     (``_cpu_after_caller``) and writes its half to its own unnamed
-    temporary file. Unpinned, two helpers often shared one CPU: small-long
+    temporary file, a chunk at a time, formatted by
+    ``floatrepr.repr_rows`` (``_write_csv_chunks``); the caller imports
+    ``floatrepr`` before it forks, and only here, so that ``verify`` does
+    not. Unpinned, two helpers often shared one CPU: small-long
     ``simulate`` took 115 ms against 70-80 ms pinned. The caller writes the
     header, then for each half in row order waits for its helper and
     appends its file in pieces of at most one chunk of text. A half whose
     helper did not exit with code 0 (it failed, was killed, or was reaped
-    by the system) the caller formats itself, as it does every row where
-    the rows are not split. If the call fails, each helper not yet reaped
-    is killed and reaped (``_stop_helpers``).
+    by the system) the caller formats itself with ``repr``, a row at a
+    time (``_write_csv_rows``), as it does every row where the rows are not
+    split: that keeps the caller's working memory to one row of text, and
+    the one-row writer the reference the helpers' bytes are checked
+    against. If the call fails, each helper not yet reaped is killed and
+    reaped (``_stop_helpers``).
 
     Side effects where the rows are split: the call forks two helpers and
     creates two unnamed temporary files (``tempfile.TemporaryFile``), all
@@ -714,11 +742,13 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     pids, files = {}, {}  # by half; a pid leaves pids once reaped
 
     def write_half(start, stop, tmp):  # in a helper
-        _write_csv_rows(traj, start, stop, tmp)
+        _write_csv_chunks(traj, start, stop, tmp, repr_rows)
         tmp.flush()
 
     try:
         if len(halves) > 1:
+            from .floatrepr import repr_rows  # here, before the forks: a helper imports nothing
+
             first = _cpu_after_caller(cpus)
             for i, (start, stop) in enumerate(halves):
                 try:
@@ -922,7 +952,8 @@ def read_trajectory_csv(path, g: Graph, cfg: SimConfig) -> Trajectory:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             line = fh.readline(len(header) + CSV_FIELD_CHARS)
-            if len(line) == len(header) + CSV_FIELD_CHARS or line.strip() != header:
+            cut = len(line) == len(header) + CSV_FIELD_CHARS and line[-1] != "\n"
+            if cut or line.strip() != header:
                 raise ScenarioError(f"trajectory CSV header does not match graph with n={n}")
             states = _read_body(fh, fh.tell(), samples, width, cfg.dt)
             if states is not None:

@@ -851,11 +851,13 @@ class TestTrajectoryCsv:
 
     def test_header_padded_past_the_bound_does_not_match(self, p2, tmp_path):
         # a header line more than CSV_FIELD_CHARS characters longer than
-        # expected is cut where the bound ends, and does not match
+        # expected is cut where the bound ends, and does not match; one
+        # that reaches the bound with its line end is read whole
         cfg = adaptive_cfg(2, dt=0.1, t_final=0.1)
         header = "t,x_0,x_1,xhat_0,xhat_1,what_0,what_1"
         path = tmp_path / "traj.csv"
-        for pad, ok in [(dynamics.CSV_FIELD_CHARS - 2, True), (dynamics.CSV_FIELD_CHARS, False)]:
+        field = dynamics.CSV_FIELD_CHARS
+        for pad, ok in [(field - 2, True), (field - 1, True), (field, False)]:
             path.write_text(header + " " * pad + "\n0.0,0,0,0,0,0,0\n0.1,0,0,0,0,0,0\n")
             if ok:
                 assert read_trajectory_csv(path, p2, cfg).states.shape == (2, 6)
@@ -967,24 +969,30 @@ class TestParallelCsvWriter:
 
     @staticmethod
     def caller_rows(monkeypatch, fail=None):
-        """The (start, stop) row ranges the calling process formats; a
-        helper's calls land in its own copy of the list. With fail =
-        (half, how), the helper of that half writes part of its rows and
-        then exits with code 1 ("exit") or is killed ("kill")."""
-        calls, caller, write = [], os.getpid(), dynamics._write_csv_rows
+        """The (start, stop) row ranges the calling process formats with
+        ``_write_csv_rows``; a helper formats its half with
+        ``_write_csv_chunks``. With fail = (half, how), the helper of that
+        half writes part of its rows and then exits with code 1 ("exit")
+        or is killed ("kill")."""
+        calls, caller = [], os.getpid()
+        write_rows, write_chunks = dynamics._write_csv_rows, dynamics._write_csv_chunks
 
         def recording(traj, start, stop, fh):
             if os.getpid() == caller:
                 calls.append((start, stop))
-            elif fail is not None and (start > 0) == fail[0]:
-                write(traj, start, (start + stop) // 2, fh)
+            write_rows(traj, start, stop, fh)
+
+        def failing(traj, start, stop, fh, repr_rows):
+            if fail is not None and (start > 0) == fail[0]:
+                write_chunks(traj, start, (start + stop) // 2, fh, repr_rows)
                 fh.flush()
                 if fail[1] == "kill":
                     os.kill(os.getpid(), signal.SIGKILL)
                 os._exit(1)
-            write(traj, start, stop, fh)
+            write_chunks(traj, start, stop, fh, repr_rows)
 
         monkeypatch.setattr(dynamics, "_write_csv_rows", recording)
+        monkeypatch.setattr(dynamics, "_write_csv_chunks", failing)
         return calls
 
     @staticmethod
