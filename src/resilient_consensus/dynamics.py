@@ -67,21 +67,21 @@ non-finite scan a few blocks of ``ERROR_BLOCK_VALUES`` values.
 
 Trajectory CSV I/O uses two CPUs where two are usable (``_usable_cpus``:
 the affinity mask, capped by the cgroup v2 CPU quota), through one
-primitive: ``_fork_helper`` forks a helper that pins itself to one CPU,
-``_reap`` waits for one, and ``_stop_helpers`` kills and reaps whatever
-is left. The writer forks two helpers that write half the rows each to
-an unnamed temporary file, which the caller appends. A helper formats a
-chunk of rows at a time with ``floatrepr.repr_rows``, the bytes of
-``repr`` computed with numpy, at about 0.3 us a value against 0.6 us for
-``repr`` (2-vCPU Xeon, Python 3.11, numpy 2.4); the caller formats a row
-at a time with ``repr`` itself. The reader splits byte pieces of the
-body into lines and parses a chunk of them at a time straight into the
-state columns; on a large body the caller parses the
-part up to a line start near its byte midpoint while one helper parses
-the rest and pipes its rows back. A body this parse does not take whole
-goes to a line scan with ``float``, which alone decides what is accepted
-and what each error says, so neither depends on the CPU count. Both
-trade CPU time for wall time. A process formats and parses a chunk of
+hand-off (``_Helpers``): a forked helper pins itself to one CPU and
+writes its result to an unnamed temporary file, which the caller reads
+once the helper has exited with code 0. The writer's two helpers write
+half the rows each, which the caller appends; a helper formats a chunk
+of rows at a time with ``floatrepr.repr_rows``, the bytes of ``repr``
+computed with numpy, at about 0.3 us a value against 0.6 us for
+``repr`` (2-vCPU Xeon, Python 3.11, numpy 2.4), and the caller a row at
+a time with ``repr`` itself. The reader splits byte pieces of the body
+into lines and parses a chunk of them at a time straight into the state
+columns; on a large body the caller parses the part up to a line start
+near its byte midpoint while one helper parses the rest. A body this
+parse does not take whole, or one that is not a regular file, goes to a
+line scan with ``float``, which alone decides what is accepted and what
+each error says, so neither depends on the CPU count. Both trade CPU
+time for wall time. A process formats and parses a chunk of
 ``CSV_CHUNK_VALUES`` values at a time, the caller's writer one row at a
 time; no CSV line is read past ``CSV_FIELD_CHARS`` characters a field.
 """
@@ -93,6 +93,7 @@ import gc
 import math
 import numbers
 import os
+import stat
 import tempfile
 import warnings
 from dataclasses import dataclass
@@ -172,12 +173,14 @@ CSV_CHUNK_VALUES = 2**13
 CSV_FIELD_CHARS = 64
 
 #: Smallest trajectory CSV body, in bytes, that ``read_trajectory_csv``
-#: parses on two CPUs. Its helper costs about 7 ms in the benchmark's
-#: worker (70-76 MB resident), whatever the body: the fork 2-3 ms, the
-#: pipe 0.5-1.5 ms and the helper's exit, which the caller waits for,
-#: 2-4 ms. At about 19 ns a byte, halving the parse paid for that only
-#: from about 1.3 MB on: perfbench ``analyze_s`` at seed 1 moved by +3 %
-#: on a 1.26 MB body, -6 % on 1.45 MB and -26 % on 3.75 MB (10 pairs each).
+#: parses on two CPUs. Its helper costs the caller about 7 ms in a process
+#: of the benchmark worker's size (2-vCPU Xeon), whatever the body: the
+#: fork 2.4-3.5 ms, the temporary file 0.1 ms, reading mid-wide's 0.7 MB
+#: of rows back 0.7-0.8 ms, and the helper's exit 3-6 ms where the caller
+#: waits for it (4 to 25 of 30 reads). At about 19 ns a byte, halving the
+#: parse paid for that only from about 1.3 MB on: perfbench ``analyze_s``
+#: at seed 1 moved by +3 % on a 1.26 MB body, -6 % on 1.45 MB and -26 %
+#: on 3.75 MB (10 pairs each).
 CSV_PARALLEL_BYTES = 2**21
 
 #: The cgroup v2 file that holds the CPU quota of the caller's cgroup,
@@ -648,127 +651,134 @@ def _write_csv_chunks(traj: Trajectory, start: int, stop: int, fh, repr_rows) ->
         fh.write(repr_rows(rows))
 
 
-def _fork_helper(cpu, work, *args) -> int:
-    """Fork a helper that pins itself to ``cpu``, calls ``work(*args)`` and
-    exits with code 0 only if that returned; return its pid.
+class _Helpers:
+    """The forked helpers of one call of the trajectory CSV writer or
+    reader, used as a ``with`` block, whose end kills and reaps every
+    helper not yet reaped and closes every file, whether the call returns
+    or raises. A helper the system reaped (as under ``SIGCHLD = SIG_IGN``)
+    counts as failed and gets no signal, as its pid may have been reused."""
 
-    The helper shares the caller's memory, shows no warning, runs no
-    garbage collection and leaves through ``os._exit``: no flush or close
-    of the caller's files. ``work`` makes no BLAS call and imports
-    nothing. Python >= 3.12 warns about a fork of a multi-threaded process
-    (an unpinned OpenBLAS pool, say); the helper takes no lock another
-    thread could hold (the allocator's are reset at fork), so that warning
-    is silenced. A CPU the helper cannot pin to leaves it unpinned. What
-    ``work`` calls is imported before the fork: the writer's helpers format
-    with ``floatrepr``, which ``write_trajectory_csv`` imports first."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            gc.disable()  # no finalizer of the parent's garbage runs here
-            warnings.simplefilter("ignore")
+    def __init__(self, cpus: list):
+        self.cpus, self.pids, self.files = cpus, {}, {}  # by helper; a pid leaves pids once reaped
+        self.first = _cpu_after_caller(cpus) if cpus else 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        for pid in self.pids.values():
             try:
-                os.sched_setaffinity(0, {cpu})
-            except OSError:
+                if os.waitpid(pid, os.WNOHANG)[0] == 0:  # still running: stop it
+                    import signal  # here, not at module level: its import takes about 1 ms
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+            except ChildProcessError:  # reaped by the system
                 pass
-            work(*args)
-            code = 0
-        finally:
-            os._exit(code)
-    return pid
+        for tmp in self.files.values():
+            tmp.close()
 
+    def start(self, i: int, work, *args) -> bool:
+        """Create an unnamed temporary file (``tempfile.TemporaryFile``)
+        and fork helper i, which pins itself to the usable CPU i + 1 places
+        after the caller's (``_cpu_after_caller``), calls
+        ``work(*args, file)``, flushes the file and exits with code 0 only
+        if both returned. False, and no helper, where no file or process
+        can be made.
 
-def _reap(pids: dict, key) -> bool:
-    """Wait for the helper ``pids[key]``, if there is one, and drop it from
-    pids: True only if it exited with code 0. A helper the system reaped
-    (as under ``SIGCHLD = SIG_IGN``) counts as failed."""
-    try:
-        status = os.waitpid(pids[key], 0)[1] if key in pids else 1
-    except ChildProcessError:
-        status = 1
-    pids.pop(key, None)
-    return status == 0
-
-
-def _stop_helpers(pids: dict) -> None:
-    """Kill and reap every helper still in pids, in the ``finally`` of each
-    call that forks one. A helper the system reaped gets no signal, as its
-    pid may have been reused."""
-    for pid in pids.values():
+        The helper shares the caller's memory, shows no warning, runs no
+        garbage collection and leaves through ``os._exit``: no flush or
+        close of the caller's files. ``work`` makes no BLAS call and imports
+        nothing: what it calls is imported before the fork. Python >= 3.12
+        warns about a fork of a multi-threaded process (an unpinned OpenBLAS
+        pool, say); the helper takes no lock another thread could hold (the
+        allocator's are reset at fork), so that warning is silenced. A CPU
+        the helper cannot pin to leaves it unpinned."""
         try:
-            if os.waitpid(pid, os.WNOHANG)[0] == 0:  # still running: stop it
-                import signal  # here, not at module level: its import takes about 1 ms
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        except ChildProcessError:  # reaped by the system
-            pass
+            tmp = self.files[i] = tempfile.TemporaryFile()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+        except OSError:
+            return False
+        if pid == 0:
+            code = 1
+            try:
+                gc.disable()  # no finalizer of the parent's garbage runs here
+                warnings.simplefilter("ignore")
+                try:
+                    os.sched_setaffinity(0, {self.cpus[(self.first + i) % len(self.cpus)]})
+                except OSError:
+                    pass
+                work(*args, tmp)
+                tmp.flush()
+                code = 0
+            finally:
+                os._exit(code)
+        self.pids[i] = pid
+        return True
+
+    def result(self, i: int):
+        """Wait for helper i: its file, rewound, if it exited with code 0,
+        else None."""
+        try:
+            status = os.waitpid(self.pids[i], 0)[1] if i in self.pids else 1
+        except ChildProcessError:
+            status = 1
+        self.pids.pop(i, None)
+        if status != 0:
+            return None
+        self.files[i].seek(0)
+        return self.files[i]
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Trajectory CSV: header t,x_0..,xhat_0..,what_0..; each value is the
     ``repr`` of its float, and the bytes do not depend on the CPU count.
 
-    Where two CPUs are usable (``_usable_cpus``) and the rows make more
-    than one chunk of ``CSV_CHUNK_VALUES`` values, one helper per half of
-    the rows is forked (``_fork_helper``) before the file is opened. Helper
-    i pins itself to the usable CPU i + 1 places after the caller's
-    (``_cpu_after_caller``) and writes its half to its own unnamed
-    temporary file, a chunk at a time, formatted by
+    Where the rows make more than one chunk of ``CSV_CHUNK_VALUES`` values
+    and two CPUs are usable (``_usable_cpus``), one helper per half of the
+    rows is started (``_Helpers``) before the file is opened. Each writes
+    its half to its temporary file, a chunk at a time, formatted by
     ``floatrepr.repr_rows`` (``_write_csv_chunks``); the caller imports
     ``floatrepr`` before it forks, and only here, so that ``verify`` does
     not. Unpinned, two helpers often shared one CPU: small-long
     ``simulate`` took 115 ms against 70-80 ms pinned. The caller writes the
     header, then for each half in row order waits for its helper and
     appends its file in pieces of at most one chunk of text. A half whose
-    helper did not exit with code 0 (it failed, was killed, or was reaped
-    by the system) the caller formats itself with ``repr``, a row at a
-    time (``_write_csv_rows``), as it does every row where the rows are not
-    split: that keeps the caller's working memory to one row of text, and
-    the one-row writer the reference the helpers' bytes are checked
-    against. If the call fails, each helper not yet reaped is killed and
-    reaped (``_stop_helpers``).
+    helper was not started or did not exit with code 0 (it failed, was
+    killed, or was reaped by the system) the caller formats itself with
+    ``repr``, a row at a time (``_write_csv_rows``), as it does every row
+    where the rows are not split: that keeps the caller's working memory to
+    one row of text, and the one-row writer the reference the helpers'
+    bytes are checked against.
 
     Side effects where the rows are split: the call forks two helpers and
-    creates two unnamed temporary files (``tempfile.TemporaryFile``), all
-    gone when it returns or raises. It never changes the caller's CPU set.
+    creates two unnamed temporary files, all gone when it returns or
+    raises. It never changes the caller's CPU set.
     """
     rows, width = len(traj.states), 1 + traj.states.shape[1]
     per_chunk = max(1, CSV_CHUNK_VALUES // width)
-    cpus = _usable_cpus()
-    halves = [(0, rows // 2), (rows // 2, rows)] if cpus and rows > per_chunk else [(0, rows)]
+    cpus = _usable_cpus() if rows > per_chunk else []
+    halves = [(0, rows // 2), (rows // 2, rows)] if cpus else [(0, rows)]
     piece = memoryview(bytearray(4 * per_chunk * width))  # a value takes 4 bytes or more ("0.0,")
-    pids, files = {}, {}  # by half; a pid leaves pids once reaped
 
     def write_half(start, stop, tmp):  # in a helper
         _write_csv_chunks(traj, start, stop, tmp, repr_rows)
-        tmp.flush()
 
-    try:
-        if len(halves) > 1:
+    with _Helpers(cpus) as helpers:
+        if cpus:
             from .floatrepr import repr_rows  # here, before the forks: a helper imports nothing
 
-            first = _cpu_after_caller(cpus)
             for i, (start, stop) in enumerate(halves):
-                try:
-                    files[i] = tempfile.TemporaryFile()
-                    pids[i] = _fork_helper(cpus[(first + i) % len(cpus)], write_half, start, stop, files[i])
-                except OSError:  # no file or process to spare: the caller formats this half
-                    pass
+                helpers.start(i, write_half, start, stop)
         with open(path, "wb") as fh:
             fh.write((",".join(_csv_columns(traj.graph.n)) + "\n").encode())
             for i, (start, stop) in enumerate(halves):
-                if _reap(pids, i):
-                    files[i].seek(0)
-                    while size := files[i].readinto(piece):
-                        fh.write(piece[:size])
-                else:
+                if (done := helpers.result(i)) is None:
                     _write_csv_rows(traj, start, stop, fh)
-    finally:
-        _stop_helpers(pids)
-        for tmp in files.values():
-            tmp.close()
+                else:
+                    while size := done.readinto(piece):
+                        fh.write(piece[:size])
 
 
 def _scan_csv_rows(fh, width: int, limit: int) -> np.ndarray:
@@ -838,35 +848,37 @@ def _check_grid(data: np.ndarray, row: int, samples: int, dt: float) -> None:
         raise ValueError("rows off the grid")
 
 
-def _read_body(fh, start: int, samples: int, width: int, dt: float) -> np.ndarray | None:
+def _read_body(fh, samples: int, width: int, dt: float) -> np.ndarray | None:
     """The states of the trajectory CSV open as fh, whose body starts at
-    byte ``start``, read in byte pieces and parsed by numpy's C text reader
-    a chunk at a time (``_span_chunks``), or None where that parse does not
-    accept the body exactly as it is: a carriage return, a row too long,
-    bytes that are not UTF-8, a line numpy rejects or skips, or rows other
-    than the grid's ``samples`` rows with times t_k = k dt (``_check_grid``).
+    ``fh.tell()``, read in byte pieces and parsed by numpy's C text reader
+    a chunk at a time (``_span_chunks``), or None where fh is not a regular
+    file or that parse does not accept the body exactly as it is: a
+    carriage return, a row too long, bytes that are not UTF-8, a line numpy
+    rejects or skips, or rows other than the grid's ``samples`` rows with
+    times t_k = k dt (``_check_grid``).
 
     A body too short or too long for ``samples`` rows of ``width`` fields
     of 1 to ``CSV_FIELD_CHARS`` characters is rejected before the result is
-    allocated. The caller parses bytes [start, split) and copies each
-    chunk's state columns into the top rows of the result; the time column
-    is dropped. The split is the body's end, unless two CPUs are usable
-    (``_usable_cpus``) and the body is at least ``CSV_PARALLEL_BYTES``:
-    then it is the first line start at or after the byte midpoint, and a
-    helper (``_fork_helper``, pinned to the CPU after the caller's) parses
-    the rest at the same time, counts its rows, which end at row
-    ``samples``, and pipes the count, then their state columns, straight
-    into the bottom rows. The result stands only if the row counts add up
-    to ``samples`` and any helper exited with code 0; a helper still
-    running when the call returns or raises is killed and reaped
-    (``_stop_helpers``).
+    allocated. The caller parses bytes [start, split) into the top rows of
+    the result, without the time column. The split is the body's end,
+    unless two CPUs are usable (``_usable_cpus``), the body is at least
+    ``CSV_PARALLEL_BYTES`` and a helper can be started (``_Helpers``): then
+    it is the first line start at or after the byte midpoint, and the helper
+    parses the rest at the same time, checks its rows, which end at row
+    ``samples``, against the grid, and writes their count, then their state
+    columns, to its file, which the caller reads into the bottom rows. The
+    result stands only if the counts add up to ``samples`` and the helper
+    exited with code 0.
 
-    ``start`` is ``fh.tell()``, the byte offset unless a decoder state is
-    pending (a larger value leaves the body too short). Every read is an
-    ``os.pread``, so fh's offset stays where it is.
+    ``fh.tell()`` is the byte offset unless a decoder state is pending (a
+    larger value leaves the body too short). Every read is an ``os.pread``,
+    so fh's offset stays where it is.
     """
     fd = fh.fileno()
-    stop = os.fstat(fd).st_size
+    info = os.fstat(fd)
+    if not stat.S_ISREG(info.st_mode):  # a pipe, say: no size, no pread
+        return None
+    start, stop = fh.tell(), info.st_size
     longest = CSV_FIELD_CHARS * width
     body = stop - start
     if not 2 * width * samples <= body <= (longest + 1) * samples:
@@ -880,50 +892,37 @@ def _read_body(fh, start: int, samples: int, width: int, dt: float) -> np.ndarra
             split = mid + cut
     states = np.empty((samples, width - 1))
 
-    def parse_bottom(rows_in, rows_out):  # in the helper
-        os.close(rows_in)  # so that its writes fail if the caller is gone
+    def parse_bottom(out):  # in the helper
         chunks = list(_span_chunks(fd, split, stop, width))
         rows = sum(map(len, chunks))
         row = samples - rows
         for data in chunks:
             _check_grid(data, row, samples, dt)
             row += len(data)
-        with open(rows_out, "wb") as out:
-            out.write(rows.to_bytes(8, "little"))
-            for data in chunks:
-                out.write(np.ascontiguousarray(data[:, 1:]))
+        out.write(rows.to_bytes(8, "little"))
+        for data in chunks:
+            out.write(np.ascontiguousarray(data[:, 1:]))
 
-    pids, bottom = {}, None
     try:
-        if split < stop:
-            rows_in, rows_out = os.pipe()
-            bottom = open(rows_in, "rb")
-            try:
-                cpu = cpus[_cpu_after_caller(cpus) % len(cpus)]
-                pids[0] = _fork_helper(cpu, parse_bottom, rows_in, rows_out)
-            finally:
-                os.close(rows_out)  # so that the read below ends where the helper does
-        top = 0
-        for data in _span_chunks(fd, start, split, width):
-            _check_grid(data, top, samples, dt)
-            states[top : top + len(data)] = data[:, 1:]
-            top += len(data)
-        if bottom is None:
-            return states if top == samples else None
-        count = bottom.read(8)
-        if (
-            len(count) == 8
-            and top + int.from_bytes(count, "little") == samples
-            and bottom.readinto(states[top:]) == states[top:].nbytes
-            and _reap(pids, 0)
-        ):
-            return states
+        with _Helpers(cpus) as helpers:
+            if split < stop and not helpers.start(0, parse_bottom):
+                split = stop
+            top = 0
+            for data in _span_chunks(fd, start, split, width):
+                _check_grid(data, top, samples, dt)
+                states[top : top + len(data)] = data[:, 1:]
+                top += len(data)
+            if split == stop:
+                return states if top == samples else None
+            bottom = helpers.result(0)
+            if (
+                bottom is not None
+                and top + int.from_bytes(bottom.read(8), "little") == samples
+                and bottom.readinto(states[top:]) == states[top:].nbytes
+            ):
+                return states
     except (ValueError, OSError):  # the line scan reads the body
         pass
-    finally:
-        if bottom is not None:
-            bottom.close()
-        _stop_helpers(pids)
     return None
 
 
@@ -955,7 +954,7 @@ def read_trajectory_csv(path, g: Graph, cfg: SimConfig) -> Trajectory:
             cut = len(line) == len(header) + CSV_FIELD_CHARS and line[-1] != "\n"
             if cut or line.strip() != header:
                 raise ScenarioError(f"trajectory CSV header does not match graph with n={n}")
-            states = _read_body(fh, fh.tell(), samples, width, cfg.dt)
+            states = _read_body(fh, samples, width, cfg.dt)
             if states is not None:
                 return Trajectory(states, g, cfg)
             data = _scan_csv_rows(fh, width, samples + 1)

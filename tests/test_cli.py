@@ -44,11 +44,12 @@ DEMO_GRAPH = str(DEMO / "p2.txt")
 DEMO_SCENARIO = str(DEMO / "adaptive_p2.yaml")
 
 
-def run_fresh(*args):
-    """``python *args`` in a fresh interpreter that finds this package."""
+def run_fresh(*args, stdin=None):
+    """``python *args`` in a fresh interpreter that finds this package, fed
+    the text stdin, if given, through a pipe."""
     src = str(Path(resilient_consensus.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, *args], input=stdin, capture_output=True, text=True, env=env, timeout=120)
 
 
 def main_then_modules(*packages):
@@ -850,6 +851,31 @@ ANALYZE_CASES = {
 }
 
 
+class TestAnalyzePipedTrajectory:
+    """A trajectory that is not a regular file, such as a pipe, is read by
+    the line scan: the same report as the file's, or the same error."""
+
+    @pytest.mark.parametrize("extra_rows", [0, 3])
+    def test_piped_trajectory_same_as_the_file(self, tmp_path, capsys, extra_rows):
+        traj = tmp_path / "traj.csv"
+        args = ["--graph", DEMO_GRAPH, "--scenario", DEMO_SCENARIO]
+        assert main(["simulate", *args, "--out", str(traj)]) == 0
+        capsys.readouterr()
+        lines = traj.read_text().splitlines(keepends=True)
+        lines += [f"{80.0 + 0.01 * k!r}{lines[-1][lines[-1].index(','):]}" for k in range(1, extra_rows + 1)]
+        traj.write_text("".join(lines))
+        analyze = ["-m", "resilient_consensus.cli", "analyze", *args, "--trajectory"]
+        from_file = run_fresh(*analyze, str(traj))
+        piped = run_fresh(*analyze, "/dev/stdin", stdin="".join(lines))
+        assert (piped.returncode, piped.stderr) == (from_file.returncode, from_file.stderr)
+        # below the title line, which names the path
+        assert piped.stdout.split("\n", 1)[1:] == from_file.stdout.split("\n", 1)[1:]
+        if extra_rows:
+            assert from_file.returncode == 1 and "(more than 8001 samples" in from_file.stderr
+        else:
+            assert from_file.returncode == 0 and from_file.stdout.startswith(f"# run report ({traj})")
+
+
 class TestAnalyzeWithOneCpuAndTwo:
     """Every analyze outcome, report or error, is the same with one usable
     CPU (one process reads the CSV) and with two (the caller and a helper
@@ -857,8 +883,6 @@ class TestAnalyzeWithOneCpuAndTwo:
 
     @pytest.mark.parametrize("case", sorted(ANALYZE_CASES))
     def test_same_outcome_with_one_cpu_and_two(self, tmp_path, p2_file, capsys, monkeypatch, usable_cpus, case):
-        from resilient_consensus import dynamics
-
         scenario = write_scenario(tmp_path, t_final=10.0)
         valid = tmp_path / "valid.csv"
         main(["simulate", "--graph", p2_file, "--scenario", scenario, "--out", str(valid)])
@@ -866,8 +890,8 @@ class TestAnalyzeWithOneCpuAndTwo:
         lines = valid.read_text().splitlines(keepends=True)
         out = tmp_path / "traj.csv"
         out.write_bytes("".join(ANALYZE_CASES[case](lines)).encode("utf-8", "surrogateescape"))
-        forks, fork = [], dynamics._fork_helper
-        monkeypatch.setattr(dynamics, "_fork_helper", lambda *args: forks.append(1) or fork(*args))
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
         outcomes = []
         for cpus in (1, 2):
             usable_cpus(cpus, chunk_values=7 * 50)  # 50 rows a chunk

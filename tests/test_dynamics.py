@@ -1182,6 +1182,7 @@ class TestParallelCsvWriter:
         states = np.random.default_rng(3).standard_normal((rows, 6))
         traj = Trajectory(states, p2, adaptive_cfg(2, dt=0.1, t_final=0.1 * (rows - 1)))
         path = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, path)  # untraced: a first write may import and compile floatrepr
         tracemalloc.start()
         try:
             write_trajectory_csv(traj, path)
@@ -1202,8 +1203,8 @@ WORKLOAD_SHAPES = {
 
 class TestParallelCsvReader:
     """The reader's two halves: the caller parses the first half of the
-    body while one forked helper parses the second and pipes its rows back;
-    any doubt sends the body to the line scan."""
+    body while one forked helper parses the second and writes its rows to a
+    temporary file; any doubt sends the body to the line scan."""
 
     @pytest.fixture(autouse=True)
     def deadline(self):
@@ -1219,11 +1220,11 @@ class TestParallelCsvReader:
         than leave it to the line scan. The halves read a body where both
         hold."""
         results, forks = [], []
-        read, fork = dynamics._read_body, dynamics._fork_helper
+        read, fork = dynamics._read_body, os.fork
 
-        def forking(*args):
-            forks.append(args)
-            return fork(*args)
+        def forking():
+            forks.append(1)
+            return fork()
 
         def recording(*args):
             forks.clear()
@@ -1231,7 +1232,7 @@ class TestParallelCsvReader:
             results.append((bool(forks), states is not None))
             return states
 
-        monkeypatch.setattr(dynamics, "_fork_helper", forking)
+        monkeypatch.setattr(os, "fork", forking)
         monkeypatch.setattr(dynamics, "_read_body", recording)
         return results
 
@@ -1428,6 +1429,53 @@ class TestParallelCsvReader:
             read_trajectory_csv(path, p2, cfg)
         self.assert_no_child_left()
 
+    def test_no_temporary_file_caller_parses_the_whole_body(
+        self, monkeypatch, tmp_path, usable_cpus, halves, p2, long_csv
+    ):
+        # where no temporary file can be made (TMPDIR missing, full or
+        # unwritable), the caller parses the whole body, as with one CPU:
+        # no fork, no line scan, the same bits, and no file left behind
+        path, cfg = long_csv
+        usable_cpus(1)
+        expected = read_trajectory_csv(path, p2, cfg).states.tobytes()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+        with pytest.raises(OSError):
+            tempfile.TemporaryFile()
+        scans, scan = [], dynamics._scan_csv_rows
+        monkeypatch.setattr(dynamics, "_scan_csv_rows", lambda *args: scans.append(args) or scan(*args))
+        usable_cpus(2)
+        halves.clear()
+        assert read_trajectory_csv(path, p2, cfg).states.tobytes() == expected
+        assert halves == [(False, True)] and scans == []
+        assert not (tmp_path / "missing").exists()
+        self.assert_no_child_left()
+
+    def test_helper_exits_before_the_callers_half_ends(self, monkeypatch, tmp_path, usable_cpus, halves, p2):
+        # the helper's rows (144 KB, more than a pipe holds) go to its file,
+        # so it exits without waiting for the caller: the caller, once its
+        # half is parsed, finds the helper exited, then reaps it
+        cfg = adaptive_cfg(2, dt=0.01, t_final=60.0, x0=[1.0, -1.0])
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(simulate(p2, cfg, np.array([1.0, 0.0])), path)
+        usable_cpus(1)
+        expected = read_trajectory_csv(path, p2, cfg).states.tobytes()
+        caller, chunks, exited = os.getpid(), dynamics._span_chunks, []
+
+        def waiting(*args):
+            yield from chunks(*args)
+            deadline = time.monotonic() + 10
+            while os.getpid() == caller and not exited and time.monotonic() < deadline:
+                if os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT) is not None:
+                    exited.append(True)  # exited, and left for the caller to reap
+                time.sleep(0.01)
+
+        monkeypatch.setattr(dynamics, "_span_chunks", waiting)
+        usable_cpus(2)
+        halves.clear()
+        assert read_trajectory_csv(path, p2, cfg).states.tobytes() == expected
+        assert exited == [True] and halves == [(True, True)]
+        self.assert_no_child_left()
+
     def test_body_under_the_threshold_read_by_one_process(self, monkeypatch, usable_cpus, halves, p2, long_csv):
         # a body of CSV_PARALLEL_BYTES or more takes the halves; one byte
         # less stays in one process
@@ -1479,7 +1527,7 @@ class TestParallelCsvReader:
         (tmp_path / "cpu.max").write_text("100000 100000\n")
         monkeypatch.setattr(dynamics, "CPU_MAX_PATH", str(tmp_path / "cpu.max"))
         forks = []
-        monkeypatch.setattr(dynamics, "_fork_helper", lambda *args: forks.append(args))
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1))
         traj = read_trajectory_csv(path, p2, cfg)
         write_trajectory_csv(traj, tmp_path / "again.csv")
         assert forks == [] and (tmp_path / "again.csv").read_bytes() == path.read_bytes()
