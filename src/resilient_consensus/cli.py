@@ -18,7 +18,9 @@ fresh namespace, so in-process callers pay its construction once.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
+import os
 import sys
 from dataclasses import replace
 
@@ -70,6 +72,25 @@ def _overrides(args) -> dict:
     return {k: v for k, v in (("dt", args.dt), ("t_final", args.t_final)) if v is not None}
 
 
+def _check_out(path: str) -> None:
+    """Raise the ``OSError`` that opening the --out path for writing would
+    raise where it is a directory, its directory is missing (or is not
+    one) or is not writable, or it is a file that is not writable. Called
+    before the first integration, so that such a path fails at once;
+    nothing is created, and the file is opened only once the run has
+    succeeded, so a run that fails later leaves none."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def _print_report(report: dict, title: str) -> None:
     print(f"# {title}")
     sys.stdout.write(dump_report(report))
@@ -77,6 +98,7 @@ def _print_report(report: dict, title: str) -> None:
 
 def cmd_simulate(args) -> int:
     g, sc = _load_inputs(args)
+    _check_out(args.out)
     traj = simulate(g, replace(sc.config, **_overrides(args)), sc.w)
     report = build_run_report(traj, sc.w)  # first: a non-finite report leaves no CSV
     write_trajectory_csv(traj, args.out)
@@ -109,6 +131,7 @@ def cmd_sweep(args) -> int:
     g, sc = _load_inputs(args)
     if sc.config.protocol != ADAPTIVE:
         raise ConsensusToolkitError("sweep requires an adaptive scenario")
+    _check_out(args.out)
     rows = []
     for alpha in alphas:
         traj = simulate(g, replace(sc.config, alpha=alpha, **_overrides(args)), sc.w)

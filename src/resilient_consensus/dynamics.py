@@ -71,8 +71,8 @@ hand-off (``_Helpers``): a forked helper pins itself to one CPU and
 writes its result to an unnamed temporary file, which the caller reads
 once the helper has exited with code 0. The writer's two helpers write
 half the rows each, which the caller appends; a helper formats a chunk
-of rows at a time with ``floatrepr.repr_rows``, the bytes of ``repr``
-computed with numpy, at about 0.3 us a value against 0.6 us for
+of rows at a time in one ``floatrepr.Workspace``, the bytes of ``repr``
+computed with numpy, at about 0.17 us a value against 0.6 us for
 ``repr`` (2-vCPU Xeon, Python 3.11, numpy 2.4), and the caller a row at
 a time with ``repr`` itself. The reader splits byte pieces of the body
 into lines and parses a chunk of them at a time straight into the state
@@ -155,8 +155,9 @@ MATMUL_CALL_FLOPS = 40_000
 ERROR_BLOCK_VALUES = 2**16
 
 #: Values per chunk of rows that a helper of ``write_trajectory_csv``
-#: formats in one piece with ``floatrepr.repr_rows`` (about 200 bytes of
-#: working memory a value), and which ``read_trajectory_csv`` parses in one
+#: formats in one piece in its ``floatrepr.Workspace`` (138 bytes a value,
+#: made once per helper, and about 20 bytes a value of text per chunk),
+#: and which ``read_trajectory_csv`` parses in one
 #: piece (chunks of 2^13 to 2^17 values read as fast), from byte pieces of
 #: twice as many bytes (a value takes two or more). The caller's writer
 #: forms the times of a chunk in one piece and formats a row at a time
@@ -640,8 +641,10 @@ def _write_csv_chunks(traj: Trajectory, start: int, stop: int, fh, repr_rows) ->
     """Write rows [start, stop) to fh as CSV lines, a chunk of about
     ``CSV_CHUNK_VALUES`` values at a time: the times t_k = k dt and the
     states of the chunk's rows go into one float block, which
-    ``repr_rows`` (``floatrepr.repr_rows``) formats to the bytes that
-    ``_write_csv_rows`` writes."""
+    ``repr_rows`` formats to the bytes that ``_write_csv_rows`` writes,
+    handed to fh as they are: the ``repr_rows`` of a ``floatrepr.Workspace``
+    of one chunk, so that no chunk after the first allocates more than its
+    text, or ``floatrepr.repr_rows``."""
     per_chunk = max(1, CSV_CHUNK_VALUES // (1 + traj.states.shape[1]))
     block = np.empty((min(per_chunk, stop - start), 1 + traj.states.shape[1]))
     for k in range(start, stop, per_chunk):
@@ -738,8 +741,9 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     Where the rows make more than one chunk of ``CSV_CHUNK_VALUES`` values
     and two CPUs are usable (``_usable_cpus``), one helper per half of the
     rows is started (``_Helpers``) before the file is opened. Each writes
-    its half to its temporary file, a chunk at a time, formatted by
-    ``floatrepr.repr_rows`` (``_write_csv_chunks``); the caller imports
+    its half to its temporary file, a chunk at a time, formatted in one
+    ``floatrepr.Workspace`` that it makes after the fork, so the caller's
+    memory does not grow (``_write_csv_chunks``); the caller imports
     ``floatrepr`` before it forks, and only here, so that ``verify`` does
     not. Unpinned, two helpers often shared one CPU: small-long
     ``simulate`` took 115 ms against 70-80 ms pinned. The caller writes the
@@ -760,17 +764,18 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     per_chunk = max(1, CSV_CHUNK_VALUES // width)
     cpus = _usable_cpus() if rows > per_chunk else []
     halves = [(0, rows // 2), (rows // 2, rows)] if cpus else [(0, rows)]
-    piece = memoryview(bytearray(4 * per_chunk * width))  # a value takes 4 bytes or more ("0.0,")
 
     def write_half(start, stop, tmp):  # in a helper
-        _write_csv_chunks(traj, start, stop, tmp, repr_rows)
+        _write_csv_chunks(traj, start, stop, tmp, Workspace(per_chunk * width).repr_rows)
 
     with _Helpers(cpus) as helpers:
         if cpus:
-            from .floatrepr import repr_rows  # here, before the forks: a helper imports nothing
+            from .floatrepr import Workspace  # here, before the forks: a helper imports nothing
 
             for i, (start, stop) in enumerate(halves):
                 helpers.start(i, write_half, start, stop)
+        # made once the helpers run; a value takes 4 bytes or more ("0.0,")
+        piece = memoryview(bytearray(4 * per_chunk * width))
         with open(path, "wb") as fh:
             fh.write((",".join(_csv_columns(traj.graph.n)) + "\n").encode())
             for i, (start, stop) in enumerate(halves):

@@ -9,7 +9,7 @@ computed once per graph, on first use, and returned read-only.
 
 from __future__ import annotations
 
-import re
+import codecs
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -31,6 +31,17 @@ from .errors import (
 #: x86-64 VM), so about 15-20 s at n = 3333. Its arrays, n x n at most,
 #: stay far within the 10^8 values of ``dynamics.MAX_TRAJECTORY_SAMPLES``.
 MAX_NODES = 3333
+
+#: Characters an edge-list line may take, its line end not counted, against
+#: about 10 for an edge at ``MAX_NODES``; a longer line, a comment too, is
+#: rejected before it is read whole, so that ``/dev/zero`` fails at line 1.
+#: Two blocks of the walk: a comment may still span a block's end.
+EDGE_LIST_LINE_CHARS = 2**14
+
+#: What ``str.splitlines`` ends a line at, besides "\r\n".
+_LINE_ENDS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+#: Characters or bytes of the edge list read at a time.
+_BLOCK = 2**13
 
 
 @dataclass(frozen=True)
@@ -174,14 +185,54 @@ def laplacian_spectrum(g: Graph) -> np.ndarray:
     return g.laplacian_eigenvalues
 
 
-def _lines(text: str):
-    """The lines of ``text.splitlines()``, split a block of about 8 KB at a
-    time, each cut after a line end but not inside a \\r\\n."""
-    line_end, pos = re.compile(r"\r(?!\n)|[\n\v\f\x1c-\x1e\x85\u2028\u2029]"), 0
-    while pos < len(text):
-        end = match.end() if (match := line_end.search(text, pos + 2**13)) else len(text)
-        yield from text[pos:end].splitlines()
-        pos = end
+def _lines(blocks):
+    """The lines that ``str.splitlines`` finds in the text the string blocks
+    make in turn, each yielded once it ends (a \\r once the next character
+    shows it is not the start of a \\r\\n), and the text after the last
+    line end at the end. A line of more than ``EDGE_LIST_LINE_CHARS``
+    characters raises ``EdgeListParseError`` at its line number, after the
+    lines before it, as soon as that many are held, so the walk holds at
+    most one such line and one block."""
+    rest, lineno = "", 0
+    for block in blocks:
+        text = rest + block
+        lines, rest = text.splitlines(), ""
+        if text and (text[-1] == "\r" or text[-1] not in _LINE_ENDS):
+            rest = lines.pop() + text[-1] if text[-1] == "\r" else lines.pop()
+        if lines and max(map(len, lines)) > EDGE_LIST_LINE_CHARS:
+            first = next(i for i, line in enumerate(lines) if len(line) > EDGE_LIST_LINE_CHARS)
+            yield from lines[:first]
+            raise _too_long(lineno + first + 1)
+        yield from lines
+        lineno += len(lines)
+        if len(rest.removesuffix("\r")) > EDGE_LIST_LINE_CHARS:
+            raise _too_long(lineno + 1)
+    if rest:
+        yield rest.removesuffix("\r")
+
+
+def _too_long(lineno: int) -> EdgeListParseError:
+    return EdgeListParseError(f"line longer than {EDGE_LIST_LINE_CHARS} characters", lineno)
+
+
+def _decoded(fh):
+    """The text of the binary file fh, decoded as strict UTF-8 a block at a
+    time. Bytes that are not UTF-8 end it: the text before them comes
+    first, so that an error on an earlier line is reported first, then
+    ``EdgeListParseError`` at line 1 plus the count of b"\\n" before them."""
+    decoder, newlines = codecs.getincrementaldecoder("utf-8")(), 0
+    while True:
+        block = fh.read(_BLOCK)
+        try:
+            text = decoder.decode(block, final=not block)
+        except UnicodeDecodeError as exc:  # exc.object: the block after a partial character
+            yield exc.object[: exc.start].decode("utf-8")
+            line = newlines + exc.object.count(b"\n", 0, exc.start) + 1
+            raise EdgeListParseError(f"not UTF-8 text ({exc.reason})", line) from None
+        yield text
+        if not block:
+            return
+        newlines += block.count(b"\n")
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -192,15 +243,21 @@ def parse_edge_list(text: str) -> Graph:
     with n over ``MAX_NODES`` and at least n - 1 edges is rejected before
     the edges are read; fewer edges cannot connect the graph, which every
     command rejects without an n x n allocation. Lines are walked a block
-    at a time (``_lines``). Each of the first m edges is checked as it is
+    at a time (``_lines``), none longer than ``EDGE_LIST_LINE_CHARS``
+    characters. Each of the first m edges is checked as it is
     read and added to one set as (min, max), so repeated edges take no
     memory; past the first m, edges are counted but not kept, so a file of
     too many edges is rejected in bounded memory. A wrong edge count is
     reported before the first bad edge, and n < 2 at that edge's line, or
     else at the header's.
     """
+    return _parse(text[i : i + _BLOCK] for i in range(0, len(text), _BLOCK))
+
+
+def _parse(blocks) -> Graph:
+    """``parse_edge_list`` of the text that the string blocks make in turn."""
     header, canon, count, first_error = None, set(), 0, None
-    for lineno, raw in enumerate(_lines(text), start=1):
+    for lineno, raw in enumerate(_lines(blocks), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -241,13 +298,12 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def load_edge_list(path) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            line = exc.object.count(b"\n", 0, exc.start) + 1
-            raise EdgeListParseError(f"not UTF-8 text ({exc.reason})", line) from None
-    return parse_edge_list(text)
+    """``parse_edge_list`` of the file at path, read and decoded a block of
+    about 8 KB at a time (``_decoded``), so a file is never held whole.
+    Lines are checked in file order as they are read: a bad or too long
+    line is reported before bytes further on that are not UTF-8."""
+    with open(path, "rb") as fh:
+        return _parse(_decoded(fh))
 
 
 def format_edge_list(g: Graph) -> str:

@@ -1,5 +1,6 @@
 import io
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import resilient_consensus
 from resilient_consensus import ADAPTIVE, NOMINAL, SimConfig, simulate, verify_theorem, write_trajectory_csv
+from resilient_consensus import cli as cli_module
 from resilient_consensus.cli import main
 from resilient_consensus.scenario import (
     MAX_SCENARIO_BYTES,
@@ -28,6 +30,7 @@ from resilient_consensus.scenario import (
 )
 from resilient_consensus.errors import ConsensusToolkitError, ScenarioError
 from resilient_consensus.graph import (
+    EDGE_LIST_LINE_CHARS,
     MAX_NODES,
     complete_graph,
     from_edge_list,
@@ -450,6 +453,83 @@ class TestNonFiniteReport:
         assert code == 3
         assert capsys.readouterr().err == self.MESSAGE
         assert not out.exists()
+
+
+class TestOutPath:
+    """An --out that cannot be written is reported before the first
+    integration, exit 1 with one error line, and nothing is created."""
+
+    @pytest.fixture
+    def no_integration(self, monkeypatch):
+        def integrate(*args, **kwargs):
+            raise AssertionError("integrated before --out was checked")
+
+        monkeypatch.setattr(cli_module, "simulate", integrate)
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("out", ["a directory", "missing/out.csv", "a file/out.csv"])
+    def test_rejected_before_the_run(self, tmp_path, p2_file, no_integration, capsys, command, out):
+        (tmp_path / "a directory").mkdir()
+        (tmp_path / "a file").write_text("")
+        path = tmp_path / out
+        argv = [command, "--graph", p2_file, "--scenario", write_scenario(tmp_path, t_final=1.0), "--out", str(path)]
+        if command == "sweep":
+            argv += ["--alpha", "1", "4"]
+        before = sorted(tmp_path.rglob("*"))
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and err.endswith(f": {str(path)!r}\n") and err.count("\n") == 1
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_sweep_failing_at_a_later_gain_leaves_no_file(self, tmp_path, p2_file, capsys):
+        # |R(dt mu)| overflows at the second gain, after the check passed
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--graph", p2_file, "--scenario", write_scenario(tmp_path, t_final=1.0)]
+        assert main(argv + ["--alpha", "1", "1e308", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+
+def run_limited(*args, limit=2**30):
+    """``python *args`` as ``run_fresh`` runs it, under an address-space
+    limit (``RLIMIT_AS``), so that a read that grows without bound ends in
+    a MemoryError instead of exhausting the machine."""
+    src = str(Path(resilient_consensus.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+
+
+class TestUnboundedEdgeList:
+    """An edge list with no line end in sight is rejected at its first
+    over-long line, in a process that cannot grow past 1 GiB."""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+    def test_dev_zero(self):
+        proc = run_limited("-m", "resilient_consensus.cli", "verify", "--graph", "/dev/zero", "--alpha", "1")
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: line 1: line longer than {EDGE_LIST_LINE_CHARS} characters\n"
+
+    def test_over_long_line(self, tmp_path):
+        path = tmp_path / "long.txt"
+        path.write_text("3 2\n0 1\n# " + "c" * EDGE_LIST_LINE_CHARS + "\n1 2\n")
+        proc = run_limited("-m", "resilient_consensus.cli", "verify", "--graph", str(path), "--alpha", "1")
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: line 3: line longer than {EDGE_LIST_LINE_CHARS} characters\n"
+
+    def test_line_at_the_limit(self, tmp_path):
+        path = tmp_path / "at_limit.txt"
+        path.write_text("3 2\n0 1\n#" + "c" * (EDGE_LIST_LINE_CHARS - 1) + "\n1 2\n")
+        proc = run_limited("-m", "resilient_consensus.cli", "verify", "--graph", str(path), "--alpha", "1")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.endswith("VERDICT: exponentially stable\n")
 
 
 class TestNotUtf8:

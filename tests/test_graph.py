@@ -27,7 +27,7 @@ from resilient_consensus.errors import (
     TooFewNodesError,
 )
 from resilient_consensus.dynamics import MAX_TRAJECTORY_SAMPLES
-from resilient_consensus.graph import MAX_NODES, format_edge_list, load_edge_list
+from resilient_consensus.graph import EDGE_LIST_LINE_CHARS, MAX_NODES, format_edge_list, load_edge_list
 
 
 def random_graphs(n_lo=2, n_hi=20):
@@ -342,6 +342,64 @@ class TestEdgeListFormat:
         text += "0 x\n"
         with pytest.raises(EdgeListParseError, match=f"^line {len(text.splitlines())}: non-integer token in '0 x'$"):
             parse_edge_list(text)
+
+
+class TestLineLimit:
+    """No edge-list line, a comment too, is held past EDGE_LIST_LINE_CHARS
+    characters: a longer one is rejected at its line number as it is read."""
+
+    def test_line_at_the_limit_parses(self, tmp_path):
+        comment = "#" * EDGE_LIST_LINE_CHARS
+        edge = " " * (EDGE_LIST_LINE_CHARS - 3) + "1 2"
+        text = f"{comment}\n3 2\n0 1\n{edge}\n"
+        path = tmp_path / "edges.txt"
+        path.write_text(text)
+        for g in (parse_edge_list(text), load_edge_list(path)):
+            assert g.n == 3 and g.edges == frozenset({(0, 1), (1, 2)})
+
+    @pytest.mark.parametrize("long", ["#" * (EDGE_LIST_LINE_CHARS + 1), "0" * EDGE_LIST_LINE_CHARS + " 1"])
+    @pytest.mark.parametrize("end", ["\n", "\r\n", ""])
+    def test_longer_line_rejected_at_its_number(self, tmp_path, long, end):
+        text = f"3 2\n# c\r\n{long}{end}1 2\n"
+        message = f"line 3: line longer than {EDGE_LIST_LINE_CHARS} characters"
+        path = tmp_path / "edges.txt"
+        path.write_text(text, newline="")
+        for read in (lambda: parse_edge_list(text), lambda: load_edge_list(path)):
+            with pytest.raises(EdgeListParseError, match=f"^{re.escape(message)}$"):
+                read()
+
+    def test_line_without_end_read_in_bounded_memory(self, tmp_path):
+        # 16 MB of one line with no line end, as /dev/zero gives: rejected
+        # once the limit is passed, a block past it at most; read whole, the
+        # line alone would peak at twice the file
+        path = tmp_path / "edges.txt"
+        path.write_bytes(b"3 2\n" + b"\0" * 2**24)
+        tracemalloc.start()
+        try:
+            with pytest.raises(EdgeListParseError, match="^line 2: line longer than"):
+                load_edge_list(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * EDGE_LIST_LINE_CHARS
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            # lines are checked in file order, a bad line before bytes that
+            # are not UTF-8 first, in the first block or further on
+            (b"3 2\n0 x\n\xff\n", "line 2: non-integer token in '0 x'"),
+            (b"3 2\n0 x\n" + b"# c\n" * 5000 + b"\xff\n", "line 2: non-integer token in '0 x'"),
+            (b"3 2\n0 1\n\xff\n", "line 3: not UTF-8 text (invalid start byte)"),
+            (b"3 2\n0 1\n" + b"# c\n" * 5000 + b"1 \xe2\x82\n", "line 5003: not UTF-8 text (invalid continuation byte)"),
+            (b"3 2\n0 1\n1 2\xe2\x82", "line 3: not UTF-8 text (unexpected end of data)"),
+        ],
+    )
+    def test_bytes_not_utf8_in_file_order(self, tmp_path, raw, message):
+        path = tmp_path / "edges.txt"
+        path.write_bytes(raw)
+        with pytest.raises(EdgeListParseError, match=f"^{re.escape(message)}$"):
+            load_edge_list(path)
 
 
 class TestNodeBudget:
