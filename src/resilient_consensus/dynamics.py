@@ -74,16 +74,19 @@ half the rows each, which the caller appends; a helper formats a chunk
 of rows at a time in one ``floatrepr.Workspace``, the bytes of ``repr``
 computed with numpy, at about 0.17 us a value against 0.6 us for
 ``repr`` (2-vCPU Xeon, Python 3.11, numpy 2.4), and the caller a row at
-a time with ``repr`` itself. The reader splits byte pieces of the body
-into lines and parses a chunk of them at a time straight into the state
-columns; on a large body the caller parses the part up to a line start
-near its byte midpoint while one helper parses the rest. A body this
-parse does not take whole, or one that is not a regular file, goes to a
-line scan with ``float``, which alone decides what is accepted and what
-each error says, so neither depends on the CPU count. Both trade CPU
-time for wall time. A process formats and parses a chunk of
-``CSV_CHUNK_VALUES`` values at a time, the caller's writer one row at a
-time; no CSV line is read past ``CSV_FIELD_CHARS`` characters a field.
+a time with ``repr`` itself. The reader parses byte pieces of the body
+straight into the state columns with ``floatparse``, which computes
+``float``'s bits of each field of ``repr``'s grammar with numpy, at
+about 0.13 us a value against 0.22 us for numpy's text reader; on a
+large body the caller parses the part up to a line start near its byte
+midpoint while one helper parses the rest. A body this parse does not
+take whole, or one that is not a regular file, goes to a line scan with
+``float``, which alone decides what is accepted and what each error
+says, so neither depends on the CPU count. Both trade CPU time for wall
+time. A process formats a chunk of ``CSV_CHUNK_VALUES`` values at a
+time, and parses up to half a chunk; the caller's writer formats one
+row at a time. No CSV line is read past ``CSV_FIELD_CHARS`` characters a
+field.
 """
 
 from __future__ import annotations
@@ -116,7 +119,8 @@ DEFAULT_DT = 0.001
 
 #: Largest trajectory ``simulate`` allocates, in samples: (steps + 1) * 3n
 #: float64 values, 800 MB; ``analyze`` applies it too, and its read holds
-#: the states plus one chunk of ``CSV_CHUNK_VALUES`` values. The run report
+#: the states plus the parser's workspace for half a chunk of
+#: ``CSV_CHUNK_VALUES`` values and one byte piece. The run report
 #: adds one block of ``ERROR_BLOCK_VALUES`` values and a few series of
 #: steps + 1 values: 0.03 of the trajectory at n = 100, 0.3 at n = 10, and
 #: as much again at n = 2, where a row holds 6 values (``tracemalloc``).
@@ -156,10 +160,14 @@ ERROR_BLOCK_VALUES = 2**16
 
 #: Values per chunk of rows that a helper of ``write_trajectory_csv``
 #: formats in one piece in its ``floatrepr.Workspace`` (138 bytes a value,
-#: made once per helper, and about 20 bytes a value of text per chunk),
-#: and which ``read_trajectory_csv`` parses in one
-#: piece (chunks of 2^13 to 2^17 values read as fast), from byte pieces of
-#: twice as many bytes (a value takes two or more). The caller's writer
+#: made once per helper, and about 20 bytes a value of text per chunk).
+#: ``read_trajectory_csv`` reads byte pieces of 8 ``CSV_CHUNK_VALUES``
+#: bytes, about 3300 values of ``repr`` text, and its
+#: ``floatparse.Workspace`` parses up to half a chunk of fields at a time
+#: (111 bytes a field, made once per read and grown to the largest piece):
+#: the parse's fixed cost, about 0.2 ms a call, is then about 60 ns a
+#: value, and pieces of half the size took 0.16-0.19 us a value against
+#: 0.13 (small-long at seed 1). The caller's writer
 #: forms the times of a chunk in one piece and formats a row at a time
 #: with ``repr``. A trajectory of more than one chunk is written by two
 #: helpers where two CPUs are usable, and the writer copies a helper's
@@ -178,11 +186,13 @@ CSV_FIELD_CHARS = 64
 #: of the benchmark worker's size (2-vCPU Xeon), whatever the body: the
 #: fork 2.4-3.5 ms, the temporary file 0.1 ms, reading mid-wide's 0.7 MB
 #: of rows back 0.7-0.8 ms, and the helper's exit 3-6 ms where the caller
-#: waits for it (4 to 25 of 30 reads). At about 19 ns a byte, halving the
-#: parse paid for that only from about 1.3 MB on: perfbench ``analyze_s``
-#: at seed 1 moved by +3 % on a 1.26 MB body, -6 % on 1.45 MB and -26 %
-#: on 3.75 MB (10 pairs each).
-CSV_PARALLEL_BYTES = 2**21
+#: waits for it. At about 6.5 ns a byte of ``floatparse``, halving the
+#: parse pays for that only from about 2.5 MB on. ``analyze`` in a process
+#: of that size on mid-wide-shaped bodies (3 rounds of 10 pairs, 15 calls
+#: a sample) moved on two CPUs by +15.9 / -1.5 / +15.1 % at 2.55 MB,
+#: -13.9 / -8.5 / -3.4 % at 3.06 MB and +5.0 / -14.7 / -10.0 % at 3.73 MB,
+#: and perfbench ``analyze_s`` on mid-wide (3.75 MB) by -0.6 % (10 pairs).
+CSV_PARALLEL_BYTES = 5 * 2**19
 
 #: The cgroup v2 file that holds the CPU quota of the caller's cgroup,
 #: "<quota> <period>" in microseconds or "max <period>" for none.
@@ -810,37 +820,37 @@ def _scan_csv_rows(fh, width: int, limit: int) -> np.ndarray:
     return np.frombuffer(values).reshape(-1, width)
 
 
-def _span_chunks(fd: int, start: int, stop: int, width: int):
+def _span_chunks(fd: int, start: int, stop: int, width: int, Workspace):
     """The trajectory CSV rows in bytes [start, stop) of the file open on
-    fd, parsed by numpy's C text reader a chunk of ``CSV_CHUNK_VALUES``
-    values at a time: yields one (rows, width) array per chunk. Pieces of
-    2 ``CSV_CHUNK_VALUES`` bytes, or one longest row and its line end where
-    that is more, are read with ``os.pread`` (fd's offset stays), cut after
-    their last line end, decoded as strict UTF-8 and split at line ends.
-    Raises ``ValueError`` where the line scan might read the span otherwise:
-    a carriage return, a row longer than ``CSV_FIELD_CHARS`` characters a
-    field, or a line numpy rejects, skips (empty) or reads as another width."""
+    fd, parsed exactly by ``floatparse`` a piece at a time: yields one
+    (rows, width) array per piece. Workspace is
+    ``floatparse.Workspace``, which the caller imports; the one made here
+    parses up to half a chunk of ``CSV_CHUNK_VALUES`` fields, or one row
+    where that is more, at a time. Pieces of 8 ``CSV_CHUNK_VALUES`` bytes,
+    or one longest row and its line end where that is more, are read with
+    ``os.pread`` (fd's offset stays) and cut after their last line end;
+    the last may lack its line end. Raises ``ValueError`` where the line
+    scan might read the span otherwise: a row longer than
+    ``CSV_FIELD_CHARS`` characters a field, a field that is not the
+    ``repr`` of a float (a carriage return, a space, a byte that is not
+    ASCII, an empty field) or a line of another width (``parse_rows``)."""
     longest = CSV_FIELD_CHARS * width
-    size = max(longest + 1, 2 * CSV_CHUNK_VALUES)
-    per_chunk = max(1, CSV_CHUNK_VALUES // width)
-    lines, pos = [], start
-    while pos < stop or lines:
-        if len(lines) < per_chunk and pos < stop:
-            piece = os.pread(fd, min(size, stop - pos), pos)
-            cut = len(piece) if pos + len(piece) == stop else piece.rfind(b"\n") + 1
-            new = piece[:cut].decode("utf-8").removesuffix("\n").split("\n")
-            if not cut or b"\r" in piece or max(map(len, new)) > longest:
-                raise ValueError("a row too long, or a carriage return")
-            lines += new
-            pos += cut
-            continue
-        with warnings.catch_warnings():
-            # lines with no data warn; the line scan rejects them
-            warnings.simplefilter("ignore", UserWarning)
-            data = np.loadtxt(lines[:per_chunk], delimiter=",", comments=None, ndmin=2)
-        if data.shape != (min(per_chunk, len(lines)), width):
-            raise ValueError("chunk not parsed whole")
-        del lines[:per_chunk]  # before the yield, so no two chunks of lines are held
+    size = max(longest + 1, 8 * CSV_CHUNK_VALUES)
+    parse_rows = Workspace(max(width, CSV_CHUNK_VALUES // 2)).parse_rows
+    pos = start
+    while pos < stop:
+        piece = os.pread(fd, min(size, stop - pos), pos)
+        if pos + len(piece) == stop:  # the last row may have no line end
+            cut = len(piece)
+            text = piece if piece.endswith(b"\n") else piece + b"\n"
+        else:
+            cut = piece.rfind(b"\n") + 1
+            text = memoryview(piece)[:cut]
+        if not cut:
+            raise ValueError("a row longer than a piece")
+        data = parse_rows(text, width, longest)
+        del piece, text  # before the next read, so that no two pieces are held
+        pos += cut
         yield data
 
 
@@ -855,12 +865,15 @@ def _check_grid(data: np.ndarray, row: int, samples: int, dt: float) -> None:
 
 def _read_body(fh, samples: int, width: int, dt: float) -> np.ndarray | None:
     """The states of the trajectory CSV open as fh, whose body starts at
-    ``fh.tell()``, read in byte pieces and parsed by numpy's C text reader
-    a chunk at a time (``_span_chunks``), or None where fh is not a regular
-    file or that parse does not accept the body exactly as it is: a
-    carriage return, a row too long, bytes that are not UTF-8, a line numpy
-    rejects or skips, or rows other than the grid's ``samples`` rows with
-    times t_k = k dt (``_check_grid``).
+    ``fh.tell()``, read in byte pieces and parsed exactly by ``floatparse``
+    (``_span_chunks``), or None where fh is not a regular file or that
+    parse does not accept the body exactly as it is: a row too long, a
+    field that is not the ``repr`` of a float (a carriage return, an empty
+    line, bytes that are not ASCII), a line of another field count, or
+    rows other than the grid's ``samples`` rows with times t_k = k dt
+    (``_check_grid``). ``floatparse`` is imported here, before any fork,
+    and only here: ``verify``, ``simulate`` and ``sweep`` never load it,
+    and the helper imports nothing.
 
     A body too short or too long for ``samples`` rows of ``width`` fields
     of 1 to ``CSV_FIELD_CHARS`` characters is rejected before the result is
@@ -895,10 +908,12 @@ def _read_body(fh, samples: int, width: int, dt: float) -> np.ndarray | None:
         cut = os.pread(fd, longest + 1, mid - 1).find(b"\n")  # from the byte before mid
         if 0 <= cut < stop - mid:
             split = mid + cut
+    from .floatparse import Workspace  # here, before the fork: the helper imports nothing
+
     states = np.empty((samples, width - 1))
 
     def parse_bottom(out):  # in the helper
-        chunks = list(_span_chunks(fd, split, stop, width))
+        chunks = list(_span_chunks(fd, split, stop, width, Workspace))
         rows = sum(map(len, chunks))
         row = samples - rows
         for data in chunks:
@@ -913,7 +928,7 @@ def _read_body(fh, samples: int, width: int, dt: float) -> np.ndarray | None:
             if split < stop and not helpers.start(0, parse_bottom):
                 split = stop
             top = 0
-            for data in _span_chunks(fd, start, split, width):
+            for data in _span_chunks(fd, start, split, width, Workspace):
                 _check_grid(data, top, samples, dt)
                 states[top : top + len(data)] = data[:, 1:]
                 top += len(data)
@@ -942,9 +957,10 @@ def read_trajectory_csv(path, g: Graph, cfg: SimConfig) -> Trajectory:
     ``CSV_FIELD_CHARS`` characters, and each body row up to
     ``CSV_FIELD_CHARS`` characters a field, so no line is read whole
     however long it is. ``_read_body`` reads the body in byte pieces of at
-    least one such row and parses it a chunk at a time, on one CPU or two,
-    into an array of the state columns only, so the read holds the states
-    plus about one chunk of lines. A body it does not accept is read again
+    least one such row and parses each exactly with ``floatparse``, on one
+    CPU or two, into an array of the state columns only, so the read holds
+    the states plus the parser's workspace and one piece (about 0.5 MB
+    for a row of up to half a chunk). A body it does not accept is read again
     as text by ``_scan_csv_rows``: that names the first bad row, or accepts
     what ``float`` accepts, and the grid check below names a wrong count or
     time. The scan stops one row past the grid's last, so a file that is

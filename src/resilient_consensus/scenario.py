@@ -124,7 +124,8 @@ def read_scenario(path) -> dict:
     ``graph:`` path is resolved against the file's directory.
 
     A file over ``MAX_SCENARIO_BYTES`` is rejected before it is parsed,
-    having read one byte more than the budget.
+    having read one byte more than the budget, and one that nests a
+    collection more than two deep before it is composed (``_too_deep``).
 
     PyYAML is imported here, not at module level: only scenarios are YAML
     input, so ``verify`` runs without it. libyaml's C parser is used when
@@ -140,7 +141,9 @@ def read_scenario(path) -> dict:
             f"scenario {path} is over the size budget of {MAX_SCENARIO_BYTES} bytes"
         )
     try:
-        raw = yaml.load(data.decode("utf-8"), Loader=loader)
+        text = data.decode("utf-8")
+        deep = _too_deep(yaml, text, loader)
+        raw = None if deep else yaml.load(text, Loader=loader)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"cannot parse scenario {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -149,6 +152,8 @@ def read_scenario(path) -> dict:
         ) from None
     except ValueError as exc:  # an int over Python's digit limit
         raise ScenarioError(f"cannot parse scenario {path}: {exc}") from None
+    if deep:
+        raise ScenarioError(f"scenario {path} nests collections more than 2 deep")
     if not isinstance(raw, dict):
         raise ScenarioError("scenario file must be a mapping")
     if raw.get("graph") is not None:
@@ -156,6 +161,27 @@ def read_scenario(path) -> dict:
             raise ScenarioError("graph must be a file path")
         raw["graph"] = os.path.join(os.path.dirname(path), raw["graph"])
     return raw
+
+
+def _too_deep(yaml, text: str, loader) -> bool:
+    """Whether text nests a collection deeper than the schema's two levels
+    (the mapping and its lists), from the parser's events alone, up to the
+    first such collection and before anything is composed: the composer
+    recurses once a level, and libyaml's crashed the process on a 60 KB
+    file nested 30 000 deep, where the parser keeps its own stack. A parse
+    error ends the walk, so that the load reports it as it always has."""
+    depth = 0
+    try:
+        for event in yaml.parse(text, Loader=loader):
+            if isinstance(event, yaml.CollectionStartEvent):
+                depth += 1
+                if depth > 2:
+                    return True
+            elif isinstance(event, yaml.CollectionEndEvent):
+                depth -= 1
+    except yaml.YAMLError:
+        pass
+    return False
 
 
 def load_scenario(path, g: Graph | None = None) -> Scenario:

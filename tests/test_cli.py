@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -400,6 +401,49 @@ class TestScenarioSizeBudget:
         assert capsys.readouterr().err == (
             f"error: scenario {path} is over the size budget of {MAX_SCENARIO_BYTES} bytes\n"
         )
+
+
+class TestDeepScenario:
+    """A scenario that nests a collection deeper than the schema's two
+    levels (its mapping and the mapping's lists) is rejected from the
+    parser's events, before anything is composed: at depth 30 000 libyaml's
+    composer crashed the process (SIGSEGV)."""
+
+    DEEP = {
+        "flow": "schema: 1\nprotocol: adaptive\nalpha: 1.0\nt_final: 1.0\nx0: " + "[" * 30_000 + "]" * 30_000 + "\n",
+        "block": "schema: 1\nprotocol: adaptive\nx0:\n" + "- " * 30_000 + "1\n",
+    }
+
+    @pytest.mark.parametrize("case", sorted(DEEP))
+    def test_depth_30000_exits_1_at_once(self, tmp_path, p2_file, case):
+        path = tmp_path / "deep.yaml"
+        path.write_text(self.DEEP[case])
+        argv = ["simulate", "--graph", p2_file, "--scenario", str(path), "--out", str(tmp_path / "t.csv")]
+        start = time.perf_counter()
+        proc = run_fresh("-m", "resilient_consensus.cli", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: scenario {path} nests collections more than 2 deep\n"
+
+    @pytest.mark.parametrize(
+        "text", ["x0: [[0.0, 1.0]]\n", "x0:\n  - [0.0]\n  - 1.0\n", "w: [{a: 1}]\n", "schema: {a: [1]}\n"]
+    )
+    def test_third_level_rejected(self, tmp_path, text):
+        path = tmp_path / "deep.yaml"
+        path.write_text("schema: 1\nprotocol: adaptive\nalpha: 1.0\n" + text)
+        with pytest.raises(ScenarioError, match="nests collections more than 2 deep$"):
+            read_scenario(path)
+
+    def test_two_levels_and_parse_errors_load_as_before(self, tmp_path):
+        # the mapping and its lists load; a syntax error deeper in the file
+        # is still the parser's own message
+        path = tmp_path / "ok.yaml"
+        path.write_text("schema: 1\nprotocol: adaptive\nx0: [0.0, 1.0]\nw:\n  - 1.0\n  - 0.0\n")
+        assert read_scenario(path)["w"] == [1.0, 0.0]
+        path.write_text("schema: 1\nx0: [0.0, 1.0\n")
+        with pytest.raises(ScenarioError, match="^cannot parse scenario "):
+            read_scenario(path)
+        assert read_scenario(DEMO_SCENARIO)["protocol"] == "adaptive"
 
 
 class TestNumericalBlowup:
@@ -1026,6 +1070,38 @@ class TestNoScipyOnCertificatePath:
         assert proc.returncode == 0
         assert proc.stderr == "[]\n"
         assert len(out.read_text().splitlines()) == 3
+
+
+class TestFloatparseImportedByAnalyzeOnly:
+    """Only the trajectory CSV reader imports ``floatparse``: a fresh
+    interpreter running verify, simulate or sweep on the demo never loads
+    it, and one running analyze on a trajectory file does."""
+
+    PARSER = "resilient_consensus.floatparse"
+
+    def modules(self, *args):
+        proc = run_fresh("-c", main_then_modules("resilient_consensus"), *args)
+        assert proc.returncode == 0
+        return proc.stderr
+
+    def test_verify_simulate_and_sweep_do_not(self, tmp_path):
+        args = ["--graph", DEMO_GRAPH, "--scenario", DEMO_SCENARIO]
+        runs = [
+            ["verify", "--graph", DEMO_GRAPH, "--alpha", "1.0"],
+            ["simulate", *args, "--out", str(tmp_path / "traj.csv")],
+            ["sweep", *args, "--alpha", "1", "4", "--out", str(tmp_path / "sweep.csv")],
+        ]
+        for run in runs:
+            modules = self.modules(*run)
+            assert "resilient_consensus.cli" in modules
+            assert self.PARSER not in modules
+
+    def test_analyze_does(self, tmp_path, capsys):
+        traj = str(tmp_path / "traj.csv")
+        args = ["--graph", DEMO_GRAPH, "--scenario", DEMO_SCENARIO]
+        assert main(["simulate", *args, "--out", traj]) == 0
+        capsys.readouterr()
+        assert self.PARSER in self.modules("analyze", "--trajectory", traj, *args)
 
 
 needs_libyaml = pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")

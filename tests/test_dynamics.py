@@ -1295,13 +1295,14 @@ class TestParallelCsvReader:
         ],
     )
     def test_paths_bit_identical_on_workload_shaped_runs(self, tmp_path, usable_cpus, halves, workload, pieces, last_end):
-        # the body as written; and with its rows padded to one odd length L,
-        # a last row of exactly CSV_FIELD_CHARS characters a field, with or
-        # without its line end, and a chunk size whose pieces of 2
-        # CSV_CHUNK_VALUES bytes end exactly at a row end (4 L bytes) or one
-        # byte short of one (3 L - 1), or take one longest row and its line
-        # end (one value a chunk): one CPU and two read the bits the line
-        # scan reads, and neither leaves the body to it
+        # the body as written; and with its rows padded with leading zeros
+        # to one odd length L, a last row of exactly CSV_FIELD_CHARS
+        # characters a field, with or without its line end, and a chunk
+        # size whose pieces of 8 CSV_CHUNK_VALUES bytes end exactly at a
+        # row end (8 L bytes) or one byte short of one (k L - 1, k odd), or
+        # take one longest row and its line end (one value a chunk): one CPU
+        # and two read the bits the line scan reads, and neither leaves the
+        # body to it
         n, p, dt, steps = WORKLOAD_SHAPES[workload]
         rng = np.random.default_rng(1)
         g = random_connected_graph(n, rng, extra_edge_prob=p)
@@ -1313,9 +1314,10 @@ class TestParallelCsvReader:
             size = 25 * width  # L: a row of reprs of 24 characters or fewer, padded, and its line end
             longest = dynamics.CSV_FIELD_CHARS * width
             header, *rows = path.read_text().splitlines()
-            rows = [row.rjust(size - 1) for row in rows[:-1]] + [rows[-1].rjust(longest)]
+            rows = [row.rjust(size - 1, "0") for row in rows[:-1]] + [rows[-1].rjust(longest, "0")]
             path.write_text("\n".join([header, *rows]) + last_end)
-            chunk_values = {"end at a row end": 2 * size, "end a byte short": (3 * size - 1) // 2, "one row long": 1}
+            short = next(k * size - 1 for k in range(3, 12, 2) if k * size % 8 == 1)  # over a longest row
+            chunk_values = {"end at a row end": size, "end a byte short": short // 8, "one row long": 1}
             usable_cpus(1, chunk_values=chunk_values[pieces])
         with open(path, encoding="utf-8") as fh:
             fh.readline()
