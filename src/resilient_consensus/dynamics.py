@@ -163,8 +163,9 @@ ERROR_BLOCK_VALUES = 2**16
 #: made once per helper, and about 20 bytes a value of text per chunk).
 #: ``read_trajectory_csv`` reads byte pieces of 8 ``CSV_CHUNK_VALUES``
 #: bytes, about 3300 values of ``repr`` text, and its
-#: ``floatparse.Workspace`` parses up to half a chunk of fields at a time
-#: (111 bytes a field, made once per read and grown to the largest piece):
+#: ``floatparse.Workspace`` parses up to half a chunk of fields, or one
+#: row where that is more, at a time (111 bytes a field, made once per
+#: half parsed: in the caller, and on two CPUs in the helper as well):
 #: the parse's fixed cost, about 0.2 ms a call, is then about 60 ns a
 #: value, and pieces of half the size took 0.16-0.19 us a value against
 #: 0.13 (small-long at seed 1). The caller's writer
@@ -820,13 +821,13 @@ def _scan_csv_rows(fh, width: int, limit: int) -> np.ndarray:
     return np.frombuffer(values).reshape(-1, width)
 
 
-def _span_chunks(fd: int, start: int, stop: int, width: int, Workspace):
+def _span_chunks(fd: int, start: int, stop: int, width: int):
     """The trajectory CSV rows in bytes [start, stop) of the file open on
     fd, parsed exactly by ``floatparse`` a piece at a time: yields one
-    (rows, width) array per piece. Workspace is
-    ``floatparse.Workspace``, which the caller imports; the one made here
+    (rows, width) array per piece. Its one ``floatparse.Workspace``
     parses up to half a chunk of ``CSV_CHUNK_VALUES`` fields, or one row
-    where that is more, at a time. Pieces of 8 ``CSV_CHUNK_VALUES`` bytes,
+    where that is more, at a time; ``_read_body`` has imported the module
+    before any fork. Pieces of 8 ``CSV_CHUNK_VALUES`` bytes,
     or one longest row and its line end where that is more, are read with
     ``os.pread`` (fd's offset stays) and cut after their last line end;
     the last may lack its line end. Raises ``ValueError`` where the line
@@ -834,6 +835,8 @@ def _span_chunks(fd: int, start: int, stop: int, width: int, Workspace):
     ``CSV_FIELD_CHARS`` characters a field, a field that is not the
     ``repr`` of a float (a carriage return, a space, a byte that is not
     ASCII, an empty field) or a line of another width (``parse_rows``)."""
+    from .floatparse import Workspace
+
     longest = CSV_FIELD_CHARS * width
     size = max(longest + 1, 8 * CSV_CHUNK_VALUES)
     parse_rows = Workspace(max(width, CSV_CHUNK_VALUES // 2)).parse_rows
@@ -871,9 +874,10 @@ def _read_body(fh, samples: int, width: int, dt: float) -> np.ndarray | None:
     field that is not the ``repr`` of a float (a carriage return, an empty
     line, bytes that are not ASCII), a line of another field count, or
     rows other than the grid's ``samples`` rows with times t_k = k dt
-    (``_check_grid``). ``floatparse`` is imported here, before any fork,
-    and only here: ``verify``, ``simulate`` and ``sweep`` never load it,
-    and the helper imports nothing.
+    (``_check_grid``). ``floatparse`` is loaded here, before any fork,
+    and only by a read: ``verify``, ``simulate`` and ``sweep`` never load
+    it, and the helper loads nothing (its import in ``_span_chunks`` finds
+    the module loaded).
 
     A body too short or too long for ``samples`` rows of ``width`` fields
     of 1 to ``CSV_FIELD_CHARS`` characters is rejected before the result is
@@ -908,12 +912,12 @@ def _read_body(fh, samples: int, width: int, dt: float) -> np.ndarray | None:
         cut = os.pread(fd, longest + 1, mid - 1).find(b"\n")  # from the byte before mid
         if 0 <= cut < stop - mid:
             split = mid + cut
-    from .floatparse import Workspace  # here, before the fork: the helper imports nothing
+    from . import floatparse  # noqa: F401 - loaded here, before the fork: the helper loads nothing
 
     states = np.empty((samples, width - 1))
 
     def parse_bottom(out):  # in the helper
-        chunks = list(_span_chunks(fd, split, stop, width, Workspace))
+        chunks = list(_span_chunks(fd, split, stop, width))
         rows = sum(map(len, chunks))
         row = samples - rows
         for data in chunks:
@@ -928,7 +932,7 @@ def _read_body(fh, samples: int, width: int, dt: float) -> np.ndarray | None:
             if split < stop and not helpers.start(0, parse_bottom):
                 split = stop
             top = 0
-            for data in _span_chunks(fd, start, split, width, Workspace):
+            for data in _span_chunks(fd, start, split, width):
                 _check_grid(data, top, samples, dt)
                 states[top : top + len(data)] = data[:, 1:]
                 top += len(data)

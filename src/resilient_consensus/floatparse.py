@@ -270,7 +270,13 @@ def _digits(text, ends, before: int, words, flags, exponents: bool):
     marks = mark[0]
     marks |= mark[1]
     marks |= mark[2]
-    np.bitwise_count(marks, out=count)
+    # how many points: 0 for none, 1 for one, 2 for more (marks has another
+    # bit once its lowest is cleared)
+    np.not_equal(marks, 0, out=count)
+    np.subtract(marks, _U64(1), out=mark[1])
+    mark[1] &= marks
+    np.not_equal(mark[1], 0, out=other)
+    count += other
     # the point's column: log2 of the mask, from the float's exponent bits
     # (-1023 for none)
     np.copyto(point.view(_F64), marks, casting="unsafe")

@@ -258,6 +258,18 @@ def test_other_shapes_raise(piece, width):
         floatparse.parse_rows(piece, width)
 
 
+def test_parses_without_numpy_2_only_functions(monkeypatch):
+    # pyproject allows numpy 1.24, which has no np.bitwise_count: the point
+    # count must come from plain integer arithmetic
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    block = np.array([[0.5, -2.0, 1e-05], [3e-12, 1.5e17, -0.0], [12345.678, 5e-324, 7.0]])
+    text = bytes(floatrepr.repr_rows(block))
+    assert floatparse.parse_rows(text, 3).tobytes() == block.tobytes()
+    for field in (b"1.0.0", b"15", b"1.2e.05", b"1e-05.0"):
+        with pytest.raises(ValueError):
+            floatparse.parse_rows(in_rows(field), 3)
+
+
 def test_empty_piece():
     assert floatparse.parse_rows(b"", 3).shape == (0, 3)
 
