@@ -65,28 +65,25 @@ Besides the trajectory that ``MAX_TRAJECTORY_SAMPLES`` budgets, the map
 holds a few 3n x n arrays, and the error rows, the stage shifts and the
 non-finite scan a few blocks of ``ERROR_BLOCK_VALUES`` values.
 
-Trajectory CSV I/O uses two CPUs where two are usable (``_usable_cpus``:
-the affinity mask, capped by the cgroup v2 CPU quota), through one
-hand-off (``_Helpers``): a forked helper pins itself to one CPU and
-writes its result to an unnamed temporary file, which the caller reads
-once the helper has exited with code 0. The writer's two helpers write
-half the rows each, which the caller appends; a helper formats a chunk
+Trajectory CSV I/O. The writer uses two CPUs where two are usable
+(``_usable_cpus``: the affinity mask, capped by the cgroup v2 CPU quota),
+through ``_Helpers``: two forked helpers pin themselves to a CPU each and
+write half the rows each to an unnamed temporary file, which the caller
+appends once the helper has exited with code 0. A helper formats a chunk
 of rows at a time in one ``floatrepr.Workspace``, the bytes of ``repr``
 computed with numpy, at about 0.17 us a value against 0.6 us for
 ``repr`` (2-vCPU Xeon, Python 3.11, numpy 2.4), and the caller a row at
-a time with ``repr`` itself. The reader parses byte pieces of the body
-straight into the state columns with ``floatparse``, which computes
-``float``'s bits of each field of ``repr``'s grammar with numpy, at
-about 0.13 us a value against 0.22 us for numpy's text reader; on a
-large body the caller parses the part up to a line start near its byte
-midpoint while one helper parses the rest. A body this parse does not
-take whole, or one that is not a regular file, goes to a line scan with
-``float``, which alone decides what is accepted and what each error
-says, so neither depends on the CPU count. Both trade CPU time for wall
-time. A process formats a chunk of ``CSV_CHUNK_VALUES`` values at a
-time, and parses up to half a chunk; the caller's writer formats one
-row at a time. No CSV line is read past ``CSV_FIELD_CHARS`` characters a
-field.
+a time with ``repr`` itself; the helpers trade CPU time for wall time.
+The reader parses byte pieces of the body in one process, on any CPU
+count, straight into the state columns with ``floatparse``, which
+computes ``float``'s bits of each field of ``repr``'s grammar with numpy,
+at about 0.13 us a value against 0.22 us for numpy's text reader. A body
+this parse does not take whole, or one that is not a regular file, goes
+to a line scan with ``float``, which alone decides what is accepted and
+what each error says. A helper formats a chunk of ``CSV_CHUNK_VALUES``
+values at a time, and the reader parses up to half a chunk; the caller's
+writer formats one row at a time. No CSV line is read past
+``CSV_FIELD_CHARS`` characters a field.
 """
 
 from __future__ import annotations
@@ -165,8 +162,7 @@ ERROR_BLOCK_VALUES = 2**16
 #: bytes, about 3300 values of ``repr`` text, and its
 #: ``floatparse.Workspace`` parses up to half a chunk of fields, or one
 #: row where that is more, at a time (111 bytes a field, made once per
-#: half parsed: in the caller, and on two CPUs in the helper as well):
-#: the parse's fixed cost, about 0.2 ms a call, is then about 60 ns a
+#: read): the parse's fixed cost, about 0.2 ms a call, is then about 60 ns a
 #: value, and pieces of half the size took 0.16-0.19 us a value against
 #: 0.13 (small-long at seed 1). The caller's writer
 #: forms the times of a chunk in one piece and formats a row at a time
@@ -181,19 +177,6 @@ CSV_CHUNK_VALUES = 2**13
 #: to this many characters past its expected length, and rejects a longer
 #: line before it is read whole; its byte pieces hold one such row or more.
 CSV_FIELD_CHARS = 64
-
-#: Smallest trajectory CSV body, in bytes, that ``read_trajectory_csv``
-#: parses on two CPUs. Its helper costs the caller about 7 ms in a process
-#: of the benchmark worker's size (2-vCPU Xeon), whatever the body: the
-#: fork 2.4-3.5 ms, the temporary file 0.1 ms, reading mid-wide's 0.7 MB
-#: of rows back 0.7-0.8 ms, and the helper's exit 3-6 ms where the caller
-#: waits for it. At about 6.5 ns a byte of ``floatparse``, halving the
-#: parse pays for that only from about 2.5 MB on. ``analyze`` in a process
-#: of that size on mid-wide-shaped bodies (3 rounds of 10 pairs, 15 calls
-#: a sample) moved on two CPUs by +15.9 / -1.5 / +15.1 % at 2.55 MB,
-#: -13.9 / -8.5 / -3.4 % at 3.06 MB and +5.0 / -14.7 / -10.0 % at 3.73 MB,
-#: and perfbench ``analyze_s`` on mid-wide (3.75 MB) by -0.6 % (10 pairs).
-CSV_PARALLEL_BYTES = 5 * 2**19
 
 #: The cgroup v2 file that holds the CPU quota of the caller's cgroup,
 #: "<quota> <period>" in microseconds or "max <period>" for none.
@@ -604,10 +587,10 @@ def _csv_columns(n: int) -> list[str]:
 
 
 def _usable_cpus() -> list:
-    """The CPUs a helper may pin itself to: the caller's affinity mask,
-    sorted, where it holds two or more CPUs and the cgroup v2 CPU quota
-    (``CPU_MAX_PATH``: quota over period, rounded up) lets two or more run
-    at once; else an empty list, and neither CSV path forks a helper.
+    """The CPUs a helper of the writer may pin itself to: the caller's
+    affinity mask, sorted, where it holds two or more CPUs and the cgroup
+    v2 CPU quota (``CPU_MAX_PATH``: quota over period, rounded up) lets two
+    or more run at once; else an empty list, and the writer forks no helper.
     Where the platform has no affinity call there is one CPU; where the
     quota file cannot be read or parsed, no quota applies."""
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
@@ -666,11 +649,11 @@ def _write_csv_chunks(traj: Trajectory, start: int, stop: int, fh, repr_rows) ->
 
 
 class _Helpers:
-    """The forked helpers of one call of the trajectory CSV writer or
-    reader, used as a ``with`` block, whose end kills and reaps every
-    helper not yet reaped and closes every file, whether the call returns
-    or raises. A helper the system reaped (as under ``SIGCHLD = SIG_IGN``)
-    counts as failed and gets no signal, as its pid may have been reused."""
+    """The forked helpers of one call of the trajectory CSV writer, used
+    as a ``with`` block, whose end kills and reaps every helper not yet
+    reaped and closes every file, whether the call returns or raises. A
+    helper the system reaped (as under ``SIGCHLD = SIG_IGN``) counts as
+    failed and gets no signal, as its pid may have been reused."""
 
     def __init__(self, cpus: list):
         self.cpus, self.pids, self.files = cpus, {}, {}  # by helper; a pid leaves pids once reaped
@@ -821,76 +804,26 @@ def _scan_csv_rows(fh, width: int, limit: int) -> np.ndarray:
     return np.frombuffer(values).reshape(-1, width)
 
 
-def _span_chunks(fd: int, start: int, stop: int, width: int):
-    """The trajectory CSV rows in bytes [start, stop) of the file open on
-    fd, parsed exactly by ``floatparse`` a piece at a time: yields one
-    (rows, width) array per piece. Its one ``floatparse.Workspace``
-    parses up to half a chunk of ``CSV_CHUNK_VALUES`` fields, or one row
-    where that is more, at a time; ``_read_body`` has imported the module
-    before any fork. Pieces of 8 ``CSV_CHUNK_VALUES`` bytes,
-    or one longest row and its line end where that is more, are read with
-    ``os.pread`` (fd's offset stays) and cut after their last line end;
-    the last may lack its line end. Raises ``ValueError`` where the line
-    scan might read the span otherwise: a row longer than
-    ``CSV_FIELD_CHARS`` characters a field, a field that is not the
-    ``repr`` of a float (a carriage return, a space, a byte that is not
-    ASCII, an empty field) or a line of another width (``parse_rows``)."""
-    from .floatparse import Workspace
-
-    longest = CSV_FIELD_CHARS * width
-    size = max(longest + 1, 8 * CSV_CHUNK_VALUES)
-    parse_rows = Workspace(max(width, CSV_CHUNK_VALUES // 2)).parse_rows
-    pos = start
-    while pos < stop:
-        piece = os.pread(fd, min(size, stop - pos), pos)
-        if pos + len(piece) == stop:  # the last row may have no line end
-            cut = len(piece)
-            text = piece if piece.endswith(b"\n") else piece + b"\n"
-        else:
-            cut = piece.rfind(b"\n") + 1
-            text = memoryview(piece)[:cut]
-        if not cut:
-            raise ValueError("a row longer than a piece")
-        data = parse_rows(text, width, longest)
-        del piece, text  # before the next read, so that no two pieces are held
-        pos += cut
-        yield data
-
-
-def _check_grid(data: np.ndarray, row: int, samples: int, dt: float) -> None:
-    """Raise ``ValueError`` unless the parsed rows data fit as rows
-    [row, row + len(data)) of a grid of ``samples`` rows and their times
-    are t_k = k dt, as ``Trajectory.times`` forms them."""
-    end = row + len(data)
-    if not (0 <= row and end <= samples and np.array_equal(data[:, 0], np.arange(row, end) * dt)):
-        raise ValueError("rows off the grid")
-
-
 def _read_body(fh, samples: int, width: int, dt: float) -> np.ndarray | None:
     """The states of the trajectory CSV open as fh, whose body starts at
     ``fh.tell()``, read in byte pieces and parsed exactly by ``floatparse``
-    (``_span_chunks``), or None where fh is not a regular file or that
-    parse does not accept the body exactly as it is: a row too long, a
-    field that is not the ``repr`` of a float (a carriage return, an empty
-    line, bytes that are not ASCII), a line of another field count, or
-    rows other than the grid's ``samples`` rows with times t_k = k dt
-    (``_check_grid``). ``floatparse`` is loaded here, before any fork,
-    and only by a read: ``verify``, ``simulate`` and ``sweep`` never load
-    it, and the helper loads nothing (its import in ``_span_chunks`` finds
-    the module loaded).
+    in one process, or None where fh is not a regular file or that parse
+    does not accept the body exactly as it is: a row too long, a field that
+    is not the ``repr`` of a float (a carriage return, a space, an empty
+    line or field, bytes that are not ASCII), a line of another field count
+    (``parse_rows``), or rows other than the grid's ``samples`` rows with
+    times t_k = k dt, as ``Trajectory.times`` forms them. ``floatparse``
+    is loaded here, and only by a read: ``verify``, ``simulate`` and
+    ``sweep`` never load it.
 
     A body too short or too long for ``samples`` rows of ``width`` fields
     of 1 to ``CSV_FIELD_CHARS`` characters is rejected before the result is
-    allocated. The caller parses bytes [start, split) into the top rows of
-    the result, without the time column. The split is the body's end,
-    unless two CPUs are usable (``_usable_cpus``), the body is at least
-    ``CSV_PARALLEL_BYTES`` and a helper can be started (``_Helpers``): then
-    it is the first line start at or after the byte midpoint, and the helper
-    parses the rest at the same time, checks its rows, which end at row
-    ``samples``, against the grid, and writes their count, then their state
-    columns, to its file, which the caller reads into the bottom rows. The
-    result stands only if the counts add up to ``samples`` and the helper
-    exited with code 0.
+    allocated. Pieces of 8 ``CSV_CHUNK_VALUES`` bytes, or one longest row
+    and its line end where that is more, are read with ``os.pread`` and cut
+    after their last line end; the last may lack its line end. One
+    ``floatparse.Workspace`` parses each piece, up to half a chunk of
+    ``CSV_CHUNK_VALUES`` fields, or one row where that is more, at a time,
+    and its rows go into the result without the time column.
 
     ``fh.tell()`` is the byte offset unless a decoder state is pending (a
     larger value leaves the body too short). Every read is an ``os.pread``,
@@ -900,54 +833,37 @@ def _read_body(fh, samples: int, width: int, dt: float) -> np.ndarray | None:
     info = os.fstat(fd)
     if not stat.S_ISREG(info.st_mode):  # a pipe, say: no size, no pread
         return None
-    start, stop = fh.tell(), info.st_size
+    pos, stop = fh.tell(), info.st_size
     longest = CSV_FIELD_CHARS * width
-    body = stop - start
-    if not 2 * width * samples <= body <= (longest + 1) * samples:
+    if not 2 * width * samples <= stop - pos <= (longest + 1) * samples:
         return None
-    cpus = _usable_cpus() if body >= CSV_PARALLEL_BYTES else []
-    split = stop
-    if cpus:
-        mid = (start + stop) // 2
-        cut = os.pread(fd, longest + 1, mid - 1).find(b"\n")  # from the byte before mid
-        if 0 <= cut < stop - mid:
-            split = mid + cut
-    from . import floatparse  # noqa: F401 - loaded here, before the fork: the helper loads nothing
+    from .floatparse import Workspace
 
     states = np.empty((samples, width - 1))
-
-    def parse_bottom(out):  # in the helper
-        chunks = list(_span_chunks(fd, split, stop, width))
-        rows = sum(map(len, chunks))
-        row = samples - rows
-        for data in chunks:
-            _check_grid(data, row, samples, dt)
-            row += len(data)
-        out.write(rows.to_bytes(8, "little"))
-        for data in chunks:
-            out.write(np.ascontiguousarray(data[:, 1:]))
-
+    parse_rows = Workspace(max(width, CSV_CHUNK_VALUES // 2)).parse_rows
+    size = max(longest + 1, 8 * CSV_CHUNK_VALUES)
+    row = 0
     try:
-        with _Helpers(cpus) as helpers:
-            if split < stop and not helpers.start(0, parse_bottom):
-                split = stop
-            top = 0
-            for data in _span_chunks(fd, start, split, width):
-                _check_grid(data, top, samples, dt)
-                states[top : top + len(data)] = data[:, 1:]
-                top += len(data)
-            if split == stop:
-                return states if top == samples else None
-            bottom = helpers.result(0)
-            if (
-                bottom is not None
-                and top + int.from_bytes(bottom.read(8), "little") == samples
-                and bottom.readinto(states[top:]) == states[top:].nbytes
-            ):
-                return states
+        while pos < stop:
+            piece = os.pread(fd, min(size, stop - pos), pos)
+            if pos + len(piece) == stop:  # the last row may have no line end
+                cut = len(piece)
+                text = piece if piece.endswith(b"\n") else piece + b"\n"
+            else:
+                cut = piece.rfind(b"\n") + 1
+                text = memoryview(piece)[:cut]
+            if not cut:  # a row longer than a piece
+                return None
+            data = parse_rows(text, width, longest)
+            del piece, text  # before the next read, so that no two pieces are held
+            end = row + len(data)
+            if not (end <= samples and np.array_equal(data[:, 0], np.arange(row, end) * dt)):
+                return None
+            states[row:end] = data[:, 1:]
+            row, pos = end, pos + cut
     except (ValueError, OSError):  # the line scan reads the body
-        pass
-    return None
+        return None
+    return states if row == samples else None
 
 
 def read_trajectory_csv(path, g: Graph, cfg: SimConfig) -> Trajectory:
@@ -961,8 +877,8 @@ def read_trajectory_csv(path, g: Graph, cfg: SimConfig) -> Trajectory:
     ``CSV_FIELD_CHARS`` characters, and each body row up to
     ``CSV_FIELD_CHARS`` characters a field, so no line is read whole
     however long it is. ``_read_body`` reads the body in byte pieces of at
-    least one such row and parses each exactly with ``floatparse``, on one
-    CPU or two, into an array of the state columns only, so the read holds
+    least one such row and parses each exactly with ``floatparse``, in one
+    process, into an array of the state columns only, so the read holds
     the states plus the parser's workspace and one piece (about 0.5 MB
     for a row of up to half a chunk). A body it does not accept is read again
     as text by ``_scan_csv_rows``: that names the first bad row, or accepts

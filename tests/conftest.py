@@ -59,17 +59,15 @@ def count_builds(monkeypatch):
 
 @pytest.fixture
 def usable_cpus(monkeypatch):
-    """usable_cpus(count, chunk_values=None) makes the trajectory CSV writer
-    and reader see ``count`` usable CPUs and no CPU quota, lets the reader
-    take two CPUs for a body of any size, and, if given, sets chunks of
-    ``chunk_values`` values. Pinning does nothing, so no real CPU set
-    changes."""
+    """usable_cpus(count, chunk_values=None) makes the process see
+    ``count`` usable CPUs and no CPU quota (``dynamics._usable_cpus``), and,
+    if given, sets chunks of ``chunk_values`` values. Pinning does nothing,
+    so no real CPU set changes."""
 
     def set_cpus(count: int, chunk_values: int | None = None) -> None:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
         monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
         monkeypatch.setattr(dynamics, "CPU_MAX_PATH", os.path.join(os.devnull, "cpu.max"))
-        monkeypatch.setattr(dynamics, "CSV_PARALLEL_BYTES", 0)
         if chunk_values is not None:
             monkeypatch.setattr(dynamics, "CSV_CHUNK_VALUES", chunk_values)
 

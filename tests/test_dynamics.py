@@ -1053,6 +1053,39 @@ class TestParallelCsvWriter:
         monkeypatch.setattr(dynamics, "open", no_proc, raising=False)
         assert dynamics._cpu_after_caller(cpus) == os.getpid()
 
+    @pytest.mark.parametrize(
+        "cpu_max, cpus, expected",
+        [
+            (None, 4, [0, 1, 2, 3]),  # no file: no quota
+            ("max 100000\n", 4, [0, 1, 2, 3]),
+            ("200000 100000\n", 4, [0, 1, 2, 3]),
+            ("150000 100000\n", 4, [0, 1, 2, 3]),  # 1.5 CPUs, rounded up to 2
+            ("100000 100000\n", 4, []),
+            ("50000 100000\n", 4, []),
+            ("garbage\n", 4, [0, 1, 2, 3]),  # unreadable: no quota
+            ("100000 0\n", 4, [0, 1, 2, 3]),
+            ("max 100000\n", 1, []),
+        ],
+    )
+    def test_usable_cpus_capped_by_cgroup_quota(self, monkeypatch, tmp_path, cpu_max, cpus, expected):
+        path = tmp_path / "cpu.max"
+        if cpu_max is not None:
+            path.write_text(cpu_max)
+        monkeypatch.setattr(dynamics, "CPU_MAX_PATH", str(path))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        assert dynamics._usable_cpus() == expected
+
+    def test_no_fork_under_a_one_cpu_quota(self, monkeypatch, tmp_path, usable_cpus, traj):
+        # with 4 CPUs in the mask and a quota of one, the writer forks no
+        # helper and writes the same bytes
+        usable_cpus(4)
+        (tmp_path / "cpu.max").write_text("100000 100000\n")
+        monkeypatch.setattr(dynamics, "CPU_MAX_PATH", str(tmp_path / "cpu.max"))
+        forks = []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1))
+        write_trajectory_csv(traj, tmp_path / "traj.csv")
+        assert forks == [] and (tmp_path / "traj.csv").read_bytes() == self.expected(traj)
+
     @pytest.mark.parametrize("how", ["exit", "kill"])
     @pytest.mark.parametrize("half", [0, 1])
     def test_failed_helper_half_formatted_by_caller(self, monkeypatch, tmp_path, traj, half, how):
@@ -1201,24 +1234,16 @@ WORKLOAD_SHAPES = {
 }
 
 
-class TestParallelCsvReader:
-    """The reader's two halves: the caller parses the first half of the
-    body while one forked helper parses the second and writes its rows to a
-    temporary file; any doubt sends the body to the line scan."""
-
-    @pytest.fixture(autouse=True)
-    def deadline(self):
-        # a reader that deadlocks ends the run with a traceback, not a hang
-        faulthandler.dump_traceback_later(120, exit=True)
-        yield
-        faulthandler.cancel_dump_traceback_later()
+class TestOneProcessCsvReader:
+    """The reader parses the whole body in the calling process, with one
+    workspace, on any CPU count: no fork, no temporary file, and the bits
+    the line scan reads; any doubt sends the body to the line scan."""
 
     @pytest.fixture
-    def halves(self, monkeypatch):
+    def reads(self, monkeypatch):
         """For each call of ``_read_body``, the pair (forked, accepted):
-        whether it forked a helper, and whether it read the body rather
-        than leave it to the line scan. The halves read a body where both
-        hold."""
+        whether it forked a process, and whether it read the body rather
+        than leave it to the line scan."""
         results, forks = [], []
         read, fork = dynamics._read_body, os.fork
 
@@ -1249,11 +1274,6 @@ class TestParallelCsvReader:
                 out.append(str(exc))
         return out
 
-    @staticmethod
-    def assert_no_child_left():
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         data=st.data(),
@@ -1261,11 +1281,10 @@ class TestParallelCsvReader:
         rows=st.integers(2, 40),
         dt=st.sampled_from([0.1, 0.001, 1e-4, 0.3]),
     )
-    def test_paths_bit_identical_on_random_grids(self, tmp_path_factory, usable_cpus, halves, data, n, rows, dt):
+    def test_bit_identical_on_random_grids(self, tmp_path_factory, usable_cpus, reads, data, n, rows, dt):
         # any floats, inf, nan, -0.0 and subnormals included, in rows of
-        # any chunk size below the grid: both paths give the same bits, and
-        # the halves read every such body with a line start at or after its
-        # byte midpoint
+        # any chunk size below the grid: one CPU and two read the same bits,
+        # in one process, and the parse reads every such body
         values = data.draw(st.lists(st.floats(), min_size=rows * 3 * n, max_size=rows * 3 * n))
         states = np.array(values).reshape(rows, 3 * n)
         per_chunk = data.draw(st.integers(1, rows - 1))
@@ -1276,13 +1295,10 @@ class TestParallelCsvReader:
         path = tmp_path_factory.getbasetemp() / "random.csv"
         usable_cpus(1, chunk_values=per_chunk * (1 + 3 * n))
         write_trajectory_csv(Trajectory(states, g, cfg), path)
-        halves.clear()
+        reads.clear()
         one, two = self.read_both(usable_cpus, path, g, cfg)
         assert isinstance(one, bytes) and one == two
-        body = path.read_bytes().split(b"\n", 1)[1]
-        split = body[:-1].rfind(b"\n") + 1 >= len(body) // 2  # the last line starts there
-        assert halves == [(False, True), (split, True)]  # one CPU, then two
-        self.assert_no_child_left()
+        assert reads == [(False, True), (False, True)]  # one CPU, then two
 
     @pytest.mark.parametrize(
         "workload, pieces, last_end",
@@ -1294,7 +1310,7 @@ class TestParallelCsvReader:
             for end in ("\n", "")
         ],
     )
-    def test_paths_bit_identical_on_workload_shaped_runs(self, tmp_path, usable_cpus, halves, workload, pieces, last_end):
+    def test_bit_identical_on_workload_shaped_runs(self, tmp_path, usable_cpus, reads, workload, pieces, last_end):
         # the body as written; and with its rows padded with leading zeros
         # to one odd length L, a last row of exactly CSV_FIELD_CHARS
         # characters a field, with or without its line end, and a chunk
@@ -1324,8 +1340,7 @@ class TestParallelCsvReader:
             expected = dynamics._scan_csv_rows(fh, 1 + 3 * n, steps + 2)[:, 1:].tobytes()
         one, two = self.read_both(usable_cpus, path, g, cfg)
         assert one == two == expected
-        assert halves == [(False, True), (True, True)]
-        self.assert_no_child_left()
+        assert reads == [(False, True), (False, True)]
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(rows=csv_rows(t_column=True))
@@ -1338,7 +1353,6 @@ class TestParallelCsvReader:
         with mock.patch.object(dynamics, "CSV_CHUNK_VALUES", 7):
             one, two = self.read_both(usable_cpus, path, path_graph(2), cfg)
         assert one == two
-        self.assert_no_child_left()
 
     @pytest.fixture
     def long_csv(self, p2, tmp_path):
@@ -1348,12 +1362,10 @@ class TestParallelCsvReader:
         write_trajectory_csv(simulate(p2, cfg, np.array([1.0, 0.0])), path)
         return path, cfg
 
-    def test_rows_repeated_at_the_split_rejected(self, tmp_path, usable_cpus, halves, p2):
+    def test_repeated_rows_rejected(self, tmp_path, usable_cpus, reads, p2):
         # rows of one length, t = 0..59 then t = 40..99, against a grid of
-        # 100 rows: the split falls between the two runs, and each half's
-        # times fit the grid (rows 0..59, and 40..99 counted from the end),
-        # but their counts add up to 120, so the halves reject the body, as
-        # the one-process parse does, and the line scan names it
+        # 100 rows: the parse rejects the body once its rows pass the
+        # grid's last, with one CPU and with two, and the line scan names it
         cfg = adaptive_cfg(2, dt=1.0, t_final=99.0)
         rows = [f"{k:05d}.0,0.0,0.0,0.0,0.0,0.0,{k:05d}.0\n" for k in [*range(60), *range(40, 100)]]
         path = tmp_path / "traj.csv"
@@ -1365,131 +1377,9 @@ class TestParallelCsvReader:
                 read_trajectory_csv(path, p2, cfg)
             outcomes.append(str(exc.value))
         assert outcomes[0] == outcomes[1] and "(more than 100 samples" in outcomes[0]
-        assert halves == [(False, False), (True, False)]
-        self.assert_no_child_left()
+        assert reads == [(False, False), (False, False)]
 
-    @pytest.mark.parametrize("how", ["exit", "kill", "raise"])
-    def test_failed_helper_falls_back(self, monkeypatch, usable_cpus, halves, p2, long_csv, how):
-        # a helper that exits 1, is killed or raises once it has parsed its
-        # half: the body is read again by the line scan, with the same bits
-        path, cfg = long_csv
-        usable_cpus(1)
-        expected = read_trajectory_csv(path, p2, cfg).states.tobytes()
-        caller, chunks = os.getpid(), dynamics._span_chunks
-
-        def failing(*args):
-            yield from chunks(*args)
-            if os.getpid() != caller:
-                if how == "kill":
-                    os.kill(os.getpid(), signal.SIGKILL)
-                elif how == "exit":
-                    os._exit(1)
-                raise ValueError("helper failed")
-
-        monkeypatch.setattr(dynamics, "_span_chunks", failing)
-        usable_cpus(2)
-        halves.clear()
-        assert read_trajectory_csv(path, p2, cfg).states.tobytes() == expected
-        assert halves == [(True, False)]  # the helper's failure is seen
-        self.assert_no_child_left()
-
-    def test_helper_killed_when_the_callers_half_fails(self, monkeypatch, usable_cpus, p2, long_csv):
-        # a field numpy rejects in the first row ends the caller's half at
-        # once: the helper, still parsing, is killed and reaped, and the
-        # line scan reads the field
-        path, cfg = long_csv
-        text = path.read_text()
-        header, first, rest = text.split("\n", 2)
-        path.write_text("\n".join([header, "0" + first.replace("1.0", "1_0", 1), rest]))
-        caller, chunks = os.getpid(), dynamics._span_chunks
-
-        def slow(*args):  # the helper is slow to start
-            if os.getpid() != caller:
-                time.sleep(2)
-            yield from chunks(*args)
-
-        monkeypatch.setattr(dynamics, "_span_chunks", slow)
-        kills, kill = [], os.kill
-        monkeypatch.setattr(os, "kill", lambda pid, sig: kills.append(pid) or kill(pid, sig))
-        usable_cpus(2)
-        back = read_trajectory_csv(path, p2, cfg)
-        assert back.states[0, 0] == 10.0 and len(kills) == 1
-        self.assert_no_child_left()
-
-    def test_interrupt_kills_and_reaps_the_helper(self, monkeypatch, usable_cpus, p2, long_csv):
-        path, cfg = long_csv
-        caller, check = os.getpid(), dynamics._check_grid
-
-        def interrupted(data, row, samples, dt):
-            if os.getpid() == caller and row > 0:
-                raise KeyboardInterrupt
-            check(data, row, samples, dt)
-
-        monkeypatch.setattr(dynamics, "_check_grid", interrupted)
-        usable_cpus(2, chunk_values=7 * 100)
-        with pytest.raises(KeyboardInterrupt):
-            read_trajectory_csv(path, p2, cfg)
-        self.assert_no_child_left()
-
-    def test_no_temporary_file_caller_parses_the_whole_body(
-        self, monkeypatch, tmp_path, usable_cpus, halves, p2, long_csv
-    ):
-        # where no temporary file can be made (TMPDIR missing, full or
-        # unwritable), the caller parses the whole body, as with one CPU:
-        # no fork, no line scan, the same bits, and no file left behind
-        path, cfg = long_csv
-        usable_cpus(1)
-        expected = read_trajectory_csv(path, p2, cfg).states.tobytes()
-        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
-        with pytest.raises(OSError):
-            tempfile.TemporaryFile()
-        scans, scan = [], dynamics._scan_csv_rows
-        monkeypatch.setattr(dynamics, "_scan_csv_rows", lambda *args: scans.append(args) or scan(*args))
-        usable_cpus(2)
-        halves.clear()
-        assert read_trajectory_csv(path, p2, cfg).states.tobytes() == expected
-        assert halves == [(False, True)] and scans == []
-        assert not (tmp_path / "missing").exists()
-        self.assert_no_child_left()
-
-    def test_helper_exits_before_the_callers_half_ends(self, monkeypatch, tmp_path, usable_cpus, halves, p2):
-        # the helper's rows (144 KB, more than a pipe holds) go to its file,
-        # so it exits without waiting for the caller: the caller, once its
-        # half is parsed, finds the helper exited, then reaps it
-        cfg = adaptive_cfg(2, dt=0.01, t_final=60.0, x0=[1.0, -1.0])
-        path = tmp_path / "traj.csv"
-        write_trajectory_csv(simulate(p2, cfg, np.array([1.0, 0.0])), path)
-        usable_cpus(1)
-        expected = read_trajectory_csv(path, p2, cfg).states.tobytes()
-        caller, chunks, exited = os.getpid(), dynamics._span_chunks, []
-
-        def waiting(*args):
-            yield from chunks(*args)
-            deadline = time.monotonic() + 10
-            while os.getpid() == caller and not exited and time.monotonic() < deadline:
-                if os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT) is not None:
-                    exited.append(True)  # exited, and left for the caller to reap
-                time.sleep(0.01)
-
-        monkeypatch.setattr(dynamics, "_span_chunks", waiting)
-        usable_cpus(2)
-        halves.clear()
-        assert read_trajectory_csv(path, p2, cfg).states.tobytes() == expected
-        assert exited == [True] and halves == [(True, True)]
-        self.assert_no_child_left()
-
-    def test_body_under_the_threshold_read_by_one_process(self, monkeypatch, usable_cpus, halves, p2, long_csv):
-        # a body of CSV_PARALLEL_BYTES or more takes the halves; one byte
-        # less stays in one process
-        path, cfg = long_csv
-        body = len(path.read_bytes().split(b"\n", 1)[1])
-        usable_cpus(2)
-        for threshold in (body, body + 1):
-            monkeypatch.setattr(dynamics, "CSV_PARALLEL_BYTES", threshold)
-            read_trajectory_csv(path, p2, cfg)
-        assert halves == [(True, True), (False, True)]
-
-    def test_state_columns_only(self, usable_cpus, halves, p2, long_csv):
+    def test_state_columns_only(self, usable_cpus, reads, p2, long_csv):
         # with two CPUs and with one, the read returns the 3n state columns
         # in an array of their own, which does not keep the time column
         path, cfg = long_csv
@@ -1497,39 +1387,21 @@ class TestParallelCsvReader:
             usable_cpus(cpus)
             states = read_trajectory_csv(path, p2, cfg).states
             assert states.base is None and states.flags.c_contiguous and states.shape == (2001, 6)
-        assert halves == [(True, True), (False, True)]
+        assert reads == [(False, True), (False, True)]
 
-    @pytest.mark.parametrize(
-        "cpu_max, cpus, expected",
-        [
-            (None, 4, [0, 1, 2, 3]),  # no file: no quota
-            ("max 100000\n", 4, [0, 1, 2, 3]),
-            ("200000 100000\n", 4, [0, 1, 2, 3]),
-            ("150000 100000\n", 4, [0, 1, 2, 3]),  # 1.5 CPUs, rounded up to 2
-            ("100000 100000\n", 4, []),
-            ("50000 100000\n", 4, []),
-            ("garbage\n", 4, [0, 1, 2, 3]),  # unreadable: no quota
-            ("100000 0\n", 4, [0, 1, 2, 3]),
-            ("max 100000\n", 1, []),
-        ],
-    )
-    def test_usable_cpus_capped_by_cgroup_quota(self, monkeypatch, tmp_path, cpu_max, cpus, expected):
-        path = tmp_path / "cpu.max"
-        if cpu_max is not None:
-            path.write_text(cpu_max)
-        monkeypatch.setattr(dynamics, "CPU_MAX_PATH", str(path))
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        assert dynamics._usable_cpus() == expected
-
-    def test_no_fork_under_a_one_cpu_quota(self, monkeypatch, tmp_path, usable_cpus, p2, long_csv):
-        # with 4 CPUs in the mask and a quota of one, neither the writer
-        # nor the reader forks, and both give the same bytes and bits
-        path, cfg = long_csv
-        usable_cpus(4)
-        (tmp_path / "cpu.max").write_text("100000 100000\n")
-        monkeypatch.setattr(dynamics, "CPU_MAX_PATH", str(tmp_path / "cpu.max"))
-        forks = []
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1))
-        traj = read_trajectory_csv(path, p2, cfg)
-        write_trajectory_csv(traj, tmp_path / "again.csv")
-        assert forks == [] and (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+    @pytest.mark.parametrize("t_final", [20.0, 1000.0])
+    def test_read_without_fork_or_temporary_file(self, monkeypatch, tmp_path, usable_cpus, p2, t_final):
+        # a 2001-row p2 body, and a 10^5-row one over 2.5 MiB: with two
+        # usable CPUs and the default constants, the read forks nothing and
+        # creates no temporary file, and gives the bits one CPU gives
+        cfg = adaptive_cfg(2, dt=0.01, t_final=t_final, x0=[1.0, -1.0])
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(simulate(p2, cfg, np.array([1.0, 0.0])), path)
+        assert (path.stat().st_size > 5 * 2**19) == (t_final > 20.0)
+        calls = []
+        fork, make = os.fork, tempfile.TemporaryFile
+        monkeypatch.setattr(os, "fork", lambda: calls.append("fork") or fork())
+        monkeypatch.setattr(tempfile, "TemporaryFile", lambda *a, **k: calls.append("file") or make(*a, **k))
+        one, two = self.read_both(usable_cpus, path, p2, cfg)
+        assert isinstance(one, bytes) and one == two
+        assert calls == []
