@@ -1405,3 +1405,103 @@ class TestOneProcessCsvReader:
         one, two = self.read_both(usable_cpus, path, p2, cfg)
         assert isinstance(one, bytes) and one == two
         assert calls == []
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        """The calls of ``_scan_csv_rows``, the line scan."""
+        calls, scan = [], dynamics._scan_csv_rows
+        monkeypatch.setattr(dynamics, "_scan_csv_rows", lambda *args: calls.append(args) or scan(*args))
+        return calls
+
+    @staticmethod
+    def fail_on(monkeypatch, owner, name, call, error):
+        """Replace owner.name with a wrapper that raises error on its
+        call-th call (counted from 1, -1 for never); the list of its calls."""
+        calls, real = [], getattr(owner, name)
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == call:
+                raise error
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, failing)
+        return calls
+
+    @pytest.mark.parametrize("piece", ["first", "last"])
+    @pytest.mark.parametrize("how", ["pread", "parse"])
+    def test_failed_piece_falls_back(self, monkeypatch, usable_cpus, reads, scans, p2, long_csv, how, piece):
+        # an OSError from a piece's pread, or a ValueError from its parse,
+        # on the first piece or on the last (once the others are in the
+        # result): the body is read again by the line scan, with the bits
+        # the parse gives, and nothing forks
+        from resilient_consensus import floatparse
+
+        path, cfg = long_csv
+        owner, name, error = {
+            "pread": (os, "pread", OSError("read failed")),
+            "parse": (floatparse.Workspace, "parse_rows", ValueError("parse failed")),
+        }[how]
+        usable_cpus(2)
+        with monkeypatch.context() as patch:
+            counted = self.fail_on(patch, owner, name, -1, error)
+            expected = read_trajectory_csv(path, p2, cfg).states.tobytes()
+        pieces = len(counted)
+        calls = self.fail_on(monkeypatch, owner, name, 1 if piece == "first" else pieces, error)
+        assert pieces > 2 and scans == []
+        assert read_trajectory_csv(path, p2, cfg).states.tobytes() == expected
+        assert len(calls) == (1 if piece == "first" else pieces) and len(scans) == 1
+        assert reads == [(False, True), (False, False)]
+
+    def test_rejected_field_read_by_the_line_scan(self, usable_cpus, reads, scans, p2, long_csv):
+        # a field floatparse rejects (1_0) in the first row ends the parse
+        # at its first piece: with two CPUs, nothing forks and the line scan
+        # reads the field as float() does, and the rest of the body as the
+        # parse does
+        path, cfg = long_csv
+        usable_cpus(2)
+        expected = read_trajectory_csv(path, p2, cfg).states
+        header, first, rest = path.read_text().split("\n", 2)
+        path.write_text("\n".join([header, "0" + first.replace("1.0", "1_0", 1), rest]))
+        back = read_trajectory_csv(path, p2, cfg).states
+        assert back[0, 0] == 10.0 and back[1:].tobytes() == expected[1:].tobytes()
+        assert reads == [(False, True), (False, False)] and len(scans) == 1
+
+    def test_interrupt_propagates(self, monkeypatch, usable_cpus, reads, scans, p2, long_csv):
+        # an interrupt during the parse of the second piece is not taken
+        # for a body to leave to the line scan: it ends the read, and the
+        # file is closed
+        from resilient_consensus import floatparse
+
+        path, cfg = long_csv
+        usable_cpus(2, chunk_values=7 * 100)
+        self.fail_on(monkeypatch, floatparse.Workspace, "parse_rows", 2, KeyboardInterrupt)
+        files = []
+
+        def opening(*args, **kwargs):
+            files.append(open(*args, **kwargs))
+            return files[-1]
+
+        monkeypatch.setattr(dynamics, "open", opening, raising=False)
+        with pytest.raises(KeyboardInterrupt):
+            read_trajectory_csv(path, p2, cfg)
+        assert len(files) == 1 and files[0].closed
+        assert reads == [] and scans == []
+
+    def test_no_temporary_file_caller_parses_the_whole_body(
+        self, monkeypatch, tmp_path, usable_cpus, reads, scans, p2, long_csv
+    ):
+        # where no temporary file can be made (TMPDIR missing, full or
+        # unwritable), two CPUs read the body as one does: no fork, no line
+        # scan, the same bits, and no file left behind
+        path, cfg = long_csv
+        usable_cpus(1)
+        expected = read_trajectory_csv(path, p2, cfg).states.tobytes()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+        with pytest.raises(OSError):
+            tempfile.TemporaryFile()
+        usable_cpus(2)
+        reads.clear()
+        assert read_trajectory_csv(path, p2, cfg).states.tobytes() == expected
+        assert reads == [(False, True)] and scans == []
+        assert not (tmp_path / "missing").exists()
