@@ -65,15 +65,15 @@ Besides the trajectory that ``MAX_TRAJECTORY_SAMPLES`` budgets, the map
 holds a few 3n x n arrays, and the error rows, the stage shifts and the
 non-finite scan a few blocks of ``ERROR_BLOCK_VALUES`` values.
 
-Trajectory CSV I/O. The writer uses two CPUs where two are usable
-(``_usable_cpus``: the affinity mask, capped by the cgroup v2 CPU quota),
-through ``_Helpers``: two forked helpers pin themselves to a CPU each and
-write half the rows each to an unnamed temporary file, which the caller
-appends once the helper has exited with code 0. A helper formats a chunk
-of rows at a time in one ``floatrepr.Workspace``, the bytes of ``repr``
-computed with numpy, at about 0.17 us a value against 0.6 us for
-``repr`` (2-vCPU Xeon, Python 3.11, numpy 2.4), and the caller a row at
-a time with ``repr`` itself; the helpers trade CPU time for wall time.
+Trajectory CSV I/O. The writer forks two helpers (``_Helpers``) by the
+trajectory's size alone (``CSV_HELPER_CHUNKS``), on any CPU count: they
+pin themselves to the CPUs of the affinity mask, and write half the rows
+each to an unnamed temporary file, which the caller appends once the
+helper has exited with code 0. A helper formats a chunk of rows at a time
+in one ``floatrepr.Workspace``, the bytes of ``repr`` computed with numpy,
+at about 0.17 us a value against 0.6 us for ``repr`` (2-vCPU Xeon,
+Python 3.11, numpy 2.4), which repays the forks on one CPU too; the
+caller formats a smaller trajectory a row at a time with ``repr`` itself.
 The reader parses byte pieces of the body in one process, on any CPU
 count, straight into the state columns with ``floatparse``, which
 computes ``float``'s bits of each field of ``repr``'s grammar with numpy,
@@ -166,10 +166,23 @@ ERROR_BLOCK_VALUES = 2**16
 #: value, and pieces of half the size took 0.16-0.19 us a value against
 #: 0.13 (small-long at seed 1). The caller's writer
 #: forms the times of a chunk in one piece and formats a row at a time
-#: with ``repr``. A trajectory of more than one chunk is written by two
-#: helpers where two CPUs are usable, and the writer copies a helper's
-#: file in pieces of at most one chunk of text (about 0.2 MB).
+#: with ``repr``. A trajectory of more than ``CSV_HELPER_CHUNKS`` chunks
+#: is written by two helpers, on any CPU count, and the writer copies a
+#: helper's file in pieces of at most one chunk of text (about 0.2 MB).
 CSV_CHUNK_VALUES = 2**13
+
+#: Chunks of ``CSV_CHUNK_VALUES`` values above which ``write_trajectory_csv``
+#: forks its two helpers: the smallest size at which they were no slower
+#: than the caller's ``repr`` on one CPU, where they pay their two forks
+#: and exits in series. Writer alone, in a process that imports what
+#: perfbench's worker imports, under ``taskset -c 1`` (2-vCPU Xeon,
+#: Python 3.11, numpy 2.4; medians of 21 alternating calls, repr against
+#: helpers): at n = 120, 2 chunks 12.8 against 17.8 ms, 3 chunks 34.8
+#: against 28.3 ms (helpers faster in 21 of 21), 4 chunks 45.6 against
+#: 30.5 ms; at n = 200, 2 chunks 22.9 against 24.9 ms (0 of 21), 3 chunks
+#: 34.2 against 30.7 ms (21 of 21); at n = 10 the helpers won from 2
+#: chunks. On two CPUs they won from 1.5 chunks (n = 10 and n = 120).
+CSV_HELPER_CHUNKS = 3
 
 #: Characters a trajectory CSV field may take on average, its comma
 #: included, against at most 24 for the ``repr`` of a float: the reader
@@ -177,10 +190,6 @@ CSV_CHUNK_VALUES = 2**13
 #: to this many characters past its expected length, and rejects a longer
 #: line before it is read whole; its byte pieces hold one such row or more.
 CSV_FIELD_CHARS = 64
-
-#: The cgroup v2 file that holds the CPU quota of the caller's cgroup,
-#: "<quota> <period>" in microseconds or "max <period>" for none.
-CPU_MAX_PATH = "/sys/fs/cgroup/cpu.max"
 
 
 def read_scalar(raw, name: str, positive: bool = False) -> float:
@@ -586,26 +595,6 @@ def _csv_columns(n: int) -> list[str]:
     return ["t"] + [f"{name}_{i}" for name in ("x", "xhat", "what") for i in range(n)]
 
 
-def _usable_cpus() -> list:
-    """The CPUs a helper of the writer may pin itself to: the caller's
-    affinity mask, sorted, where it holds two or more CPUs and the cgroup
-    v2 CPU quota (``CPU_MAX_PATH``: quota over period, rounded up) lets two
-    or more run at once; else an empty list, and the writer forks no helper.
-    Where the platform has no affinity call there is one CPU; where the
-    quota file cannot be read or parsed, no quota applies."""
-    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
-    if len(cpus) < 2:
-        return []
-    try:
-        with open(CPU_MAX_PATH) as fh:
-            quota, period = fh.read().split()
-        if quota != "max" and -(-int(quota) // int(period)) < 2:
-            return []
-    except (OSError, ValueError, ZeroDivisionError):
-        pass
-    return cpus
-
-
 def _cpu_after_caller(cpus: list) -> int:
     """Index in cpus, modulo len(cpus), of the CPU after the caller's
     (``/proc/self/stat``), else the process id. The first helper pins
@@ -676,8 +665,9 @@ class _Helpers:
 
     def start(self, i: int, work, *args) -> bool:
         """Create an unnamed temporary file (``tempfile.TemporaryFile``)
-        and fork helper i, which pins itself to the usable CPU i + 1 places
-        after the caller's (``_cpu_after_caller``), calls
+        and fork helper i, which pins itself to the CPU of the caller's
+        affinity mask i + 1 places after the caller's own (``_cpu_after_caller``;
+        with one CPU in the mask, both helpers share it), calls
         ``work(*args, file)``, flushes the file and exits with code 0 only
         if both returned. False, and no helper, where no file or process
         can be made.
@@ -732,23 +722,24 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Trajectory CSV: header t,x_0..,xhat_0..,what_0..; each value is the
     ``repr`` of its float, and the bytes do not depend on the CPU count.
 
-    Where the rows make more than one chunk of ``CSV_CHUNK_VALUES`` values
-    and two CPUs are usable (``_usable_cpus``), one helper per half of the
-    rows is started (``_Helpers``) before the file is opened. Each writes
-    its half to its temporary file, a chunk at a time, formatted in one
-    ``floatrepr.Workspace`` that it makes after the fork, so the caller's
-    memory does not grow (``_write_csv_chunks``); the caller imports
-    ``floatrepr`` before it forks, and only here, so that ``verify`` does
-    not. Unpinned, two helpers often shared one CPU: small-long
+    Where the rows make more than ``CSV_HELPER_CHUNKS`` chunks of
+    ``CSV_CHUNK_VALUES`` values, on any CPU count, one helper per half of
+    the rows is started (``_Helpers``) before the file is opened, pinned to
+    the CPUs of the caller's affinity mask (``os.sched_getaffinity``). Each
+    writes its half to its temporary file, a chunk at a time, formatted in
+    one ``floatrepr.Workspace`` that it makes after the fork, so the
+    caller's memory does not grow (``_write_csv_chunks``); the caller
+    imports ``floatrepr`` before it forks, and only here, so that ``verify``
+    does not. Unpinned, two helpers often shared one CPU: small-long
     ``simulate`` took 115 ms against 70-80 ms pinned. The caller writes the
     header, then for each half in row order waits for its helper and
     appends its file in pieces of at most one chunk of text. A half whose
     helper was not started or did not exit with code 0 (it failed, was
     killed, or was reaped by the system) the caller formats itself with
-    ``repr``, a row at a time (``_write_csv_rows``), as it does every row
-    where the rows are not split: that keeps the caller's working memory to
-    one row of text, and the one-row writer the reference the helpers'
-    bytes are checked against.
+    ``repr``, a row at a time (``_write_csv_rows``), as it does every row of
+    a smaller trajectory, or where the platform has no affinity call: that
+    keeps the caller's working memory to one row of text, and the one-row
+    writer the reference the helpers' bytes are checked against.
 
     Side effects where the rows are split: the call forks two helpers and
     creates two unnamed temporary files, all gone when it returns or
@@ -756,7 +747,8 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     """
     rows, width = len(traj.states), 1 + traj.states.shape[1]
     per_chunk = max(1, CSV_CHUNK_VALUES // width)
-    cpus = _usable_cpus() if rows > per_chunk else []
+    split = rows > CSV_HELPER_CHUNKS * per_chunk and hasattr(os, "sched_getaffinity")
+    cpus = sorted(os.sched_getaffinity(0)) if split else []
     halves = [(0, rows // 2), (rows // 2, rows)] if cpus else [(0, rows)]
 
     def write_half(start, stop, tmp):  # in a helper

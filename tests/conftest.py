@@ -1,4 +1,3 @@
-import os
 from functools import cached_property
 
 import numpy as np
@@ -58,17 +57,7 @@ def count_builds(monkeypatch):
 
 
 @pytest.fixture
-def usable_cpus(monkeypatch):
-    """usable_cpus(count, chunk_values=None) makes the process see
-    ``count`` usable CPUs and no CPU quota (``dynamics._usable_cpus``), and,
-    if given, sets chunks of ``chunk_values`` values. Pinning does nothing,
-    so no real CPU set changes."""
-
-    def set_cpus(count: int, chunk_values: int | None = None) -> None:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
-        monkeypatch.setattr(dynamics, "CPU_MAX_PATH", os.path.join(os.devnull, "cpu.max"))
-        if chunk_values is not None:
-            monkeypatch.setattr(dynamics, "CSV_CHUNK_VALUES", chunk_values)
-
-    return set_cpus
+def chunk_values(monkeypatch):
+    """chunk_values(values) sets the trajectory CSV's chunks to ``values``
+    values (``dynamics.CSV_CHUNK_VALUES``) for the test."""
+    return lambda values: monkeypatch.setattr(dynamics, "CSV_CHUNK_VALUES", values)

@@ -1002,10 +1002,11 @@ class TestAnalyzePipedTrajectory:
 
 class TestAnalyzeWithOneCpuAndTwo:
     """Every analyze outcome, report or error, is the same with one usable
-    CPU and with two, and neither run forks: one process reads the CSV."""
+    CPU and with two: one process reads the CSV, forks nothing and never
+    asks for the CPU set."""
 
     @pytest.mark.parametrize("case", sorted(ANALYZE_CASES))
-    def test_same_outcome_with_one_cpu_and_two(self, tmp_path, p2_file, capsys, monkeypatch, usable_cpus, case):
+    def test_same_outcome_with_one_cpu_and_two(self, tmp_path, p2_file, capsys, monkeypatch, chunk_values, case):
         scenario = write_scenario(tmp_path, t_final=10.0)
         valid = tmp_path / "valid.csv"
         main(["simulate", "--graph", p2_file, "--scenario", scenario, "--out", str(valid)])
@@ -1013,17 +1014,16 @@ class TestAnalyzeWithOneCpuAndTwo:
         lines = valid.read_text().splitlines(keepends=True)
         out = tmp_path / "traj.csv"
         out.write_bytes("".join(ANALYZE_CASES[case](lines)).encode("utf-8", "surrogateescape"))
-        forks, fork = [], os.fork
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-        outcomes = []
-        for cpus in (1, 2):
-            usable_cpus(cpus, chunk_values=7 * 50)  # 50 rows a chunk
-            code = main(["analyze", "--trajectory", str(out), "--graph", p2_file, "--scenario", scenario])
-            outcomes.append((code, *capsys.readouterr()))
-        assert outcomes[0] == outcomes[1]
+        calls, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: calls.append("fork") or fork())
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: calls.append("cpus") or {0}, raising=False)
+        chunk_values(7 * 50)  # 50 rows a chunk
+        code = main(["analyze", "--trajectory", str(out), "--graph", p2_file, "--scenario", scenario])
+        report, err = capsys.readouterr()
         valid_cases = ("valid", "0_t in the first half", "0_t in the second half", "carriage returns", "no final line end")
-        assert (outcomes[0][0] == 0) == (case in valid_cases)
-        assert forks == []  # neither run forked
+        assert (code == 0) == (case in valid_cases)
+        assert (report.startswith("# run report"), err.startswith("error: trajectory CSV")) == (code == 0, code != 0)
+        assert calls == []  # no fork, and no CPU set read
 
 
 class TestNoScipyOnCertificatePath:

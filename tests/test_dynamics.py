@@ -811,11 +811,10 @@ class TestTrajectoryCsv:
         assert back.states.tobytes() == expected.tobytes()
         assert peak < 1.5 * back.states.nbytes
 
-    def test_chunked_read_working_memory(self, tmp_path, usable_cpus):
+    def test_chunked_read_working_memory(self, tmp_path):
         # a one-process read of 9.6 MB of states (n = 10, 40 001 rows)
         # holds the states and about one chunk: numpy's whole-body parse
         # peaked at 1.16 x the states, and kept the time column alive
-        usable_cpus(1)
         n, dt, rows = 10, 0.001, 40_001
         row = np.random.default_rng(5).standard_normal(3 * n)
         fields = "".join(f",{v!r}" for v in row.tolist())
@@ -959,7 +958,6 @@ class TestParallelCsvWriter:
             monkeypatch.delattr(os, "sched_setaffinity", raising=False)
             return
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        monkeypatch.setattr(dynamics, "CPU_MAX_PATH", os.path.join(os.devnull, "cpu.max"))
 
         def pin(pid, cpus):
             with open(log, "a") as fh:
@@ -1018,9 +1016,9 @@ class TestParallelCsvWriter:
         write_trajectory_csv(traj, path)
         assert path.read_bytes() == self.expected(traj)
         rows = len(traj.states)
-        if cpus is None or cpus == 1:  # the caller writes every row and forks nothing
+        if cpus is None:  # no affinity call: the caller writes every row and forks nothing
             assert calls == [(0, rows)] and not temporary_files and not log.exists() and not firsts
-        else:  # two helpers, each pinned to its own CPU; the caller formats no row and never pins
+        else:  # two helpers, pinned to a CPU each or both to the one; the caller formats no row and never pins
             assert calls == [] and len(temporary_files) == 2
             pins = sorted(line.split(" ", 1) for line in log.read_text().splitlines())
             assert len({pid for pid, _ in pins}) == 2 and str(os.getpid()) not in {pid for pid, _ in pins}
@@ -1053,38 +1051,20 @@ class TestParallelCsvWriter:
         monkeypatch.setattr(dynamics, "open", no_proc, raising=False)
         assert dynamics._cpu_after_caller(cpus) == os.getpid()
 
-    @pytest.mark.parametrize(
-        "cpu_max, cpus, expected",
-        [
-            (None, 4, [0, 1, 2, 3]),  # no file: no quota
-            ("max 100000\n", 4, [0, 1, 2, 3]),
-            ("200000 100000\n", 4, [0, 1, 2, 3]),
-            ("150000 100000\n", 4, [0, 1, 2, 3]),  # 1.5 CPUs, rounded up to 2
-            ("100000 100000\n", 4, []),
-            ("50000 100000\n", 4, []),
-            ("garbage\n", 4, [0, 1, 2, 3]),  # unreadable: no quota
-            ("100000 0\n", 4, [0, 1, 2, 3]),
-            ("max 100000\n", 1, []),
-        ],
-    )
-    def test_usable_cpus_capped_by_cgroup_quota(self, monkeypatch, tmp_path, cpu_max, cpus, expected):
-        path = tmp_path / "cpu.max"
-        if cpu_max is not None:
-            path.write_text(cpu_max)
-        monkeypatch.setattr(dynamics, "CPU_MAX_PATH", str(path))
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        assert dynamics._usable_cpus() == expected
-
-    def test_no_fork_under_a_one_cpu_quota(self, monkeypatch, tmp_path, usable_cpus, traj):
-        # with 4 CPUs in the mask and a quota of one, the writer forks no
-        # helper and writes the same bytes
-        usable_cpus(4)
-        (tmp_path / "cpu.max").write_text("100000 100000\n")
-        monkeypatch.setattr(dynamics, "CPU_MAX_PATH", str(tmp_path / "cpu.max"))
-        forks = []
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1))
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_helpers_by_size_alone(self, monkeypatch, tmp_path, p2, temporary_files, extra):
+        # on two CPUs, a trajectory of exactly CSV_HELPER_CHUNKS chunks is
+        # written by the caller, and one row more by two helpers
+        self.set_cpus(monkeypatch, 2, tmp_path / "affinity.log")
+        calls = self.caller_rows(monkeypatch)
+        per_chunk = dynamics.CSV_CHUNK_VALUES // 7
+        rows = dynamics.CSV_HELPER_CHUNKS * per_chunk + extra
+        states = np.random.default_rng(11).standard_normal((rows, 6))
+        traj = Trajectory(states, p2, adaptive_cfg(2, dt=0.1, t_final=0.1 * (rows - 1)))
         write_trajectory_csv(traj, tmp_path / "traj.csv")
-        assert forks == [] and (tmp_path / "traj.csv").read_bytes() == self.expected(traj)
+        assert (tmp_path / "traj.csv").read_bytes() == self.expected(traj)
+        assert (calls, len(temporary_files)) == (([], 2) if extra else ([(0, rows)], 0))
+        self.assert_no_child_left()
 
     @pytest.mark.parametrize("how", ["exit", "kill"])
     @pytest.mark.parametrize("half", [0, 1])
@@ -1203,12 +1183,12 @@ class TestParallelCsvWriter:
         assert (tmp_path / "traj.csv").read_bytes() == self.expected(traj)
         self.assert_no_child_left()
 
-    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("cpus", [None, 1, 2])
     def test_working_memory(self, monkeypatch, tmp_path, p2, cpus):
         # tracemalloc's peak in the caller while it writes 64 chunks: it
-        # holds one row of floats and text, or one piece of a helper's
-        # file, at a time, under two chunks of CSV text; the times of all
-        # rows as floats (0.5 MB here) do not fit
+        # holds one piece of a helper's file, or, with no affinity call,
+        # one row of floats and text, at a time, under two chunks of CSV
+        # text; the times of all rows as floats (0.5 MB here) do not fit
         self.set_cpus(monkeypatch, cpus, tmp_path / "affinity.log")
         monkeypatch.setattr(dynamics, "CSV_CHUNK_VALUES", 7 * 2**8)
         rows = 64 * 2**8
@@ -1262,17 +1242,16 @@ class TestOneProcessCsvReader:
         return results
 
     @staticmethod
-    def read_both(usable_cpus, path, g, cfg):
-        """The states read with one usable CPU and with two, as bytes, or
-        the message of the ``ScenarioError`` raised."""
-        out = []
-        for cpus in (1, 2):
-            usable_cpus(cpus)
+    def read_once(path, g, cfg):
+        """The states read, as bytes, or the message of the
+        ``ScenarioError`` raised; the read never asks for the CPU set, so
+        one CPU and two read alike."""
+        no_cpus = AssertionError("the read asked for the CPU set")
+        with mock.patch.object(os, "sched_getaffinity", side_effect=no_cpus, create=True):
             try:
-                out.append(read_trajectory_csv(path, g, cfg).states.tobytes())
+                return read_trajectory_csv(path, g, cfg).states.tobytes()
             except ScenarioError as exc:
-                out.append(str(exc))
-        return out
+                return str(exc)
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
@@ -1281,10 +1260,11 @@ class TestOneProcessCsvReader:
         rows=st.integers(2, 40),
         dt=st.sampled_from([0.1, 0.001, 1e-4, 0.3]),
     )
-    def test_bit_identical_on_random_grids(self, tmp_path_factory, usable_cpus, reads, data, n, rows, dt):
+    def test_bit_identical_on_random_grids(self, tmp_path_factory, chunk_values, reads, data, n, rows, dt):
         # any floats, inf, nan, -0.0 and subnormals included, in rows of
-        # any chunk size below the grid: one CPU and two read the same bits,
-        # in one process, and the parse reads every such body
+        # any chunk size below the grid: one process reads the bits the
+        # line scan reads, on any CPU count, and the parse reads every such
+        # body
         values = data.draw(st.lists(st.floats(), min_size=rows * 3 * n, max_size=rows * 3 * n))
         states = np.array(values).reshape(rows, 3 * n)
         per_chunk = data.draw(st.integers(1, rows - 1))
@@ -1293,12 +1273,14 @@ class TestOneProcessCsvReader:
             return
         g = path_graph(n)
         path = tmp_path_factory.getbasetemp() / "random.csv"
-        usable_cpus(1, chunk_values=per_chunk * (1 + 3 * n))
+        chunk_values(per_chunk * (1 + 3 * n))
         write_trajectory_csv(Trajectory(states, g, cfg), path)
+        with open(path, encoding="utf-8") as fh:
+            fh.readline()
+            expected = dynamics._scan_csv_rows(fh, 1 + 3 * n, rows + 1)[:, 1:].tobytes()
         reads.clear()
-        one, two = self.read_both(usable_cpus, path, g, cfg)
-        assert isinstance(one, bytes) and one == two
-        assert reads == [(False, True), (False, True)]  # one CPU, then two
+        assert self.read_once(path, g, cfg) == expected
+        assert reads == [(False, True)]
 
     @pytest.mark.parametrize(
         "workload, pieces, last_end",
@@ -1310,15 +1292,15 @@ class TestOneProcessCsvReader:
             for end in ("\n", "")
         ],
     )
-    def test_bit_identical_on_workload_shaped_runs(self, tmp_path, usable_cpus, reads, workload, pieces, last_end):
+    def test_bit_identical_on_workload_shaped_runs(self, tmp_path, chunk_values, reads, workload, pieces, last_end):
         # the body as written; and with its rows padded with leading zeros
         # to one odd length L, a last row of exactly CSV_FIELD_CHARS
         # characters a field, with or without its line end, and a chunk
         # size whose pieces of 8 CSV_CHUNK_VALUES bytes end exactly at a
         # row end (8 L bytes) or one byte short of one (k L - 1, k odd), or
-        # take one longest row and its line end (one value a chunk): one CPU
-        # and two read the bits the line scan reads, and neither leaves the
-        # body to it
+        # take one longest row and its line end (one value a chunk): the read
+        # gives the bits the line scan reads, and does not leave the body to
+        # it
         n, p, dt, steps = WORKLOAD_SHAPES[workload]
         rng = np.random.default_rng(1)
         g = random_connected_graph(n, rng, extra_edge_prob=p)
@@ -1333,26 +1315,23 @@ class TestOneProcessCsvReader:
             rows = [row.rjust(size - 1, "0") for row in rows[:-1]] + [rows[-1].rjust(longest, "0")]
             path.write_text("\n".join([header, *rows]) + last_end)
             short = next(k * size - 1 for k in range(3, 12, 2) if k * size % 8 == 1)  # over a longest row
-            chunk_values = {"end at a row end": size, "end a byte short": short // 8, "one row long": 1}
-            usable_cpus(1, chunk_values=chunk_values[pieces])
+            chunk_values({"end at a row end": size, "end a byte short": short // 8, "one row long": 1}[pieces])
         with open(path, encoding="utf-8") as fh:
             fh.readline()
             expected = dynamics._scan_csv_rows(fh, 1 + 3 * n, steps + 2)[:, 1:].tobytes()
-        one, two = self.read_both(usable_cpus, path, g, cfg)
-        assert one == two == expected
-        assert reads == [(False, True), (False, True)]
+        assert self.read_once(path, g, cfg) == expected
+        assert reads == [(False, True)]
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(rows=csv_rows(t_column=True))
-    def test_fuzzed_rows_same_with_one_cpu_and_two(self, tmp_path_factory, usable_cpus, rows):
+    def test_fuzzed_rows_same_with_one_cpu_and_two(self, tmp_path_factory, rows):
         # the rows of test_c_parse_reads_what_the_line_scan_reads, at one
-        # row a chunk: the same message or the same bits either way
+        # row a chunk: a message or bits, read without asking for the CPU set
         path = tmp_path_factory.getbasetemp() / "fuzzed.csv"
         path.write_bytes((P2_HEADER + "".join(rows)).encode())
         cfg = adaptive_cfg(2, dt=0.1, t_final=0.1 * (len(rows) - 1))
         with mock.patch.object(dynamics, "CSV_CHUNK_VALUES", 7):
-            one, two = self.read_both(usable_cpus, path, path_graph(2), cfg)
-        assert one == two
+            assert isinstance(self.read_once(path, path_graph(2), cfg), (bytes, str))
 
     @pytest.fixture
     def long_csv(self, p2, tmp_path):
@@ -1362,38 +1341,32 @@ class TestOneProcessCsvReader:
         write_trajectory_csv(simulate(p2, cfg, np.array([1.0, 0.0])), path)
         return path, cfg
 
-    def test_repeated_rows_rejected(self, tmp_path, usable_cpus, reads, p2):
+    def test_repeated_rows_rejected(self, tmp_path, chunk_values, reads, p2):
         # rows of one length, t = 0..59 then t = 40..99, against a grid of
         # 100 rows: the parse rejects the body once its rows pass the
-        # grid's last, with one CPU and with two, and the line scan names it
+        # grid's last, and the line scan names it
         cfg = adaptive_cfg(2, dt=1.0, t_final=99.0)
         rows = [f"{k:05d}.0,0.0,0.0,0.0,0.0,0.0,{k:05d}.0\n" for k in [*range(60), *range(40, 100)]]
         path = tmp_path / "traj.csv"
         path.write_text("t,x_0,x_1,xhat_0,xhat_1,what_0,what_1\n" + "".join(rows))
-        outcomes = []
-        for cpus in (1, 2):
-            usable_cpus(cpus, chunk_values=7 * 10)
-            with pytest.raises(ScenarioError) as exc:
-                read_trajectory_csv(path, p2, cfg)
-            outcomes.append(str(exc.value))
-        assert outcomes[0] == outcomes[1] and "(more than 100 samples" in outcomes[0]
-        assert reads == [(False, False), (False, False)]
+        chunk_values(7 * 10)
+        with pytest.raises(ScenarioError, match=r"\(more than 100 samples"):
+            read_trajectory_csv(path, p2, cfg)
+        assert reads == [(False, False)]
 
-    def test_state_columns_only(self, usable_cpus, reads, p2, long_csv):
-        # with two CPUs and with one, the read returns the 3n state columns
-        # in an array of their own, which does not keep the time column
+    def test_state_columns_only(self, reads, p2, long_csv):
+        # the read returns the 3n state columns in an array of their own,
+        # which does not keep the time column
         path, cfg = long_csv
-        for cpus in (2, 1):
-            usable_cpus(cpus)
-            states = read_trajectory_csv(path, p2, cfg).states
-            assert states.base is None and states.flags.c_contiguous and states.shape == (2001, 6)
-        assert reads == [(False, True), (False, True)]
+        states = read_trajectory_csv(path, p2, cfg).states
+        assert states.base is None and states.flags.c_contiguous and states.shape == (2001, 6)
+        assert reads == [(False, True)]
 
     @pytest.mark.parametrize("t_final", [20.0, 1000.0])
-    def test_read_without_fork_or_temporary_file(self, monkeypatch, tmp_path, usable_cpus, p2, t_final):
-        # a 2001-row p2 body, and a 10^5-row one over 2.5 MiB: with two
-        # usable CPUs and the default constants, the read forks nothing and
-        # creates no temporary file, and gives the bits one CPU gives
+    def test_read_without_fork_or_temporary_file(self, monkeypatch, tmp_path, p2, t_final):
+        # a 2001-row p2 body, and a 10^5-row one over 2.5 MiB: with the
+        # default constants, the read forks nothing, creates no temporary
+        # file and never asks for the CPU set
         cfg = adaptive_cfg(2, dt=0.01, t_final=t_final, x0=[1.0, -1.0])
         path = tmp_path / "traj.csv"
         write_trajectory_csv(simulate(p2, cfg, np.array([1.0, 0.0])), path)
@@ -1402,8 +1375,7 @@ class TestOneProcessCsvReader:
         fork, make = os.fork, tempfile.TemporaryFile
         monkeypatch.setattr(os, "fork", lambda: calls.append("fork") or fork())
         monkeypatch.setattr(tempfile, "TemporaryFile", lambda *a, **k: calls.append("file") or make(*a, **k))
-        one, two = self.read_both(usable_cpus, path, p2, cfg)
-        assert isinstance(one, bytes) and one == two
+        assert isinstance(self.read_once(path, p2, cfg), bytes)
         assert calls == []
 
     @pytest.fixture
@@ -1430,7 +1402,7 @@ class TestOneProcessCsvReader:
 
     @pytest.mark.parametrize("piece", ["first", "last"])
     @pytest.mark.parametrize("how", ["pread", "parse"])
-    def test_failed_piece_falls_back(self, monkeypatch, usable_cpus, reads, scans, p2, long_csv, how, piece):
+    def test_failed_piece_falls_back(self, monkeypatch, reads, scans, p2, long_csv, how, piece):
         # an OSError from a piece's pread, or a ValueError from its parse,
         # on the first piece or on the last (once the others are in the
         # result): the body is read again by the line scan, with the bits
@@ -1442,7 +1414,6 @@ class TestOneProcessCsvReader:
             "pread": (os, "pread", OSError("read failed")),
             "parse": (floatparse.Workspace, "parse_rows", ValueError("parse failed")),
         }[how]
-        usable_cpus(2)
         with monkeypatch.context() as patch:
             counted = self.fail_on(patch, owner, name, -1, error)
             expected = read_trajectory_csv(path, p2, cfg).states.tobytes()
@@ -1453,13 +1424,11 @@ class TestOneProcessCsvReader:
         assert len(calls) == (1 if piece == "first" else pieces) and len(scans) == 1
         assert reads == [(False, True), (False, False)]
 
-    def test_rejected_field_read_by_the_line_scan(self, usable_cpus, reads, scans, p2, long_csv):
+    def test_rejected_field_read_by_the_line_scan(self, reads, scans, p2, long_csv):
         # a field floatparse rejects (1_0) in the first row ends the parse
-        # at its first piece: with two CPUs, nothing forks and the line scan
-        # reads the field as float() does, and the rest of the body as the
-        # parse does
+        # at its first piece: nothing forks and the line scan reads the
+        # field as float() does, and the rest of the body as the parse does
         path, cfg = long_csv
-        usable_cpus(2)
         expected = read_trajectory_csv(path, p2, cfg).states
         header, first, rest = path.read_text().split("\n", 2)
         path.write_text("\n".join([header, "0" + first.replace("1.0", "1_0", 1), rest]))
@@ -1467,14 +1436,14 @@ class TestOneProcessCsvReader:
         assert back[0, 0] == 10.0 and back[1:].tobytes() == expected[1:].tobytes()
         assert reads == [(False, True), (False, False)] and len(scans) == 1
 
-    def test_interrupt_propagates(self, monkeypatch, usable_cpus, reads, scans, p2, long_csv):
+    def test_interrupt_propagates(self, monkeypatch, chunk_values, reads, scans, p2, long_csv):
         # an interrupt during the parse of the second piece is not taken
         # for a body to leave to the line scan: it ends the read, and the
         # file is closed
         from resilient_consensus import floatparse
 
         path, cfg = long_csv
-        usable_cpus(2, chunk_values=7 * 100)
+        chunk_values(7 * 100)
         self.fail_on(monkeypatch, floatparse.Workspace, "parse_rows", 2, KeyboardInterrupt)
         files = []
 
@@ -1488,19 +1457,15 @@ class TestOneProcessCsvReader:
         assert len(files) == 1 and files[0].closed
         assert reads == [] and scans == []
 
-    def test_no_temporary_file_caller_parses_the_whole_body(
-        self, monkeypatch, tmp_path, usable_cpus, reads, scans, p2, long_csv
-    ):
+    def test_no_temporary_file_caller_parses_the_whole_body(self, monkeypatch, tmp_path, reads, scans, p2, long_csv):
         # where no temporary file can be made (TMPDIR missing, full or
-        # unwritable), two CPUs read the body as one does: no fork, no line
+        # unwritable), the body is read as it is with one: no fork, no line
         # scan, the same bits, and no file left behind
         path, cfg = long_csv
-        usable_cpus(1)
         expected = read_trajectory_csv(path, p2, cfg).states.tobytes()
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
         with pytest.raises(OSError):
             tempfile.TemporaryFile()
-        usable_cpus(2)
         reads.clear()
         assert read_trajectory_csv(path, p2, cfg).states.tobytes() == expected
         assert reads == [(False, True)] and scans == []
