@@ -944,7 +944,8 @@ class TestParallelCsvWriter:
     @staticmethod
     def expected(traj):
         # the one-row-at-a-time writer: every field is repr(float(v))
-        lines = [",".join(["t"] + [f"{c}_{i}" for c in ("x", "xhat", "what") for i in range(2)])]
+        n = traj.graph.n
+        lines = [",".join(["t"] + [f"{c}_{i}" for c in ("x", "xhat", "what") for i in range(n)])]
         lines += [",".join(map(repr, [float(t), *y])) for t, y in zip(traj.times, traj.states.tolist())]
         return ("\n".join(lines) + "\n").encode()
 
@@ -1052,18 +1053,22 @@ class TestParallelCsvWriter:
         assert dynamics._cpu_after_caller(cpus) == os.getpid()
 
     @pytest.mark.parametrize("extra", [0, 1])
-    def test_helpers_by_size_alone(self, monkeypatch, tmp_path, p2, temporary_files, extra):
-        # on two CPUs, a trajectory of exactly CSV_HELPER_CHUNKS chunks is
-        # written by the caller, and one row more by two helpers
-        self.set_cpus(monkeypatch, 2, tmp_path / "affinity.log")
+    @pytest.mark.parametrize("cpus", [None, 1, 2, 3])
+    @pytest.mark.parametrize("n", [2, 40])
+    def test_helpers_by_size_alone(self, monkeypatch, tmp_path, temporary_files, n, cpus, extra):
+        # on any CPU count, a trajectory of exactly CSV_HELPER_CHUNKS chunks
+        # of its rows' width is written by the caller, and one row more by
+        # two helpers; with no affinity call the caller writes both
+        self.set_cpus(monkeypatch, cpus, tmp_path / "affinity.log")
         calls = self.caller_rows(monkeypatch)
-        per_chunk = dynamics.CSV_CHUNK_VALUES // 7
+        per_chunk = dynamics.CSV_CHUNK_VALUES // (1 + 3 * n)
         rows = dynamics.CSV_HELPER_CHUNKS * per_chunk + extra
-        states = np.random.default_rng(11).standard_normal((rows, 6))
-        traj = Trajectory(states, p2, adaptive_cfg(2, dt=0.1, t_final=0.1 * (rows - 1)))
+        states = np.random.default_rng(11).standard_normal((rows, 3 * n))
+        traj = Trajectory(states, path_graph(n), adaptive_cfg(n, dt=0.1, t_final=0.1 * (rows - 1)))
         write_trajectory_csv(traj, tmp_path / "traj.csv")
         assert (tmp_path / "traj.csv").read_bytes() == self.expected(traj)
-        assert (calls, len(temporary_files)) == (([], 2) if extra else ([(0, rows)], 0))
+        split = extra and cpus is not None
+        assert (calls, len(temporary_files)) == (([], 2) if split else ([(0, rows)], 0))
         self.assert_no_child_left()
 
     @pytest.mark.parametrize("how", ["exit", "kill"])
