@@ -77,13 +77,15 @@ caller formats a smaller trajectory a row at a time with ``repr`` itself.
 The reader parses byte pieces of the body in one process, on any CPU
 count, straight into the state columns with ``floatparse``, which
 computes ``float``'s bits of each field of ``repr``'s grammar with numpy,
-at about 0.13 us a value against 0.22 us for numpy's text reader. A body
-this parse does not take whole, or one that is not a regular file, goes
-to a line scan with ``float``, which alone decides what is accepted and
-what each error says. A helper formats a chunk of ``CSV_CHUNK_VALUES``
-values at a time, and the reader parses up to half a chunk; the caller's
-writer formats one row at a time. No CSV line is read past
-``CSV_FIELD_CHARS`` characters a field.
+at about 0.11-0.15 us a value against 0.22 us for numpy's text reader:
+some 130 numpy calls a piece on all of its fields, some 40 more on the
+fields with an exponent alone, and a uint64 cast for exact ties below
+2^64. A body this parse does not take whole, or one that is not a
+regular file, goes to a line scan with ``float``, which alone decides
+what is accepted and what each error says. A helper formats a chunk of
+``CSV_CHUNK_VALUES`` values at a time, and the reader parses up to half a
+chunk; the caller's writer formats one row at a time. No CSV line is
+read past ``CSV_FIELD_CHARS`` characters a field.
 """
 
 from __future__ import annotations
@@ -162,9 +164,9 @@ ERROR_BLOCK_VALUES = 2**16
 #: bytes, about 3300 values of ``repr`` text, and its
 #: ``floatparse.Workspace`` parses up to half a chunk of fields, or one
 #: row where that is more, at a time (111 bytes a field, made once per
-#: read): the parse's fixed cost, about 0.2 ms a call, is then about 60 ns a
-#: value, and pieces of half the size took 0.16-0.19 us a value against
-#: 0.13 (small-long at seed 1). The caller's writer
+#: read): the parse's fixed cost, about 0.07 ms a call, is then about 20 ns
+#: a value, and pieces of half the size took 0.15-0.20 us a value against
+#: 0.13-0.15 (the three workloads at seed 1). The caller's writer
 #: forms the times of a chunk in one piece and formats a row at a time
 #: with ``repr``. A trajectory of more than ``CSV_HELPER_CHUNKS`` chunks
 #: is written by two helpers, on any CPU count, and the writer copies a

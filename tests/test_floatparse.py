@@ -328,12 +328,149 @@ def test_no_value_of_the_runs_leaves_the_arithmetic(tmp_path, one_at_a_time, run
 
 
 def test_hard_values_go_to_float(one_at_a_time):
-    # a tie, a q outside the table, 20 significant digits, a 25-byte field
-    # and inf: each goes to float, and its neighbours do not
-    fields = [b"9007199254740993.0", b"1e-300", b"12345678901234567890.0", b"0000000000000000000001.25", b"inf"]
+    # a tie that is not an integer, a q outside the table, 20 significant
+    # digits, a 25-byte field and inf: each goes to float, and its
+    # neighbours do not
+    fields = [b"4503599627370496.5", b"1e-300", b"12345678901234567890.0", b"0000000000000000000001.25", b"inf"]
     piece = b"".join(f + b",0.5,2.25\n" for f in fields)
     assert_parses(piece, 3)
     assert one_at_a_time == [0, 3, 6, 9, 12]
+
+
+
+def is_tie(field: bytes) -> bool:
+    """Whether the decimal field lies exactly halfway between two floats."""
+    value = float(field)
+    with localcontext(prec=2000):
+        exact = Decimal(field.decode())
+        return any(exact == (Decimal(value) + Decimal(n)) / 2 for n in neighbours(value)[::2])
+
+
+def as_rows(fields, width):
+    return b"".join(b",".join(fields[i : i + width]) + b"\n" for i in range(0, len(fields), width))
+
+
+def test_exact_ties_read_by_the_integer_cast(one_at_a_time):
+    # exact halfway points between two floats, which the arithmetic cannot
+    # round with certainty, that are integers below 2^64 are read by the
+    # uint64 cast with float's bits, none by float: repr writes many above
+    # 10^16 (q >= 0), and odd integers between 2^53 and 2^54 are ties
+    # written with a point (q < 0)
+    rng = np.random.default_rng(5)
+    values = np.concatenate([rng.uniform(1e16, 1e17, 1200), rng.uniform(1e17, 2.0**64, 300)])
+    fields = [repr(v).encode() for v in (values * rng.choice([-1.0, 1.0], values.size)).tolist()]
+    signs, odd, zeros = rng.choice(["", "-"], 500), rng.integers(0, 2**52, 500).tolist(), rng.integers(1, 3, 500)
+    fields += [f"{s}{2**53 + 1 + 2 * k}.{'0' * z}".encode() for s, k, z in zip(signs, odd, zeros)]
+    ties = [f for f in fields if is_tie(f)]
+    assert sum(b"e" in f for f in ties) > 100 and sum(b"e" not in f for f in ties) == 500
+    assert {f.startswith(b"-") for f in ties} == {True, False}
+    assert_parses(as_rows(fields, 10), 10)
+    assert one_at_a_time == []
+
+
+def test_ties_above_2_64_go_to_float(one_at_a_time):
+    # an exact tie at or above 2^64 is no uint64 integer: float reads it,
+    # and the tie just below 2^64 beside it is cast
+    fields = [b"4.579584289071872e+19", b"-2.52758575708864e+19", b"1.838131457308352e+19"]
+    assert all(map(is_tie, fields))
+    assert_parses(b"".join(f + b",0.5\n" for f in fields), 2)
+    assert one_at_a_time == [0, 2]
+
+
+#: Fields of repr's exponent form: both signs of the mantissa and of the
+#: exponent, two and three digits, with a point and without.
+EXPONENT_FIELDS = [b"1e-05", b"-2.5e+100", b"9.999999999999999e-05", b"-1e+16", b"1.2345e-123", b"-7.25e+22"]
+
+
+def positional_fields(rng, count):
+    return [repr(v).encode() for v in (rng.uniform(1.0, 1000.0, count) * rng.choice([-1.0, 1.0], count)).tolist()]
+
+
+#: Where a piece of 42 fields holds a field, and the fields its workspace
+#: parses at a time: the first of a later part needs a smaller workspace.
+PLACES = {"first": (0, 42), "last": (41, 42), "first of a later part": (10, 10)}
+
+
+def with_field_at(field, where, seed):
+    """42 positional fields in rows of 7, with field at the place where,
+    and the workspace to parse them."""
+    fields = positional_fields(np.random.default_rng(seed), 42)
+    at, size = PLACES[where]
+    fields[at] = field
+    return as_rows(fields, 7), floatparse.Workspace(size)
+
+
+@pytest.mark.parametrize("field", EXPONENT_FIELDS)
+@pytest.mark.parametrize("where", sorted(PLACES))
+def test_one_exponent_field(one_at_a_time, where, field):
+    # the piece's only exponent field as its first, its last, or the first
+    # field of a later part
+    piece, ws = with_field_at(field, where, 3)
+    assert ws.parse_rows(piece, 7).tobytes() == floats_of(piece).tobytes()
+    assert one_at_a_time == []
+
+
+@pytest.mark.parametrize(
+    "field",
+    [b"1e+5", b"1e05", b"1e+0005", b"12e+05", b"12.5e+05", b"1.e+05", b"1e+a5", b"1e+0:", b"1.5e*05", b"1e-+05"]
+    + [b"1e+05.0", b"1.5e+1.0", b"e+05"],
+)
+@pytest.mark.parametrize("where", sorted(PLACES))
+def test_malformed_exponent_raises(where, field):
+    # the piece's only exponent-like field, at the same places
+    assert not GRAMMAR.fullmatch(field)
+    piece, ws = with_field_at(field, where, 8)
+    with pytest.raises(ValueError):
+        ws.parse_rows(piece, 7)
+
+
+def test_every_field_with_an_exponent(one_at_a_time):
+    # both signs of the value and of the exponent, two and three digits
+    rng = np.random.default_rng(4)
+    exponents = np.concatenate([rng.integers(-270, -5, 300), rng.integers(20, 270, 300)])
+    values = rng.uniform(1.0, 10.0, exponents.size) * 10.0**exponents * rng.choice([-1.0, 1.0], exponents.size)
+    fields = [repr(v).encode() for v in values.tolist()]
+    kinds = {(f[:1] == b"-", f.split(b"e")[1][:1], len(f.split(b"e")[1])) for f in fields}
+    assert kinds == {(s, e, n) for s in (True, False) for e in (b"-", b"+") for n in (3, 4)}
+    piece = as_rows(fields, 12)
+    assert floatparse.parse_rows(piece, 12).tobytes() == floats_of(piece).tobytes()
+    assert floatparse.Workspace(50).parse_rows(piece, 12).tobytes() == floats_of(piece).tobytes()
+    assert one_at_a_time == []
+
+
+def test_exponent_read_on_its_fields_alone(monkeypatch):
+    # _exponent sees the exponent fields and no others: never for a piece
+    # without one, and k fields in all for a piece with k, over any parts
+    seen, exponent = [], floatparse._exponent
+
+    def counting(slots, two):
+        seen.append(slots.shape[1])
+        return exponent(slots, two)
+
+    monkeypatch.setattr(floatparse, "_exponent", counting)
+    fields = positional_fields(np.random.default_rng(6), 70)
+    piece = as_rows(fields, 7)
+    assert floatparse.parse_rows(piece, 7).tobytes() == floats_of(piece).tobytes()
+    assert seen == []
+    for at in (0, 9, 10, 33, 69):
+        fields[at] = EXPONENT_FIELDS[at % len(EXPONENT_FIELDS)]
+    piece = as_rows(fields, 7)
+    assert floatparse.parse_rows(piece, 7).tobytes() == floats_of(piece).tobytes()
+    assert seen == [5]
+    seen.clear()
+    assert floatparse.Workspace(10).parse_rows(piece, 7).tobytes() == floats_of(piece).tobytes()
+    assert sorted(seen) == [1, 1, 1, 2]
+
+
+def test_short_first_field_after_an_e(one_at_a_time):
+    # the bytes before a piece fill the left columns of its first field's
+    # slot: an 'e' there is no exponent of a field of 3 or 4 bytes
+    ws = floatparse.Workspace(8)
+    ws.parse_rows(b"0.5\n", 1)
+    ws.text[:] = ord("e")
+    for piece in [b"0.5,1.5\n", b"-0.5,1.5\n", b"10.5,1.5\n"]:
+        assert ws.parse_rows(piece, 2).tobytes() == floats_of(piece).tobytes()
+    assert one_at_a_time == []
 
 
 def test_parse_rows_peak_per_value():
