@@ -56,8 +56,9 @@ Any other run takes the stages, x_{k+1} = x_k + [h phi(hB) B z_k]_x one
 step at a time. The x part of B t is -L t_x - t_w, and the w_tilde parts
 of the Horner operands are elementwise in the error rows, so they are
 formed first; each step then makes four sparse matvecs with -L in CSR
-form, whose arrays each graph builds once from its edge set
-(``_neg_laplacian``, the one place ``scipy.sparse`` is imported). A
+form, whose arrays each graph builds once from its edge set. Each is a
+direct call of scipy's CSR kernel, the one use of ``scipy.sparse``,
+imported by the stage route alone, into buffers made once per march. A
 short run does not repay forming the map, and above ``MAX_MAP_NODES`` the
 dense matvec costs more per step than the four sparse ones.
 
@@ -135,11 +136,16 @@ MAX_TRAJECTORY_SAMPLES = 100_000_000
 MAX_MAP_NODES = 256
 
 #: Break-even of the map against the sparse stages: the map path needs
-#: steps >= n^3 / MAP_BREAK_EVEN. Forming the map takes about 8 n^3 flops,
-#: against a stage step of about 40 us, mostly call overhead, at these n.
-#: The map first beat the stages (forming the map and building -L
-#: included) at 1 step at n = 60, 24-28 at n = 100, 80-112 at n = 150,
-#: 160-192 at n = 200 and 320-640 at n = 250.
+#: steps >= n^3 / MAP_BREAK_EVEN. Forming the map takes about 8 n^3 flops.
+#: The constant was fitted when a stage step took about 40 us, mostly call
+#: overhead: the map then first beat the stages (forming the map and
+#: building -L included) at 1 step at n = 60, 24-28 at n = 100, 80-112 at
+#: n = 150, 160-192 at n = 200 and 320-640 at n = 250. Since the stages
+#: call scipy's CSR kernel directly, a step takes 15-36 us at n = 60-250,
+#: and on random graphs of large-cert's density the map first won at 6-16
+#: steps at n = 60, 12-64 at n = 100, 256-320 at n = 150, 512 at n = 200
+#: and 1024-1280 at n = 250 (2-vCPU Xeon, single-threaded OpenBLAS); the
+#: constant is kept, so that no run changes route.
 MAP_BREAK_EVEN = 2**15
 
 #: Cost of one numpy matmul call on a block of rows, in flops of a squaring
@@ -299,17 +305,6 @@ def _check_lengths(g: Graph, *vecs):
             raise MatrixShapeError(f"vector length {len(v)} != node count {g.n}")
 
 
-def _neg_laplacian(g: Graph):
-    """-L = Adj - Delta as a scipy CSR matrix over the graph's cached CSR
-    arrays (``Graph.neg_laplacian_csr``). ``scipy.sparse`` is imported
-    here, not at module level: only the stage route of ``simulate`` needs
-    it, so ``verify``, ``analyze`` and every run on the map route run
-    without it."""
-    from scipy import sparse
-
-    return sparse.csr_matrix(g.neg_laplacian_csr, shape=(g.n, g.n))
-
-
 def _closed_form_modes(g: Graph, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """spec(A1) = {-lambda_k(L) : k >= 2} and spec(E), the 2n roots of
     lam^2 + d_i lam + alpha, of the adaptive closed loop in agreement
@@ -335,8 +330,8 @@ def closed_form_spectrum(g: Graph, alpha: float) -> Spectrum:
 
 def _rk4_increment(mul, v, dt: float):
     """dt phi(dt X) v, phi(z) = 1 + z/2 + z^2/6 + z^3/24, by Horner's rule,
-    with ``mul(t)`` returning X t as a new array; v is a scalar, a vector
-    or a block of columns."""
+    with ``mul(t)`` returning X t in an array that is neither t nor v; v
+    is a scalar, a vector or a block of columns."""
     t = v
     for c in (4.0, 3.0, 2.0):
         t = mul(t)
@@ -475,9 +470,20 @@ def _march_x_stages(g: Graph, alpha: float, dt: float, out: np.ndarray) -> None:
     columns filled, one RK4 step at a time. The w_tilde parts t_w of the
     three Horner operands are, per agent, fixed combinations of x_tilde_k
     and w_tilde_k, read off one Horner pass on E_i, and are formed for
-    blocks of at most ``ERROR_BLOCK_VALUES`` values."""
+    blocks of at most ``ERROR_BLOCK_VALUES`` values.
+
+    Each -L t is scipy's CSR kernel ``csr_matvec`` on the graph's
+    ``neg_laplacian_csr``, called directly: the kernel that
+    ``csr_matrix @ t`` calls, without its dispatch, about half of each
+    matvec at n = 200. It adds -L t to its output, which is zeroed before
+    each call, as ``@`` zeroes its fresh result, so each sum starts from
+    +0.0 and is formed in the same order, to the same bits. The outputs go
+    into three buffers made once per march: v, and two that ``x_mul``
+    alternates between, so that no product overwrites its own operand."""
+    from scipy.sparse._sparsetools import csr_matvec
+
     n, deg = g.n, g.degrees
-    neg_lap = _neg_laplacian(g)
+    data, indices, indptr = g.neg_laplacian_csr
     x, xt, wt = out[:, :n], out[:, n : 2 * n], out[:, 2 * n :]
     operands = []
 
@@ -488,8 +494,15 @@ def _march_x_stages(g: Graph, alpha: float, dt: float, out: np.ndarray) -> None:
     _rk4_increment(error_mul, error_mul(np.broadcast_to(np.eye(2)[:, :, None], (2, 2, n))), dt)
     coef = -np.array(operands[1:])[:, :, None]  # -t_w = coef[j, 0] x_tilde + coef[j, 1] w_tilde
 
+    def neg_lap(t, r):  # r = -L t
+        r.fill(0.0)
+        csr_matvec(n, n, indptr, indices, data, t, r)
+        return r
+
+    v, r0, r1 = np.empty((3, n))
+
     def x_mul(t):  # the x part of B t: -L t_x, plus -t_w from the current step's shifts
-        r = neg_lap @ t
+        r = neg_lap(t, r1 if t is r0 else r0)
         r += next(shift)
         return r
 
@@ -503,7 +516,7 @@ def _march_x_stages(g: Graph, alpha: float, dt: float, out: np.ndarray) -> None:
             shift_j += coef_j * wt[k0:k1]
         for k in range(k0, k1):
             shift = iter(shifts[:, k - k0])
-            v = neg_lap @ x[k]
+            neg_lap(x[k], v)
             v -= wt[k]
             np.add(x[k], _rk4_increment(x_mul, v, dt), out=x[k + 1])
 

@@ -52,19 +52,35 @@ class Graph:
     edges: frozenset = field(default_factory=frozenset)
 
     @cached_property
+    def ends(self) -> np.ndarray:
+        """The edges as an m x 2 array of node indices, in the order of the
+        edge set, built once per graph; the array is read-only. Every other
+        cached array is built from it, so a ``Graph`` made directly with an
+        edge outside [0, n) or a self-loop raises, before anything is built
+        from its edges, the ``NodeIndexError`` or ``SelfLoopError`` that
+        ``from_edge_list`` raises for the first such edge in that order."""
+        ends = np.fromiter(
+            (v for e in self.edges for v in e), dtype=np.int64, count=2 * len(self.edges)
+        ).reshape(-1, 2)
+        loops, unsigned = ends[:, 0] == ends[:, 1], ends.view(np.uint64)  # -1 reads as 2^64 - 1
+        if loops.any() or unsigned.max(initial=0) >= self.n:
+            bad = loops | (unsigned >= self.n).any(axis=1)
+            raise _edge_error(*ends[bad.argmax()].tolist(), self.n)
+        return _read_only(ends)
+
+    @cached_property
     def degrees(self) -> np.ndarray:
         """Node degrees, counted once per graph; the array is read-only."""
-        ends = np.fromiter((v for e in self.edges for v in e), dtype=np.int64)
-        return _read_only(np.bincount(ends, minlength=self.n))
+        return _read_only(np.bincount(self.ends.ravel(), minlength=self.n))
 
     @cached_property
     def adjacency(self) -> np.ndarray:
         """Symmetric 0/1 adjacency matrix with zero diagonal, built once
         per graph; the array is read-only."""
         a = np.zeros((self.n, self.n))
-        for i, j in self.edges:
-            a[i, j] = 1.0
-            a[j, i] = 1.0
+        i, j = self.ends.T
+        a[i, j] = 1.0
+        a[j, i] = 1.0
         return _read_only(a)
 
     @cached_property
@@ -72,10 +88,9 @@ class Graph:
         """-L = Adj - Delta in CSR form, as (data, indices, indptr), built
         once per graph from the edge set; the arrays are read-only. Each
         row holds its off-diagonal ones and its diagonal -d_i in ascending
-        column order, the order of scipy's canonical CSR form."""
-        ends = np.fromiter(
-            (v for e in self.edges for v in e), dtype=np.int32, count=2 * len(self.edges)
-        ).reshape(-1, 2)
+        column order, the order of scipy's canonical CSR form. Every index
+        lies in [0, n), which the CSR kernel of ``dynamics`` does not check."""
+        ends = self.ends.astype(np.int32)
         diag = np.arange(self.n, dtype=np.int32)
         rows = np.concatenate([ends[:, 0], ends[:, 1], diag])
         cols = np.concatenate([ends[:, 1], ends[:, 0], diag])
@@ -90,8 +105,10 @@ class Graph:
         """Reachability of every node from node 0, searched once per graph.
 
         A connected graph has at least n - 1 edges, so fewer answer False
-        before the search allocates anything of size n.
+        before the search allocates anything of size n; the edges are
+        checked (``ends``) first.
         """
+        self.ends
         if len(self.edges) < self.n - 1:
             return False
         adj = [[] for _ in range(self.n)]

@@ -3,13 +3,21 @@
 No command runs these: the per-agent protocol laws, which the dense
 closed loop ``y' = A y + b`` of ``test_dynamics`` is checked against, the
 assembled (3n-1) x (3n-1) closed-loop matrix M, whose dense spectrum
-acceptance criterion 4 compares with the closed form, and the
-block-triangular determinant identity of acceptance criterion 2.
+acceptance criterion 4 compares with the closed form, the
+block-triangular determinant identity of acceptance criterion 2, and the
+stage march of ``simulate`` on scipy's ``csr_matrix @``, whose bits the
+stage march that calls the CSR kernel directly must reproduce.
 """
 
 import numpy as np
 
-from resilient_consensus.dynamics import _check_lengths, _closed_form_modes, read_scalar
+from resilient_consensus import dynamics
+from resilient_consensus.dynamics import (
+    _check_lengths,
+    _closed_form_modes,
+    _rk4_increment,
+    read_scalar,
+)
 from resilient_consensus.errors import MatrixShapeError
 from resilient_consensus.graph import Graph, adjacency_matrix, degree_matrix, laplacian
 from resilient_consensus.spectral import (
@@ -123,3 +131,42 @@ def block_triangular_det_check(a, b, d) -> tuple[float, float, float]:
     det_m = determinant(m)
     det_ad = determinant(a) * determinant(d)
     return det_m, det_ad, abs(det_m - det_ad)
+
+
+def march_x_stages_dispatch(g: Graph, alpha: float, dt: float, out: np.ndarray) -> None:
+    """``dynamics._march_x_stages`` as it was written on ``csr_matrix @``:
+    each -L t goes through scipy's Python dispatch, which allocates a zeroed
+    result and calls the CSR kernel on it. The stage march's bits are
+    checked against this one's."""
+    from scipy import sparse
+
+    n, deg = g.n, g.degrees
+    neg_lap = sparse.csr_matrix(g.neg_laplacian_csr, shape=(n, n))
+    x, xt, wt = out[:, :n], out[:, n : 2 * n], out[:, 2 * n :]
+    operands = []
+
+    def error_mul(t):  # E_i t per agent, recording the w_tilde part of eye, then of each operand
+        operands.append(t[1])
+        return np.array([-deg * t[0] - t[1], alpha * t[0]])
+
+    _rk4_increment(error_mul, error_mul(np.broadcast_to(np.eye(2)[:, :, None], (2, 2, n))), dt)
+    coef = -np.array(operands[1:])[:, :, None]  # -t_w = coef[j, 0] x_tilde + coef[j, 1] w_tilde
+
+    def x_mul(t):  # the x part of B t: -L t_x, plus -t_w from the current step's shifts
+        r = neg_lap @ t
+        r += next(shift)
+        return r
+
+    steps = len(out) - 1
+    block = max(1, dynamics.ERROR_BLOCK_VALUES // n)
+    buffer = np.empty((3, min(block, steps), n))
+    for k0 in range(0, steps, block):
+        k1 = min(k0 + block, steps)
+        shifts = np.multiply(coef[:, 0], xt[k0:k1], out=buffer[:, : k1 - k0])
+        for shift_j, coef_j in zip(shifts, coef[:, 1]):  # one block-sized temporary
+            shift_j += coef_j * wt[k0:k1]
+        for k in range(k0, k1):
+            shift = iter(shifts[:, k - k0])
+            v = neg_lap @ x[k]
+            v -= wt[k]
+            np.add(x[k], _rk4_increment(x_mul, v, dt), out=x[k + 1])

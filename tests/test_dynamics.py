@@ -42,7 +42,12 @@ from resilient_consensus.errors import (
 from resilient_consensus.graph import from_edge_list, path_graph
 from resilient_consensus.stability import DECAY_WINDOW, _energy, error_sums
 
-from reference import adaptive_control, emulator_derivative, nominal_control
+from reference import (
+    adaptive_control,
+    emulator_derivative,
+    march_x_stages_dispatch,
+    nominal_control,
+)
 
 
 def adaptive_cfg(n, alpha=1.0, dt=0.001, t_final=10.0, x0=None, **kw):
@@ -432,20 +437,82 @@ class TestIntegrationPaths:
         ],
     )
     def test_rule_picks_path(self, monkeypatch, n, steps, path):
-        # the stages make four CSR matvecs per step; the map makes none
+        # the stages make four calls of the CSR matvec kernel per step; the
+        # map makes none
+        from scipy.sparse import _sparsetools
+
         matvecs = []
+        kernel = _sparsetools.csr_matvec
 
-        class CountingCsr(sparse.csr_matrix):
-            def __matmul__(self, other):
-                if np.ndim(other) == 1:
-                    matvecs.append(1)
-                return super().__matmul__(other)
+        def counting_kernel(*args):
+            matvecs.append(1)
+            return kernel(*args)
 
-        build = dynamics._neg_laplacian
-        monkeypatch.setattr(dynamics, "_neg_laplacian", lambda g: CountingCsr(build(g)))
+        monkeypatch.setattr(_sparsetools, "csr_matvec", counting_kernel)
         g = path_graph(n)
         simulate(g, nominal_cfg(n, dt=0.01, t_final=0.01 * steps, x0=np.arange(n)), np.ones(n))
         assert len(matvecs) == (4 * steps if path == "stages" else 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, dynamics.MAX_MAP_NODES + 44),
+        seed=st.integers(0, 2**32 - 1),
+        extra_edge_prob=st.sampled_from([0.0, 0.05, 0.3]),
+        protocol=st.sampled_from([NOMINAL, ADAPTIVE]),
+        values=st.sampled_from(["normal", "signed zeros", "overflow"]),
+        data=st.data(),
+    )
+    def test_stage_march_bits_match_dispatch(self, n, seed, extra_edge_prob, protocol, values, data):
+        # the stage march on the direct CSR kernel gives the bits of the
+        # march on csr_matrix @ (reference), -0.0, inf and NaN included.
+        # The shift blocks hold ERROR_BLOCK_VALUES // n rows, scaled here to
+        # at most 250 rows so that runs crossing one or two block ends stay
+        # short; at n >= 263 the real constant's block is in that range
+        block = data.draw(st.integers(1, 250), label="block")
+        steps = data.draw(
+            st.one_of(st.integers(1, 2 * block + 2), st.sampled_from([1, block, block + 1, 2 * block + 1])),
+            label="steps",
+        )
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(n, rng, extra_edge_prob)
+        if values == "overflow":  # -L x0 overflows at node 0 in the first matvec
+            x0, w = np.full((2, n), 1.7e308)
+            x0[0] = -1.7e308
+        elif values == "signed zeros":
+            x0, w = rng.choice([0.0, -0.0], size=(2, n))
+        else:
+            x0, w = rng.normal(size=(2, n))
+        dt = 0.5 / max(2.0 * np.max(g.degrees), np.sqrt(2.0))
+        cfg = SimConfig(protocol=protocol, dt=dt, t_final=steps * dt, x0=x0, alpha=2.0)
+        states = []
+        for march in (dynamics._march_x_stages, march_x_stages_dispatch):
+            out = np.empty((steps + 1, 3 * n))
+            with (
+                mock.patch.object(dynamics, "MAX_MAP_NODES", 0),
+                mock.patch.object(dynamics, "ERROR_BLOCK_VALUES", block * n),
+                mock.patch.object(dynamics, "_march_x_stages", march),
+                np.errstate(over="ignore", invalid="ignore"),
+            ):
+                dynamics._rk4_steps(g, cfg, w, out)
+            states.append(out.view(np.uint64))
+        assert np.array_equal(*states)
+        assert np.isfinite(out).all() == (values != "overflow")
+
+    @pytest.mark.parametrize("n", [2, 3, 60, dynamics.MAX_MAP_NODES + 44])
+    def test_direct_kernel_is_csr_matmul(self, n):
+        # the kernel call of the stage march, on the graph's CSR arrays into
+        # a zeroed output, gives the bits of csr_matrix @ x
+        from scipy.sparse._sparsetools import csr_matvec
+
+        rng = np.random.default_rng(n)
+        g = random_connected_graph(n, rng, 0.1)
+        data, indices, indptr = g.neg_laplacian_csr
+        neg_lap = sparse.csr_matrix(g.neg_laplacian_csr, shape=(n, n))
+        vectors = [*rng.normal(scale=1e3, size=(20, n)), *rng.choice([0.0, -0.0], size=(5, n))]
+        for x in vectors + [np.full(n, np.inf), np.full(n, np.nan)]:
+            r = np.zeros(n)
+            csr_matvec(n, n, indptr, indices, data, x, r)
+            assert np.array_equal(r.view(np.uint64), (neg_lap @ x).view(np.uint64))
 
     def test_stage_csr_built_once_per_graph(self, count_builds):
         # -L's CSR arrays come from the graph's cache: one build for two runs

@@ -7,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resilient_consensus import (
+    ADAPTIVE,
+    Graph,
+    SimConfig,
     adjacency_matrix,
     complete_graph,
     cycle_graph,
@@ -18,6 +21,8 @@ from resilient_consensus import (
     parse_edge_list,
     path_graph,
     random_connected_graph,
+    simulate,
+    verify_theorem,
 )
 from resilient_consensus.errors import (
     DisconnectedGraphError,
@@ -221,7 +226,8 @@ class TestSpectrum:
 class TestComputedOncePerGraph:
     def test_cached_and_read_only(self, rng):
         g = random_connected_graph(6, rng)
-        for get in (adjacency_matrix, laplacian_spectrum):
+        assert g.ends.tolist() == [list(e) for e in g.edges]
+        for get in (lambda g: g.ends, adjacency_matrix, laplacian_spectrum):
             assert get(g) is get(g)
             with pytest.raises(ValueError):
                 get(g)[0] = 1.0
@@ -235,6 +241,45 @@ class TestComputedOncePerGraph:
         assert calls == [6]
         assert not is_connected(from_edge_list(4, [(0, 1), (2, 3)]))
         assert calls == [6, 4]
+
+
+class TestGraphMadeDirectly:
+    """A ``Graph`` made without ``from_edge_list`` has its edges checked
+    once, before any array is built from them: a bad edge raises the typed
+    error that ``from_edge_list`` raises for it, not an ``IndexError`` from
+    the search or a ``ValueError`` from ``np.bincount``, and the stage
+    route's CSR kernel, which checks no index, never sees it."""
+
+    BAD_EDGES = [((5, 400), NodeIndexError), ((-1, 5), NodeIndexError), ((7, 7), SelfLoopError)]
+
+    @staticmethod
+    def expected(bad, error):
+        with pytest.raises(error) as err:
+            from_edge_list(300, [bad])
+        return str(err.value)
+
+    @pytest.mark.parametrize("bad, error", BAD_EDGES)
+    @pytest.mark.parametrize("command", ["simulate", "verify_theorem"])
+    def test_commands_raise_typed(self, command, bad, error):
+        # n = 300 > MAX_MAP_NODES: simulate would take the stage route
+        g = Graph(n=300, edges=path_graph(300).edges | {bad})
+        with pytest.raises(error) as err:
+            if command == "simulate":
+                cfg = SimConfig(protocol=ADAPTIVE, dt=0.01, t_final=0.02, x0=np.zeros(300), alpha=1.0)
+                simulate(g, cfg, np.ones(300))
+            else:
+                verify_theorem(g, 1.0)
+        assert str(err.value) == self.expected(bad, error)
+
+    @pytest.mark.parametrize("bad, error", BAD_EDGES)
+    @pytest.mark.parametrize(
+        "name", ["ends", "degrees", "adjacency", "neg_laplacian_csr", "connected", "laplacian_eigenvalues"]
+    )
+    def test_every_cached_value_checks_first(self, name, bad, error):
+        g = Graph(n=300, edges=path_graph(300).edges | {bad})
+        with pytest.raises(error) as err:
+            getattr(g, name)
+        assert str(err.value) == self.expected(bad, error)
 
 
 class TestGenerators:
